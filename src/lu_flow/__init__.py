@@ -1,6 +1,8 @@
 """lu_flow: spectral Galerkin simulation and verification of 2D Navier-Stokes
 under location-uncertainty transport noise on the periodic torus."""
 
+__version__ = "0.1.0"  # before the imports: config reads it while the package loads
+
 from .spectral import (
     SpectralScalar,
     SpectralVelocity,
@@ -46,5 +48,3 @@ from .diagnostics import (
     epsilon_convergence_study,
 )
 from .config import ConfigError, RunManifest, config_hash, parse_config
-
-__version__ = "0.1.0"

@@ -17,8 +17,10 @@ The config file is JSON.  Schema (defaults in parentheses):
                 "dt_coarse": float, "delta": float}   # optional
     }
 
-Unknown keys are rejected.  The LU_FLOW_SEED environment variable, when
-set, overrides the noise seed (recorded in the manifest).
+``study.epsilons`` holds at least two distinct numbers in (0, 1];
+``study.ensemble_size`` is an integer >= 1.  Unknown keys are rejected.
+The LU_FLOW_SEED environment variable, when set, overrides the noise seed
+(recorded in the manifest); it must be an integer >= 0.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from . import __version__
 from .solver import SolverConfig
-
-TOOL_VERSION = "0.1.0"
 
 
 class ConfigError(ValueError):
@@ -75,6 +76,33 @@ def _require_number(value, name, *, positive=False, integer=False, minimum=None)
     return value
 
 
+def _check_epsilons(value) -> None:
+    """study.epsilons: at least two distinct numbers in (0, 1]."""
+    ok = (isinstance(value, list) and len(value) >= 2
+          and all(isinstance(e, (int, float)) and not isinstance(e, bool) and 0 < e <= 1
+                  for e in value)
+          and len(set(value)) == len(value))
+    if not ok:
+        raise ConfigError("field 'study.epsilons' must be a list of at least two distinct "
+                          f"numbers in (0, 1], got {value!r}")
+
+
+def _env_seed(default: int) -> int:
+    """The LU_FLOW_SEED override if set, else ``default``."""
+    raw = os.environ.get("LU_FLOW_SEED")
+    if raw is None:
+        return default
+    error = ConfigError(f"environment variable 'LU_FLOW_SEED' must be an integer >= 0, "
+                        f"got {raw!r}")
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise error from None
+    if seed < 0:
+        raise error
+    return seed
+
+
 def parse_config(text: str) -> tuple[SolverConfig, dict]:
     """Validate a JSON config and return (SolverConfig, study parameters)."""
     try:
@@ -108,12 +136,11 @@ def parse_config(text: str) -> tuple[SolverConfig, dict]:
     _require_number(noise["seed"], "noise.seed", integer=True, minimum=0)
     if not isinstance(noise["mix"], bool):
         raise ConfigError(f"field 'noise.mix' must be a boolean, got {noise['mix']!r}")
+    _require_number(study["ensemble_size"], "study.ensemble_size", integer=True, minimum=1)
+    _check_epsilons(study["epsilons"])
     kind = initial.pop("kind")
 
-    seed = int(noise["seed"])
-    env_seed = os.environ.get("LU_FLOW_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
+    seed = _env_seed(int(noise["seed"]))
 
     try:
         config = SolverConfig(
@@ -154,7 +181,7 @@ def config_hash(config: SolverConfig, study: dict | None = None) -> str:
 @dataclass
 class RunManifest:
     config_hash: str
-    tool_version: str = TOOL_VERSION
+    tool_version: str = __version__
     seed: int = 0
     seed_overridden: bool = False
     created_at: str = ""

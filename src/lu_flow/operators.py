@@ -13,6 +13,10 @@ The time-derivative contribution of the drift correction is identically
 zero for the time-independent covariance family used here; this is the
 extension point for a time-dependent noise model.
 
+``solver.step`` evaluates these terms in one fused expression; the
+functions here keep the per-operator formulas and are the reference that
+step is tested against.
+
 Key discrete identities, exact up to rounding thanks to dealiasing:
 (A v, v)_H = (1/Re)||v||_V^2, (B(u, v), v)_H = 0, b(u,v,w) = -b(u,w,v),
 and the energy pairing (eps^2/2) sum_k |(phi_k.grad)v|^2 =

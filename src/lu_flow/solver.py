@@ -3,11 +3,22 @@
 Scheme: Euler-Maruyama for the nonlinear, drift-correction and noise terms
 with exact integrating-factor treatment of the Stokes operator,
 
-    v+ = exp(-dt |k|^2 / Re) * [v - dt (B(v) + F(v)) + G(v) dW],
+    v+ = exp(-dt |k|^2 / Re) * [v - dt (B(v) + F(v)) + G(v) dW].
 
-followed by re-projection and Hermitian symmetrization.  The integrating
-factor removes the stiff linear stability constraint; only an advective
-CFL condition remains and is warned about.
+Every eps-term of F and G is linear in w = v + eps^2 u_s (u_s the raw
+Ito-Stokes drift) and the projections commute with the integrating factor,
+so ``step`` evaluates the bracket as one fused expression,
+
+    v+ = P exp(-dt |k|^2 / Re) [v - (c.grad) w + (eps^2 dt / 2) div(a grad w)
+                                + eps^2 dt A u_s - eps A xi],
+
+with c = dt v + eps xi and xi = sum_k phi_k dbeta_k: one batched inverse
+real FFT of c and grad w on the padded grid, one batched forward real FFT
+of (c.grad) w and the flux a grad w, and one Leray projection.  The state
+stays Hermitian because the transforms produce Hermitian coefficients.
+The per-operator functions of ``operators`` are the reference this step is
+tested against.  The integrating factor removes the stiff linear stability
+constraint; only an advective CFL condition remains and is warned about.
 
 A run with eps = 0 takes exactly the same code path as the deterministic
 solver (noise and drift-correction branches are skipped, not multiplied by
@@ -22,15 +33,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .noise import NoiseModel, WienerPath, build_noise_model
-from .operators import OperatorContext, apply_B, apply_F, noise_increment
+from .operators import OperatorContext
 from .spectral import (
     SpectralScalar,
     SpectralVelocity,
     TorusGrid,
     advect,
+    divergence,
     energy,
     enstrophy,
     from_physical,
+    gradient,
     h_norm,
     hermitian_symmetrize,
     leray_project,
@@ -126,8 +139,7 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
             raise ValueError(f"unknown taylor_green parameters {sorted(params)}")
         ux = scale * np.cos(grid.x) * np.sin(grid.y)
         uy = -scale * np.sin(grid.x) * np.cos(grid.y)
-        coeffs = from_physical(grid, np.stack([ux, uy]))
-        coeffs = leray_project(grid, hermitian_symmetrize(grid, coeffs))
+        coeffs = leray_project(grid, from_physical(grid, np.stack([ux, uy])))
         return SpectralVelocity(grid, coeffs)
     if kind == "random_band":
         k_min = params.pop("k_min", 1)
@@ -157,7 +169,8 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
                 f"snapshot grid N={file_grid.n_modes} does not match run grid N={grid.n_modes}")
         if coeffs.ndim != 3 or coeffs.shape[0] != 2:
             raise ValueError("snapshot does not hold a 2-component field")
-        return SpectralVelocity(grid, coeffs)
+        # the transforms read only the ky >= 0 half, so outside data is made Hermitian
+        return SpectralVelocity(grid, hermitian_symmetrize(grid, coeffs))
     raise ValueError(f"unknown initial condition kind {kind!r}")
 
 
@@ -173,18 +186,43 @@ def check_cfl(config: SolverConfig, v: SpectralVelocity) -> None:
 
 def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None,
          dt: float) -> SpectralVelocity:
-    """One Euler-Maruyama step with integrating-factor Stokes treatment."""
+    """One Euler-Maruyama step with integrating-factor Stokes treatment.
+
+    Fused form of exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta]:
+    12 real transforms on the padded grid with noise, 8 without.
+    """
     grid = ctx.grid
-    rhs = apply_B(ctx, state, state).coeffs
-    if ctx.epsilon > 0.0 and ctx.noise.amplitude != 0.0:
-        rhs = rhs + apply_F(ctx, state).coeffs
-        new = state.coeffs - dt * rhs
+    m = grid.pad_size
+    n = grid.n_modes
+    v = state.coeffs
+    noisy = ctx.epsilon > 0.0 and ctx.noise.amplitude != 0.0
+    c = dt * v
+    w = v
+    if noisy:
+        eps = ctx.epsilon
+        w = v + eps**2 * ctx.us_raw
         if dbeta is not None:
-            new = new + noise_increment(ctx, state, dbeta).coeffs
-    else:
-        new = state.coeffs - dt * rhs
-    new = np.exp(-dt * grid.k_sq / ctx.reynolds) * new
-    new = leray_project(grid, hermitian_symmetrize(grid, new))
+            xi = np.tensordot(dbeta, ctx.phi_stack, axes=(0, 0))
+            c = c + eps * xi
+    # c and grad w, with gw[l, i] = d_l w_i
+    phys = to_physical(grid, np.concatenate([c, gradient(grid, w).reshape(4, n, n)]), m)
+    cp, gw = phys[:2], phys[2:].reshape(2, 2, m, m)
+    prod = np.empty((6 if noisy else 2, m, m))
+    np.add(cp[0] * gw[0], cp[1] * gw[1], out=prod[:2])         # (c.grad) w
+    if noisy:
+        a = ctx.a_pad
+        flux = prod[2:].reshape(2, 2, m, m)                     # (a grad w)_{j i}
+        np.add(a[:, 0, None] * gw[0], a[:, 1, None] * gw[1], out=flux)
+    hat = from_physical(grid, prod)
+    rhs = v - hat[:2]
+    if noisy:
+        flux_hat = hat[2:].reshape(2, 2, n, n)
+        stokes_arg = eps**2 * dt * ctx.us_raw  # eps^2 dt A u_s - eps A xi
+        if dbeta is not None:
+            stokes_arg = stokes_arg - eps * xi
+        rhs += (0.5 * eps**2 * dt * divergence(grid, flux_hat)
+                + (grid.k_sq / ctx.reynolds) * stokes_arg)
+    new = leray_project(grid, np.exp(-dt * grid.k_sq / ctx.reynolds) * rhs)
     return SpectralVelocity(grid, new)
 
 
@@ -225,7 +263,7 @@ def run(config: SolverConfig, member_index: int = 0, *,
         dbeta = path.increments[i] if use_noise else None
         state = step(state, ctx, dbeta, config.dt)
         t = (i + 1) * config.dt
-        if not np.isfinite(state.coeffs.view(float)).all():
+        if not np.isfinite(state.coeffs).all():
             raise BlowUpError(i + 1, t)
         if (i + 1) % config.record_every == 0 or i + 1 == n_steps:
             times.append(t)
@@ -282,9 +320,9 @@ def run_scalar_transport(q0: SpectralScalar, velocity, ctx: OperatorContext,
         if use_noise:
             xi = np.tensordot(path.increments[i], phi_stack, axes=(0, 0))
             incr -= eps * advect(grid, xi, q)
-        q = hermitian_symmetrize(grid, q + incr)
+        q = q + incr
         t = (i + 1) * dt
-        if not np.isfinite(q.view(float)).all():
+        if not np.isfinite(q).all():
             raise BlowUpError(i + 1, t)
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             times.append(t)

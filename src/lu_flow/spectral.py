@@ -6,6 +6,13 @@ wavevectors k.  The Nyquist rows/columns (|k_i| = n/2) are held at zero so
 every retained mode has a conjugate partner and odd derivatives stay
 well defined; Hermitian symmetry then guarantees real-valued fields.
 
+The transforms are real FFTs.  ``to_physical`` reads only the ky >= 0 half
+of its input, so it requires Hermitian coefficients (c_{-k} = conj c_k);
+for other input it does not return the real part of the full inverse
+transform.  ``from_physical`` fills the ky < 0 half by conjugate mirroring,
+so its output is Hermitian by construction and stays so under the real,
+even Fourier multipliers and the odd multipliers i k used here.
+
 Quadratic terms are evaluated pseudo-spectrally after zero-padding to at
 least 3N/2 points per dimension (the 2/3 rule), which makes products of
 band-limited fields alias-free.
@@ -52,7 +59,6 @@ class TorusGrid:
         # index of mode -k for each mode k (valid away from Nyquist)
         idx = np.arange(n)
         self._neg = (-idx) % n
-        self._pad_maps: dict[int, np.ndarray] = {}
         self.pad_size = _pad_size(n)
         x1d = np.arange(n) * (TWO_PI / n)
         self.x = x1d[:, None] + 0.0 * x1d[None, :]
@@ -66,15 +72,6 @@ class TorusGrid:
 
     def __repr__(self):
         return f"TorusGrid(n_modes={self.n_modes})"
-
-    def pad_indices(self, m: int) -> np.ndarray:
-        """Index of each retained mode inside an m-point fft array."""
-        if m < self.n_modes:
-            raise ValueError("pad target smaller than grid")
-        if m not in self._pad_maps:
-            freqs = np.fft.fftfreq(self.n_modes, d=1.0 / self.n_modes).astype(int)
-            self._pad_maps[m] = np.mod(freqs, m)
-        return self._pad_maps[m]
 
 
 def _pad_size(n: int) -> int:
@@ -109,28 +106,50 @@ class SpectralScalar:
 # transforms
 
 def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None) -> np.ndarray:
-    """Evaluate coefficient array on an m x m physical grid (default n x n)."""
+    """Evaluate Hermitian coefficients on an m x m physical grid (default n x n).
+
+    Batched over leading axes.  Only the ky >= 0 half of ``coeffs`` is read:
+    the retained columns ky = 0 .. n/2-1 are placed in an m-row half
+    spectrum and inverted with one 2D real FFT, run as its two 1D passes so
+    that the x-pass skips the all-zero columns ky >= n/2 (the result is
+    bitwise that of ``numpy.fft.irfft2`` on the full half spectrum).
+    """
     n = grid.n_modes
     m = n if m is None else m
-    if m == n:
-        padded = coeffs
-    else:
-        idx = grid.pad_indices(m)
-        padded = np.zeros(coeffs.shape[:-2] + (m, m), dtype=complex)
-        padded[..., idx[:, None], idx[None, :]] = coeffs
-    return np.fft.ifft2(padded).real * (m * m)
+    if m < n:
+        raise ValueError("pad target smaller than grid")
+    h = n // 2
+    half = np.zeros(coeffs.shape[:-2] + (m, h), dtype=complex)
+    half[..., :h, :] = coeffs[..., :h, :h]
+    half[..., m - h:, :] = coeffs[..., h:, :h]
+    cols = np.fft.ifft(half, axis=-2, norm="forward")
+    return np.fft.irfft(cols, n=m, axis=-1, norm="forward")
 
 
 def from_physical(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
-    """Project physical values on an m x m grid back onto the retained modes."""
+    """Project real values on an m x m grid back onto the retained modes.
+
+    Batched over leading axes.  One 2D real FFT gives the ky >= 0 half; its
+    x-pass runs only on the retained columns ky = 0 .. n/2-1 (bitwise the
+    corresponding part of ``numpy.fft.rfft2``).  The ky < 0 half and the
+    kx < 0 part of the ky = 0 column are conjugate mirrors, so the result is
+    exactly Hermitian with the Nyquist modes zero.
+    """
     m = values.shape[-1]
     n = grid.n_modes
-    c = np.fft.fft2(values) / (m * m)
-    if m != n:
-        idx = grid.pad_indices(m)
-        c = c[..., idx[:, None], idx[None, :]]
-    out = np.ascontiguousarray(c)
-    out[..., grid.nyquist_mask] = 0.0
+    h = n // 2
+    rows = np.fft.rfft(values, axis=-1, norm="forward")[..., :h]
+    r = np.fft.fft(rows, axis=-2, norm="forward")
+    out = np.empty(values.shape[:-2] + (n, n), dtype=complex)
+    out[..., :h, :h] = r[..., :h, :]
+    out[..., h:, :h] = r[..., m - h:, :]
+    out[..., h, :] = 0.0
+    out[..., :, h] = 0.0
+    out[..., h + 1:, 0] = np.conj(out[..., h - 1:0:-1, 0])
+    out[..., 0, 0] = out[..., 0, 0].real
+    # c(kx, -ky) = conj c(-kx, ky); row 0 is its own mirror, rows r and n-r swap
+    out[..., 0, h + 1:] = np.conj(out[..., 0, h - 1:0:-1])
+    out[..., 1:, h + 1:] = np.conj(out[..., :0:-1, h - 1:0:-1])
     return out
 
 
@@ -175,7 +194,7 @@ def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """
     k_sq = np.where(grid.k_sq == 0, 1.0, grid.k_sq)
     k_dot_u = grid.kx * coeffs[0] + grid.ky * coeffs[1]
-    out = np.empty_like(coeffs)
+    out = np.empty(coeffs.shape, dtype=coeffs.dtype)
     out[0] = coeffs[0] - grid.kx * k_dot_u / k_sq
     out[1] = coeffs[1] - grid.ky * k_dot_u / k_sq
     out[:, 0, 0] = 0.0

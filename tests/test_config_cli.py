@@ -181,3 +181,36 @@ def test_cli_blow_up_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, doc)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "blow-up" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["abc", "-3"])
+def test_cli_bad_env_seed_is_config_error(tmp_path, capsys, monkeypatch, seed):
+    monkeypatch.setenv("LU_FLOW_SEED", seed)
+    cfg = _write_config(tmp_path, SMALL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "LU_FLOW_SEED" in err
+
+
+@pytest.mark.parametrize("size", [0, -2, 1.5, "8", True])
+def test_cli_bad_ensemble_size_is_config_error(tmp_path, capsys, size):
+    cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": size}))
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "study.ensemble_size" in err
+
+
+@pytest.mark.parametrize("epsilons", [["a"], [0.1], [0.1, 0.1], [0.2, 0.0], [1.5, 0.1],
+                                      0.1, [0.2, True]])
+def test_cli_bad_epsilons_is_config_error(tmp_path, capsys, epsilons):
+    cfg = _write_config(tmp_path, dict(SMALL, study={"epsilons": epsilons}))
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "study.epsilons" in err
+
+
+def test_manifest_tool_version_is_package_version():
+    import lu_flow
+
+    config, _ = parse_config("{}")
+    assert make_manifest(config, None, []).tool_version == lu_flow.__version__ == "0.1.0"

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from lu_flow.diagnostics import epsilon_convergence_study
 from lu_flow.noise import WienerPath
+from lu_flow.operators import OperatorContext, apply_B, apply_F, noise_increment
 from lu_flow.solver import (
     BlowUpError,
     SolverConfig,
@@ -21,11 +23,12 @@ from lu_flow.spectral import (
     energy,
     from_physical,
     h_norm,
+    leray_project,
     max_divergence,
     save_snapshot,
 )
 
-from conftest import random_div_free
+from conftest import random_div_free, synthetic_inhomogeneous_model
 
 
 def short_config(**kw):
@@ -105,6 +108,68 @@ def test_step_matches_deterministic_path(grid32, rng):
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
+def _reference_step(ctx, v, dbeta, dt):
+    """exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta] from the
+    per-operator functions."""
+    grid = ctx.grid
+    new = v.coeffs - dt * (apply_B(ctx, v, v).coeffs + apply_F(ctx, v).coeffs)
+    if dbeta is not None:
+        new = new + noise_increment(ctx, v, dbeta).coeffs
+    return np.exp(-dt * grid.k_sq / ctx.reynolds) * leray_project(grid, new)
+
+
+@pytest.mark.parametrize("model", ["mix", "synthetic"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
+@pytest.mark.parametrize("with_noise", [True, False])
+def test_fused_step_matches_operator_reference(grid32, rng, model, epsilon, with_noise):
+    if model == "mix":
+        base = build_context(short_config(k_modes=8), grid32)
+    else:
+        base = OperatorContext(grid32, synthetic_inhomogeneous_model(grid32), 0.1, 100.0)
+    ctx = OperatorContext(grid32, base.noise, epsilon, 100.0)
+    assert np.max(np.abs(ctx.us_raw)) > 0  # the drift terms are exercised
+    v = SpectralVelocity(grid32, 2.0 * random_div_free(grid32, rng))
+    dt = 1e-3
+    dbeta = (np.sqrt(dt) * rng.standard_normal(ctx.noise.k_modes) if with_noise else None)
+    got = step(v, ctx, dbeta, dt).coeffs
+    ref = _reference_step(ctx, v, dbeta, dt)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_step_output_is_hermitian(grid32, rng):
+    ctx = build_context(short_config(k_modes=8), grid32)
+    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    out = step(v, ctx, 0.03 * np.ones(8), 1e-3).coeffs
+    neg = (-np.arange(32)) % 32
+    assert np.array_equal(out, np.conj(out[:, neg[:, None], neg[None, :]]))
+
+
+@pytest.mark.parametrize("epsilon,real", [(0.1, 12), (0.0, 8)])
+def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
+    # each 2D real transform is one real pass along y plus one complex pass
+    # along x; no full complex 2D transform is left
+    ctx = build_context(short_config(epsilon=epsilon, k_modes=8), grid32)
+    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
+    step(v, ctx, dbeta, 1e-3)  # fills the context caches
+    counts = {}
+
+    def counting(name, fn):
+        def counted(a, *args, **kwargs):
+            counts[name] = counts.get(name, 0) + a.size // (a.shape[-1] * a.shape[-2])
+            return fn(a, *args, **kwargs)
+        return counted
+
+    for name in ("rfft2", "irfft2", "fft2", "ifft2", "rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+    step(v, ctx, dbeta, 1e-3)
+    real_passes = sum(counts.get(k, 0) for k in ("rfft", "irfft", "rfft2", "irfft2"))
+    assert real_passes == real
+    assert counts.get("fft", 0) + counts.get("ifft", 0) == counts.get("rfft", 0) + counts.get(
+        "irfft", 0)
+    assert counts.get("fft2", 0) + counts.get("ifft2", 0) == 0
+
+
 def test_step_self_convergence_under_path_refinement():
     # halving dt against a common Brownian path reduces the terminal error
     # vs a dt/4 reference by a factor >= 1.3, 16-member ensemble
@@ -156,6 +221,36 @@ def test_recorded_states_divergence_free():
     grid = TorusGrid(32)
     for snap in rec.snapshots:
         assert max_divergence(grid, snap.coeffs) <= 1e-10 * h_norm(grid, snap.coeffs)
+
+
+def test_run_n96_mixed_noise():
+    # at N >= 96 the finiteness check in run must accept the state's layout
+    cfg = short_config(n_modes=96, t_end=3e-3, record_every=1, k_modes=8,
+                       initial_kind="random_band",
+                       initial_params={"k_min": 1, "k_max": 24, "energy": 1.0, "seed": 1})
+    rec = run(cfg, store_snapshots=True, warn_cfl=False)
+    assert len(rec.times) == 4
+    grid = TorusGrid(96)
+    for snap in rec.snapshots:
+        assert max_divergence(grid, snap.coeffs) <= 1e-12 * h_norm(grid, snap.coeffs)
+
+
+def test_convergence_study_matches_fresh_contexts():
+    # the study shares one context cache across epsilons; nothing in it may
+    # depend on epsilon, so a fresh build_context per epsilon gives the same bits
+    cfg = short_config(n_modes=16, t_end=0.02, record_every=5, k_modes=4)
+    epsilons = [0.2, 0.1]
+    report = epsilon_convergence_study(cfg, epsilons, 2)
+    det = run_deterministic(cfg, store_snapshots=True)
+    grid = TorusGrid(16)
+    for j, eps in enumerate(epsilons):
+        eps_cfg = cfg.with_epsilon(eps)
+        ctx = build_context(eps_cfg)
+        for m in range(2):
+            rec = run(eps_cfg, m, ctx=ctx, store_snapshots=True, warn_cfl=False)
+            dh = [h_norm(grid, a.coeffs - b.coeffs) ** 2
+                  for a, b in zip(rec.snapshots, det.snapshots)]
+            assert report.per_member_h[j, m] == np.sqrt(max(dh))
 
 
 def test_deterministic_energy_monotone():

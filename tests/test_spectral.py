@@ -82,6 +82,32 @@ def test_parseval(grid32, rng):
     assert abs(h_norm(grid32, c) - quadrature) < 1e-12 * quadrature
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_real_transforms_match_numpy_rfft2_bitwise(n, rng):
+    # the two-pass transforms skip only zero or discarded columns
+    grid = TorusGrid(n)
+    m, h = grid.pad_size, n // 2
+    c = random_div_free(grid, rng)
+    half = np.zeros((2, m, m // 2 + 1), dtype=complex)
+    half[:, :h, :h] = c[:, :h, :h]
+    half[:, m - h:, :h] = c[:, h:, :h]
+    assert np.array_equal(to_physical(grid, c, m),
+                          np.fft.irfft2(half, s=(m, m), norm="forward"))
+    values = rng.standard_normal((3, m, m))
+    full = np.fft.rfft2(values, norm="forward")
+    got = from_physical(grid, values)
+    assert np.array_equal(got[:, :h, 1:h], full[:, :h, 1:h])
+    assert np.array_equal(got[:, h + 1:, 1:h], full[:, m - h + 1:, 1:h])
+
+
+def test_from_physical_is_exactly_hermitian(grid16, rng):
+    c = from_physical(grid16, rng.standard_normal((2, 24, 24)))
+    neg = (-np.arange(16)) % 16
+    assert np.array_equal(c, np.conj(c[:, neg[:, None], neg[None, :]]))
+    assert np.all(c[:, grid16.nyquist_mask] == 0.0)
+    assert np.array_equal(hermitian_symmetrize(grid16, c), c)
+
+
 def test_nyquist_modes_zeroed(grid16, rng):
     raw = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
     sym = hermitian_symmetrize(grid16, raw)
@@ -136,6 +162,14 @@ def test_leray_idempotent_and_div_free(grid32, rng):
     p2 = leray_project(grid32, p1)
     assert np.max(np.abs(p2 - p1)) <= 1e-12 * np.max(np.abs(p1))
     assert max_divergence(grid32, p1) < 1e-12 * h_norm(grid32, p1)
+
+
+def test_leray_output_c_contiguous(grid16, rng):
+    c = random_div_free(grid16, rng)
+    strided = np.asfortranarray(c)  # component axis innermost
+    out = leray_project(grid16, strided)
+    assert out.flags.c_contiguous
+    assert np.array_equal(out, leray_project(grid16, c))
 
 
 def test_leray_matches_dense_matrix_oracle():
