@@ -17,17 +17,16 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import ConfigError, make_manifest, parse_config
-from .noise import WienerPath, build_noise_model, check_regularity, format_regularity_report
+from .noise import WienerPath
 from .solver import (
     BlowUpError,
     SolverConfig,
     build_context,
     make_initial,
     run,
-    run_deterministic,
     run_scalar_transport,
 )
-from .spectral import SpectralScalar, SpectralVelocity, TorusGrid, from_physical, save_snapshot
+from .spectral import SpectralScalar, from_physical
 
 TRAJECTORY_COLUMNS = ("time", "energy", "enstrophy", "h_norm", "v_norm", "max_div")
 
@@ -87,6 +86,9 @@ def _member_job(args):
 
 def cmd_ensemble(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
     members = list(range(int(study["ensemble_size"])))
+    if len(members) < 2:
+        raise ConfigError("field 'study.ensemble_size' must be >= 2 for ensemble "
+                          f"(std_energy is a sample standard deviation), got {len(members)}")
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_member_job, [(config, m) for m in members]))
@@ -202,6 +204,9 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](config, study, out, max(1, args.jobs))
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     except BlowUpError as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 2

@@ -13,12 +13,13 @@ The config file is JSON.  Schema (defaults in parentheses):
       "initial": {"kind": "taylor_green" | "random_band" | "file", ...},
       "noise": {"K": int (4), "r": float (3.0), "amp": float (1.0),
                 "seed": int (0), "mix": bool (false)},
-      "study": {"epsilons": [float, ...], "ensemble_size": int (64),
-                "dt_coarse": float, "delta": float}   # optional
+      "study": {"epsilons": [float, ...] ([0.2, 0.1, 0.05]),
+                "ensemble_size": int (64)}   # optional
     }
 
 ``study.epsilons`` holds at least two distinct numbers in (0, 1];
-``study.ensemble_size`` is an integer >= 1.  Unknown keys are rejected.
+``study.ensemble_size`` is an integer >= 1 (>= 2 for ``ensemble``).
+Unknown keys are rejected.
 The LU_FLOW_SEED environment variable, when set, overrides the noise seed
 (recorded in the manifest); it must be an integer >= 0.
 """
@@ -51,8 +52,7 @@ _TOP_DEFAULTS = {
 }
 _NOISE_DEFAULTS = {"K": 4, "r": 3.0, "amp": 1.0, "seed": 0, "mix": False}
 _INITIAL_DEFAULTS = {"kind": "taylor_green"}
-_STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64,
-                   "dt_coarse": None, "delta": 1e-3}
+_STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
 
 
 def _take(section: dict, defaults: dict, where: str, extra_ok=()) -> dict:

@@ -7,21 +7,20 @@ the test-suite use 5-standard-error intervals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .noise import NoiseModel, WienerPath
-from .operators import OperatorContext
 from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, run, run_deterministic
 from .spectral import (
     SpectralScalar,
     SpectralVelocity,
-    from_physical,
+    divergence,
+    gradient,
     h_norm,
-    leray_project,
-    hermitian_symmetrize,
-    to_physical,
+    random_solenoidal,
+    tensor_flux,
     v_norm,
 )
 
@@ -39,13 +38,9 @@ def energy_budget_transport(q: SpectralScalar, model: NoiseModel, epsilon: float
     parts on the torus is exact.
     """
     grid = q.grid
-    gq = np.stack([1j * grid.kx * q.coeffs, 1j * grid.ky * q.coeffs])
-    gq_phys = to_physical(grid, gq, grid.pad_size)
-    a_hat = from_physical(grid, model.variance_tensor)
-    a_pad = to_physical(grid, a_hat, grid.pad_size)
-    flux = np.einsum("jl...,l...->j...", a_pad, gq_phys)
-    flux_hat = from_physical(grid, flux)
-    div_flux = 1j * grid.kx * flux_hat[0] + 1j * grid.ky * flux_hat[1]
+    gq = gradient(grid, q.coeffs)
+    flux_hat = tensor_flux(grid, model.a_pad, q.coeffs)
+    div_flux = divergence(grid, flux_hat)
     half_eps2 = 0.5 * epsilon**2
     two_pi_sq = (2.0 * np.pi) ** 2
     diffusion_loss = half_eps2 * two_pi_sq * float(np.sum((np.conj(q.coeffs) * div_flux).real))
@@ -151,10 +146,7 @@ def _fitted_growth_rate(log_ratio: np.ndarray, times: np.ndarray, epsilon: float
 def perturbation_field(grid, delta: float, seed: int = 1234) -> SpectralVelocity:
     """Unit-H-norm random divergence-free field scaled by delta."""
     gen = np.random.Generator(np.random.Philox(key=[seed, 3 * 2**32]))
-    shape = (2, grid.n_modes, grid.n_modes)
-    raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    band = (grid.k_sq >= 1) & (grid.k_sq <= (grid.n_modes // 4) ** 2)
-    coeffs = leray_project(grid, hermitian_symmetrize(grid, np.where(band, raw, 0.0)))
+    coeffs = random_solenoidal(grid, gen, 1, grid.n_modes // 4)
     coeffs *= delta / h_norm(grid, coeffs)
     return SpectralVelocity(grid, coeffs)
 
@@ -255,8 +247,7 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     int_v = np.zeros((len(epsilons), ensemble_size))
     for j, eps in enumerate(epsilons):
         cfg = base_config.with_epsilon(float(eps))
-        ctx = OperatorContext(grid, grid_ctx.noise, float(eps), cfg.reynolds,
-                              _cache=grid_ctx._cache)
+        ctx = replace(grid_ctx, epsilon=float(eps))  # shares the eps-independent caches
         for m in range(ensemble_size):
             member = m if shared_path else m + 1000 * (j + 1)
             rec = run(cfg, member, ctx=ctx, store_snapshots=True, warn_cfl=False)

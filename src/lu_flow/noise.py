@@ -14,6 +14,7 @@ across runs and platforms given (seed, dt, n_steps, K).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -24,8 +25,8 @@ from .spectral import (
     SpectralVelocity,
     divergence,
     from_physical,
-    h_norm,
     sobolev_norm_sq,
+    tensor_flux,
     to_physical,
     v_norm,
 )
@@ -80,7 +81,8 @@ class NoiseModel:
 
     ``modes`` holds the weighted eigenfunctions (amplitude folded in);
     ``variance_tensor`` is a(x) on the physical grid, shape (2, 2, n, n);
-    ``ito_stokes_drift`` the raw (unprojected) field 0.5 div a.
+    ``ito_stokes_drift`` the raw (unprojected) field 0.5 div a;
+    ``a_pad`` a on the padded grid, built on first use.
     """
 
     grid: TorusGrid
@@ -94,6 +96,12 @@ class NoiseModel:
     def __post_init__(self):
         self.variance_tensor = variance_tensor(self)
         self.ito_stokes_drift = ito_stokes_drift(self)
+
+    @cached_property
+    def a_pad(self) -> np.ndarray:
+        """Variance tensor on the padded physical grid, (2, 2, m, m)."""
+        a_hat = from_physical(self.grid, self.variance_tensor)
+        return to_physical(self.grid, a_hat, self.grid.pad_size)
 
     @property
     def k_modes(self) -> int:
@@ -189,12 +197,7 @@ def check_regularity(model: NoiseModel, tail_threshold: float = 0.1) -> dict:
     tail_ratio = float(terms[len(terms) // 2:].sum() / partial) if partial > 0 else 0.0
     us = model.ito_stokes_drift
     us_h3 = float(np.sqrt(sobolev_norm_sq(grid, us.coeffs, 3)))
-    gus = np.stack([1j * grid.kx * us.coeffs, 1j * grid.ky * us.coeffs])
-    gus_phys = to_physical(grid, gus, grid.pad_size)
-    a_pad = to_physical(grid, from_physical(grid, model.variance_tensor), grid.pad_size)
-    agus = np.einsum("jl...,li...->ji...", a_pad, gus_phys)
-    agus_hat = from_physical(grid, agus)
-    a_grad_us_v = v_norm(grid, agus_hat)
+    a_grad_us_v = v_norm(grid, tensor_flux(grid, model.a_pad, us.coeffs))
     return {
         "partial_sum_h3": partial,
         "terms_h3": terms,

@@ -15,7 +15,10 @@ extension point for a time-dependent noise model.
 
 ``solver.step`` evaluates these terms in one fused expression; the
 functions here keep the per-operator formulas and are the reference that
-step is tested against.
+step is tested against.  Every flux a grad f, here and in the step, comes
+from ``spectral.tensor_flux``/``tensor_flux_physical`` with the padded
+variance tensor ``NoiseModel.a_pad``, and G(v) phi_k is ``noise_increment``
+with a unit increment vector.
 
 Key discrete identities, exact up to rounding thanks to dealiasing:
 (A v, v)_H = (1/Re)||v||_V^2, (B(u, v), v)_H = 0, b(u,v,w) = -b(u,w,v),
@@ -35,9 +38,11 @@ from .spectral import (
     SpectralVelocity,
     TorusGrid,
     advect,
-    from_physical,
+    divergence,
+    gradient,
     h_inner,
     leray_project,
+    tensor_flux,
     to_physical,
 )
 
@@ -46,8 +51,10 @@ from .spectral import (
 class OperatorContext:
     """Immutable bundle of grid, noise model and physical parameters.
 
-    Caches padded physical-space representations of the noise fields so
-    repeated operator applications reuse them.
+    Caches the derived noise fields that repeated operator applications
+    reuse (the padded variance tensor is owned by the noise model).  No
+    cached field depends on epsilon, so ``dataclasses.replace(ctx,
+    epsilon=...)`` gives a context that shares the cache.
     """
 
     grid: TorusGrid
@@ -67,10 +74,7 @@ class OperatorContext:
     @property
     def a_pad(self) -> np.ndarray:
         """Variance tensor on the padded physical grid, (2, 2, m, m)."""
-        if "a_pad" not in self._cache:
-            a_hat = from_physical(self.grid, self.noise.variance_tensor)
-            self._cache["a_pad"] = to_physical(self.grid, a_hat, self.grid.pad_size)
-        return self._cache["a_pad"]
+        return self.noise.a_pad
 
     @property
     def us(self) -> np.ndarray:
@@ -146,23 +150,13 @@ def trilinear_b(ctx: OperatorContext, u: SpectralVelocity, v: SpectralVelocity,
 def _div_a_grad(ctx: OperatorContext, coeffs: np.ndarray) -> np.ndarray:
     """P div(a grad f) for a 2-component field f, dealiased."""
     grid = ctx.grid
-    gf = np.stack([1j * grid.kx * coeffs, 1j * grid.ky * coeffs])  # (l, i, n, n)
-    gf_phys = to_physical(grid, gf, grid.pad_size)
-    flux = np.einsum("jl...,li...->ji...", ctx.a_pad, gf_phys)  # (a grad f)_{j i}
-    flux_hat = from_physical(grid, flux)
-    div = 1j * grid.kx * flux_hat[0] + 1j * grid.ky * flux_hat[1]  # (i, n, n)
-    return leray_project(grid, div)
+    return leray_project(grid, divergence(grid, tensor_flux(grid, ctx.a_pad, coeffs)))
 
 
 def dirichlet_form(ctx: OperatorContext, coeffs: np.ndarray) -> float:
     """(a grad f, grad f)_H with the same dealiased flux as _div_a_grad."""
     grid = ctx.grid
-    gf = np.stack([1j * grid.kx * coeffs, 1j * grid.ky * coeffs])
-    gf_phys = to_physical(grid, gf, grid.pad_size)
-    flux = np.einsum("jl...,li...->ji...", ctx.a_pad, gf_phys)
-    flux_hat = from_physical(grid, flux)
-    gf_hat = from_physical(grid, gf_phys)
-    return h_inner(grid, gf_hat, flux_hat)
+    return h_inner(grid, gradient(grid, coeffs), tensor_flux(grid, ctx.a_pad, coeffs))
 
 
 def apply_F(ctx: OperatorContext, v: SpectralVelocity) -> SpectralVelocity:
@@ -182,17 +176,11 @@ def apply_F(ctx: OperatorContext, v: SpectralVelocity) -> SpectralVelocity:
 
 
 def apply_G_column(ctx: OperatorContext, v: SpectralVelocity, k: int) -> SpectralVelocity:
-    """G(v) phi_k = -eps A phi_k - eps B(phi_k, v) - eps^3 B(phi_k, u_s)."""
+    """G(v) phi_k = -eps A phi_k - eps B(phi_k, v) - eps^3 B(phi_k, u_s),
+    the noise increment for the k-th unit increment vector."""
     if not 0 <= k < ctx.noise.k_modes:
         raise IndexError(f"mode index {k} out of range [0, {ctx.noise.k_modes})")
-    eps = ctx.epsilon
-    if eps == 0.0:
-        return SpectralVelocity(v.grid, np.zeros_like(v.coeffs))
-    a_phi, b_phi_us = ctx.additive_noise_parts
-    phi = SpectralVelocity(ctx.grid, ctx.phi_stack[k])
-    b_phi_v = apply_B(ctx, phi, v).coeffs
-    out = -eps * a_phi[k] - eps * b_phi_v - eps**3 * b_phi_us[k]
-    return SpectralVelocity(v.grid, out)
+    return noise_increment(ctx, v, np.eye(ctx.noise.k_modes)[k])
 
 
 def noise_increment(ctx: OperatorContext, v: SpectralVelocity, dbeta: np.ndarray) -> SpectralVelocity:
@@ -223,8 +211,7 @@ def transport_quadratic_sum(ctx: OperatorContext, v: SpectralVelocity) -> float:
     of the energy-neutrality identity."""
     grid = ctx.grid
     m = grid.pad_size
-    gv_phys = to_physical(grid, np.stack([1j * grid.kx * v.coeffs,
-                                          1j * grid.ky * v.coeffs]), m)
+    gv_phys = to_physical(grid, gradient(grid, v.coeffs), m)
     total = 0.0
     for phi in ctx.phi_stack:
         phi_pad = to_physical(grid, phi, m)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .noise import NoiseModel, WienerPath, build_noise_model
+from .noise import WienerPath, build_noise_model
 from .operators import OperatorContext
 from .spectral import (
     SpectralScalar,
@@ -41,7 +41,6 @@ from .spectral import (
     advect,
     divergence,
     energy,
-    enstrophy,
     from_physical,
     gradient,
     h_norm,
@@ -49,6 +48,9 @@ from .spectral import (
     leray_project,
     load_snapshot,
     max_divergence,
+    random_solenoidal,
+    tensor_flux,
+    tensor_flux_physical,
     to_physical,
     v_norm,
 )
@@ -149,11 +151,7 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
         if params:
             raise ValueError(f"unknown random_band parameters {sorted(params)}")
         gen = np.random.Generator(np.random.Philox(key=[rng_seed % 2**64, 2**32]))
-        shape = (2, grid.n_modes, grid.n_modes)
-        raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-        band = (grid.k_sq >= k_min**2) & (grid.k_sq <= k_max**2)
-        coeffs = np.where(band, raw, 0.0)
-        coeffs = leray_project(grid, hermitian_symmetrize(grid, coeffs))
+        coeffs = random_solenoidal(grid, gen, k_min, k_max)
         e = energy(SpectralVelocity(grid, coeffs))
         if e == 0.0:
             raise ValueError("random_band produced a null field; widen the band")
@@ -209,10 +207,8 @@ def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None
     cp, gw = phys[:2], phys[2:].reshape(2, 2, m, m)
     prod = np.empty((6 if noisy else 2, m, m))
     np.add(cp[0] * gw[0], cp[1] * gw[1], out=prod[:2])         # (c.grad) w
-    if noisy:
-        a = ctx.a_pad
-        flux = prod[2:].reshape(2, 2, m, m)                     # (a grad w)_{j i}
-        np.add(a[:, 0, None] * gw[0], a[:, 1, None] * gw[1], out=flux)
+    if noisy:  # (a grad w)_{j i}
+        tensor_flux_physical(ctx.a_pad, gw, out=prod[2:].reshape(2, 2, m, m))
     hat = from_physical(grid, prod)
     rhs = v - hat[:2]
     if noisy:
@@ -246,30 +242,33 @@ def run(config: SolverConfig, member_index: int = 0, *,
     if ctx.epsilon != config.epsilon:
         raise ValueError("context epsilon disagrees with config")
     grid = ctx.grid
-    state = v0.copy() if v0 is not None else make_initial(
-        config.initial_kind, grid, config.initial_params)
     n_steps = config.n_steps
     use_noise = config.epsilon > 0.0 and config.amplitude != 0.0
     if use_noise and path is None:
         path = WienerPath(config.seed, config.dt, n_steps, config.k_modes,
                           member=member_index)
-    if warn_cfl:
-        check_cfl(config, state)
-
-    times, rows, snaps = [0.0], [_record(state)], []
-    if store_snapshots:
-        snaps.append(state.copy())
-    for i in range(n_steps):
-        dbeta = path.increments[i] if use_noise else None
-        state = step(state, ctx, dbeta, config.dt)
-        t = (i + 1) * config.dt
-        if not np.isfinite(state.coeffs).all():
-            raise BlowUpError(i + 1, t)
-        if (i + 1) % config.record_every == 0 or i + 1 == n_steps:
-            times.append(t)
-            rows.append(_record(state))
-            if store_snapshots:
-                snaps.append(state.copy())
+    # A diverging (or non-finite initial) state overflows before the check
+    # after each step raises BlowUpError, and TrajectoryRecord rejects any
+    # non-finite record, so floating-point warnings would add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
+        state = v0.copy() if v0 is not None else make_initial(
+            config.initial_kind, grid, config.initial_params)
+        if warn_cfl:
+            check_cfl(config, state)
+        times, rows, snaps = [0.0], [_record(state)], []
+        if store_snapshots:
+            snaps.append(state.copy())
+        for i in range(n_steps):
+            dbeta = path.increments[i] if use_noise else None
+            state = step(state, ctx, dbeta, config.dt)
+            t = (i + 1) * config.dt
+            if not np.isfinite(state.coeffs).all():
+                raise BlowUpError(i + 1, t)
+            if (i + 1) % config.record_every == 0 or i + 1 == n_steps:
+                times.append(t)
+                rows.append(_record(state))
+                if store_snapshots:
+                    snaps.append(state.copy())
     names = ("energy", "enstrophy", "h_norm", "v_norm", "max_div")
     diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(names)}
     return TrajectoryRecord(np.array(times), diags, snaps if store_snapshots else None)
@@ -283,24 +282,25 @@ def run_deterministic(config: SolverConfig, *, v0: SpectralVelocity | None = Non
                warn_cfl=False)
 
 
-def run_scalar_transport(q0: SpectralScalar, velocity, ctx: OperatorContext,
-                         dt: float, t_end: float, path: WienerPath | None,
-                         record_every: int = 1, store_snapshots: bool = False) -> dict:
+def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
+                         ctx: OperatorContext, dt: float, t_end: float,
+                         path: WienerPath | None, record_every: int = 1,
+                         store_snapshots: bool = False) -> dict:
     """Euler-Maruyama integration of the stochastic tracer equation
 
         d q = -(u - eps^2 u_s).grad q dt - eps (sigma dW).grad q
-              + (eps^2/2) div(a grad q) dt.
+              + (eps^2/2) div(a grad q) dt
 
-    ``velocity`` is a steady SpectralVelocity or a callable t -> field.
-    Returns {"times", "energies", "snapshots"} with 0.5 |q|_H^2 recorded.
+    in a steady velocity u.  The flux a grad q comes from
+    ``spectral.tensor_flux``, the contraction the velocity step uses.  Raises BlowUpError at the first step
+    whose tracer is not finite.  Returns {"times", "energies", "snapshots"}
+    with 0.5 |q|_H^2 recorded.
     """
     grid = ctx.grid
     eps = ctx.epsilon
     n_steps = int(round(t_end / dt))
-    steady = isinstance(velocity, SpectralVelocity)
-    if steady:
-        u_adv = velocity.coeffs - (eps**2) * ctx.us
-        u_adv_pad = to_physical(grid, u_adv, grid.pad_size)
+    u_adv = velocity.coeffs - (eps**2) * ctx.us
+    u_adv_pad = to_physical(grid, u_adv, grid.pad_size)
     use_noise = eps > 0.0 and ctx.noise.amplitude != 0.0
     if use_noise and path is None:
         raise ValueError("a WienerPath is required when the noise is active")
@@ -310,33 +310,22 @@ def run_scalar_transport(q0: SpectralScalar, velocity, ctx: OperatorContext,
     energies = [0.5 * h_norm(grid, q) ** 2]
     snaps = [q.copy()] if store_snapshots else None
     phi_stack = ctx.phi_stack if use_noise else None
-    for i in range(n_steps):
-        if not steady:
-            u_adv = velocity(i * dt).coeffs - (eps**2) * ctx.us
-            u_adv_pad = to_physical(grid, u_adv, grid.pad_size)
-        incr = -dt * advect(grid, u_adv, q, u_phys_pad=u_adv_pad)
-        if eps > 0.0:
-            incr += dt * 0.5 * eps**2 * _scalar_div_a_grad(ctx, q)
-        if use_noise:
-            xi = np.tensordot(path.increments[i], phi_stack, axes=(0, 0))
-            incr -= eps * advect(grid, xi, q)
-        q = q + incr
-        t = (i + 1) * dt
-        if not np.isfinite(q).all():
-            raise BlowUpError(i + 1, t)
-        if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            times.append(t)
-            energies.append(0.5 * h_norm(grid, q) ** 2)
-            if store_snapshots:
-                snaps.append(q.copy())
+    # as in run, a diverging tracer ends in BlowUpError, not in FP warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            incr = -dt * advect(grid, u_adv, q, u_phys_pad=u_adv_pad)
+            if eps > 0.0:
+                incr += dt * 0.5 * eps**2 * divergence(grid, tensor_flux(grid, ctx.a_pad, q))
+            if use_noise:
+                xi = np.tensordot(path.increments[i], phi_stack, axes=(0, 0))
+                incr -= eps * advect(grid, xi, q)
+            q = q + incr
+            t = (i + 1) * dt
+            if not np.isfinite(q).all():
+                raise BlowUpError(i + 1, t)
+            if (i + 1) % record_every == 0 or i + 1 == n_steps:
+                times.append(t)
+                energies.append(0.5 * h_norm(grid, q) ** 2)
+                if store_snapshots:
+                    snaps.append(q.copy())
     return {"times": np.array(times), "energies": np.array(energies), "snapshots": snaps}
-
-
-def _scalar_div_a_grad(ctx: OperatorContext, q: np.ndarray) -> np.ndarray:
-    """div(a grad q) for a scalar field, dealiased."""
-    grid = ctx.grid
-    gq = np.stack([1j * grid.kx * q, 1j * grid.ky * q])
-    gq_phys = to_physical(grid, gq, grid.pad_size)
-    flux = np.einsum("jl...,l...->j...", ctx.a_pad, gq_phys)
-    flux_hat = from_physical(grid, flux)
-    return 1j * grid.kx * flux_hat[0] + 1j * grid.ky * flux_hat[1]

@@ -162,11 +162,6 @@ def hermitian_symmetrize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return sym
 
 
-def hermitian_defect(grid: TorusGrid, coeffs: np.ndarray) -> float:
-    neg = grid._neg
-    return float(np.max(np.abs(coeffs - np.conj(coeffs[..., neg[:, None], neg[None, :]]))))
-
-
 # ---------------------------------------------------------------------------
 # differential operators and projection
 
@@ -201,13 +196,20 @@ def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def leray_project_velocity(f: SpectralVelocity) -> SpectralVelocity:
-    return SpectralVelocity(f.grid, leray_project(f.grid, f.coeffs))
-
-
 def max_divergence(grid: TorusGrid, coeffs: np.ndarray) -> float:
     """max_k |k . u_k|, the divergence-free defect."""
     return float(np.max(np.abs(grid.kx * coeffs[0] + grid.ky * coeffs[1])))
+
+
+def random_solenoidal(grid: TorusGrid, gen: np.random.Generator, k_min: float,
+                      k_max: float) -> np.ndarray:
+    """Random real divergence-free field (2, n, n), unnormalised: complex
+    Gaussian coefficients drawn from ``gen`` for every mode, kept on the band
+    k_min <= |k| <= k_max, made Hermitian and Leray-projected."""
+    shape = (2, grid.n_modes, grid.n_modes)
+    raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    band = (grid.k_sq >= k_min**2) & (grid.k_sq <= k_max**2)
+    return leray_project(grid, hermitian_symmetrize(grid, np.where(band, raw, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +242,23 @@ def advect(grid: TorusGrid, u: np.ndarray, f: np.ndarray,
     m = grid.pad_size
     if u_phys_pad is None:
         u_phys_pad = to_physical(grid, u, m)
-    gf = np.stack([1j * grid.kx * f, 1j * grid.ky * f])  # (2, ..., n, n)
-    gf_phys = to_physical(grid, gf, m)
+    gf_phys = to_physical(grid, gradient(grid, f), m)
     prod = u_phys_pad[0] * gf_phys[0] + u_phys_pad[1] * gf_phys[1]
     return from_physical(grid, prod)
+
+
+def tensor_flux_physical(a: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise a grad f, out[j] = sum_l a[j, l] g[l], for a (2, 2, m, m)
+    tensor and the gradient g of f: (2, m, m) for a scalar f, (2, 2, m, m)
+    with g[l, i] = d_l f_i for a vector f (then out[j, i])."""
+    return np.einsum("jl...,l...->j...", a, g, out=out)
+
+
+def tensor_flux(grid: TorusGrid, a_pad: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Coefficients of the dealiased flux a grad f for f scalar (n,n) or
+    vector (2,n,n), with ``a_pad`` the tensor on the padded grid."""
+    g = to_physical(grid, gradient(grid, f), grid.pad_size)
+    return from_physical(grid, tensor_flux_physical(a_pad, g))
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import diagnostics as diag
-from .noise import build_noise_model, check_regularity
-from .operators import OperatorContext, apply_A, apply_B, trilinear_b
-from .solver import SolverConfig, build_context, make_initial, run_deterministic
+from .noise import check_regularity
+from .operators import apply_A, apply_B, trilinear_b
+from .solver import SolverConfig, build_context, run_deterministic
 from .spectral import (
     SpectralScalar,
     SpectralVelocity,
@@ -20,17 +20,14 @@ from .spectral import (
     from_physical,
     h_inner,
     h_norm,
-    hermitian_symmetrize,
     leray_project,
+    random_solenoidal,
     v_norm,
 )
 
 
 def _random_div_free(grid: TorusGrid, gen) -> SpectralVelocity:
-    shape = (2, grid.n_modes, grid.n_modes)
-    raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    band = (grid.k_sq >= 1) & (grid.k_sq <= (grid.n_modes // 3) ** 2)
-    coeffs = leray_project(grid, hermitian_symmetrize(grid, np.where(band, raw, 0.0)))
+    coeffs = random_solenoidal(grid, gen, 1, grid.n_modes // 3)
     coeffs /= h_norm(grid, coeffs)
     return SpectralVelocity(grid, coeffs)
 

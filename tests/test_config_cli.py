@@ -171,12 +171,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_blow_up_exit_code(tmp_path, capsys):
     grid = TorusGrid(16)
     coeffs = np.zeros((2, 16, 16), complex)
     coeffs[0, 1, 0] = 1e200
     snap = tmp_path / "huge.npz"
-    save_snapshot(str(snap), grid, coeffs)
+    with pytest.warns(RuntimeWarning, match="overflow"):  # complex64 payload holds inf
+        save_snapshot(str(snap), grid, coeffs)
     doc = dict(SMALL, initial={"kind": "file", "path": str(snap)})
     cfg = _write_config(tmp_path, doc)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -192,12 +194,21 @@ def test_cli_bad_env_seed_is_config_error(tmp_path, capsys, monkeypatch, seed):
     assert "config error" in err and "LU_FLOW_SEED" in err
 
 
-@pytest.mark.parametrize("size", [0, -2, 1.5, "8", True])
+@pytest.mark.parametrize("size", [0, -2, 1.5, "8", True, 1])
 def test_cli_bad_ensemble_size_is_config_error(tmp_path, capsys, size):
+    # 1 parses, but ensemble reports a sample standard deviation
     cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": size}))
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "study.ensemble_size" in err
+
+
+@pytest.mark.parametrize("key,value", [("delta", "abc"), ("dt_coarse", [1, 2])])
+def test_cli_removed_study_keys_rejected(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path, dict(SMALL, study={key: value}))
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and f"unknown key 'study.{key}'" in err
 
 
 @pytest.mark.parametrize("epsilons", [["a"], [0.1], [0.1, 0.1], [0.2, 0.0], [1.5, 0.1],

@@ -270,6 +270,7 @@ def test_zero_initial_stays_zero(grid32):
     assert all(np.all(s.coeffs == 0.0) for s in rec.snapshots)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blow_up_detected(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)

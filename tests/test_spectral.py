@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lu_flow.noise import build_noise_model
 from lu_flow.spectral import (
     GridMismatchError,
     SpectralScalar,
@@ -18,8 +19,10 @@ from lu_flow.spectral import (
     leray_project,
     load_snapshot,
     max_divergence,
+    random_solenoidal,
     save_snapshot,
     spectral_derivative,
+    tensor_flux,
     to_physical,
     v_norm,
 )
@@ -244,6 +247,39 @@ def test_product_matches_convolution_oracle(grid16, rng):
     got = dealiased_product(grid16, f, g)
     oracle[grid16.nyquist_mask] = 0.0
     assert np.max(np.abs(got - oracle)) < 1e-13
+
+
+def test_tensor_flux_constant_tensor_closed_form(grid16, rng):
+    # constant a: the flux of mode k is i k_l a_jl f_k
+    a = np.array([[1.3, -0.4], [-0.4, 0.7]])
+    m = grid16.pad_size
+    a_pad = np.broadcast_to(a[:, :, None, None], (2, 2, m, m))
+    q = random_div_free(grid16, rng, components=1)
+    v = random_div_free(grid16, rng)
+    for f in (q, v):
+        grad = np.stack([1j * grid16.kx * f, 1j * grid16.ky * f])
+        expected = np.einsum("jl,l...->j...", a, grad)
+        got = tensor_flux(grid16, a_pad, f)
+        assert got.shape == (2,) + f.shape
+        assert np.max(np.abs(got - expected)) < 1e-14 * np.max(np.abs(expected))
+
+
+def test_tensor_flux_vector_is_scalar_per_component_bitwise(grid16, rng):
+    a_pad = build_noise_model(grid16, 6, 3.0, 1.0, mix_shells=True).a_pad
+    v = random_div_free(grid16, rng)
+    flux = tensor_flux(grid16, a_pad, v)
+    for i in range(2):
+        assert np.array_equal(flux[:, i], tensor_flux(grid16, a_pad, v[i]))
+
+
+def test_random_solenoidal_hermitian_div_free_banded(grid16):
+    gen = np.random.Generator(np.random.Philox(key=[3, 0]))
+    u = random_solenoidal(grid16, gen, 2, 5)
+    neg = (-np.arange(16)) % 16
+    assert np.array_equal(u, np.conj(u[:, neg[:, None], neg[None, :]]))
+    assert max_divergence(grid16, u) < 1e-14 * np.max(np.abs(u))
+    outside = (grid16.k_sq < 2**2) | (grid16.k_sq > 5**2)
+    assert np.all(u[:, outside] == 0.0) and np.any(u[:, ~outside] != 0.0)
 
 
 # ---------------------------------------------------------------------------
