@@ -20,6 +20,7 @@ from .config import ConfigError, make_manifest, parse_config
 from .noise import WienerPath
 from .solver import (
     BlowUpError,
+    InitialConditionError,
     SolverConfig,
     build_context,
     make_initial,
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](config, study, out, max(1, args.jobs))
-    except ConfigError as exc:
+    except (ConfigError, InitialConditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except BlowUpError as exc:

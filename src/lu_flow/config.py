@@ -31,7 +31,11 @@ import datetime
 import hashlib
 import json
 import os
+import platform
 from dataclasses import dataclass, field
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .solver import SolverConfig
@@ -187,6 +191,7 @@ class RunManifest:
     created_at: str = ""
     outputs: list = field(default_factory=list)
     config: dict = field(default_factory=dict)
+    environment: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
         doc = dataclasses.asdict(self)
@@ -203,4 +208,13 @@ def make_manifest(config: SolverConfig, study: dict | None, outputs: list[str]) 
         created_at=datetime.datetime.now(datetime.timezone.utc).isoformat(),
         outputs=list(outputs),
         config=canonical_dict(config, study),
+        environment=software_environment(),
     )
+
+
+def software_environment() -> dict:
+    """Interpreter, numpy and scipy versions and the platform, for the manifest."""
+    uname = platform.uname()  # platform.platform() would also scan the interpreter for libc
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "platform": f"{uname.system}-{uname.release}-{uname.machine}"}

@@ -52,9 +52,10 @@ class OperatorContext:
     """Immutable bundle of grid, noise model and physical parameters.
 
     Caches the derived noise fields that repeated operator applications
-    reuse (the padded variance tensor is owned by the noise model).  No
-    cached field depends on epsilon, so ``dataclasses.replace(ctx,
-    epsilon=...)`` gives a context that shares the cache.
+    reuse (the padded variance tensor is owned by the noise model) and, via
+    ``cached``, the solver's step workspace, one per transform batch.  No
+    cached value depends on the value of epsilon, so ``dataclasses.replace(
+    ctx, epsilon=...)`` gives a context that shares the cache.
     """
 
     grid: TorusGrid
@@ -111,6 +112,30 @@ class OperatorContext:
         if "phi_stack" not in self._cache:
             self._cache["phi_stack"] = self.noise.mode_coeff_stack()
         return self._cache["phi_stack"]
+
+    def noise_field(self, dbeta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """xi = sum_k dbeta_k phi_k, (2, n, n), summed only on the joint
+        support of the phi_k (a few dozen coefficients) instead of through
+        BLAS.  ``out`` receives the support values; it must be zero off the
+        support, as any earlier result of this method is."""
+        idx, values = self.cached("phi_support", self._phi_support)
+        if out is None:
+            out = np.zeros(self.phi_stack.shape[1:], dtype=complex)
+        out.put(idx, np.einsum("k,ks->s", dbeta, values).view(complex))
+        return out
+
+    def _phi_support(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat indices, (K, 2S) real view of the values) of the joint support."""
+        flat = self.phi_stack.reshape(self.noise.k_modes, -1)
+        idx = np.flatnonzero(np.any(flat != 0, axis=0))
+        return idx, np.ascontiguousarray(flat[:, idx]).view(float)
+
+    def cached(self, key, build):
+        """The shared-cache entry ``key``, made by ``build()`` on first use
+        (the noise support and the solver's step workspace live here)."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     @property
     def additive_noise_parts(self) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +223,7 @@ def noise_increment(ctx: OperatorContext, v: SpectralVelocity, dbeta: np.ndarray
         return SpectralVelocity(v.grid, np.zeros_like(v.coeffs))
     grid = ctx.grid
     a_phi, b_phi_us = ctx.additive_noise_parts
-    xi = np.tensordot(dbeta, ctx.phi_stack, axes=(0, 0))
+    xi = ctx.noise_field(dbeta)
     b_xi_v = leray_project(grid, advect(grid, xi, v.coeffs))
     out = -eps * np.tensordot(dbeta, a_phi, axes=(0, 0))
     out -= eps * b_xi_v

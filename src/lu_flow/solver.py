@@ -38,11 +38,11 @@ from .spectral import (
     SpectralScalar,
     SpectralVelocity,
     TorusGrid,
+    TransformBuffers,
     advect,
     divergence,
     energy,
     from_physical,
-    gradient,
     h_norm,
     hermitian_symmetrize,
     leray_project,
@@ -131,14 +131,19 @@ def build_context(config: SolverConfig, grid: TorusGrid | None = None) -> Operat
     return OperatorContext(grid, model, config.epsilon, config.reynolds)
 
 
+class InitialConditionError(ValueError):
+    """The ``initial`` parameters give no field on the run grid (unknown key,
+    unreadable or mismatched snapshot, null random field)."""
+
+
 def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> SpectralVelocity:
     """Initial velocity: the Taylor-Green vortex, a random banded field
-    normalized to a target energy, or a loaded snapshot."""
+    normalized to a target energy, or a loaded snapshot.  Bad parameters
+    raise ``InitialConditionError``."""
     params = dict(params or {})
     if kind == "taylor_green":
         scale = params.pop("scale", 1.0)
-        if params:
-            raise ValueError(f"unknown taylor_green parameters {sorted(params)}")
+        _no_extra(kind, params)
         ux = scale * np.cos(grid.x) * np.sin(grid.y)
         uy = -scale * np.sin(grid.x) * np.cos(grid.y)
         coeffs = leray_project(grid, from_physical(grid, np.stack([ux, uy])))
@@ -148,28 +153,39 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
         k_max = params.pop("k_max", grid.n_modes // 4)
         target_energy = params.pop("energy", 1.0)
         rng_seed = params.pop("seed", 0)
-        if params:
-            raise ValueError(f"unknown random_band parameters {sorted(params)}")
+        _no_extra(kind, params)
         gen = np.random.Generator(np.random.Philox(key=[rng_seed % 2**64, 2**32]))
         coeffs = random_solenoidal(grid, gen, k_min, k_max)
         e = energy(SpectralVelocity(grid, coeffs))
         if e == 0.0:
-            raise ValueError("random_band produced a null field; widen the band")
+            raise InitialConditionError("initial: random_band produced a null field; "
+                                        "widen the band")
         coeffs *= np.sqrt(target_energy / e)
         return SpectralVelocity(grid, coeffs)
     if kind == "file":
+        if "path" not in params:
+            raise InitialConditionError("initial: kind 'file' needs 'path'")
         path = params.pop("path")
-        if params:
-            raise ValueError(f"unknown file parameters {sorted(params)}")
-        file_grid, coeffs = load_snapshot(path)
+        _no_extra(kind, params)
+        try:
+            file_grid, coeffs = load_snapshot(path)
+        except (OSError, ValueError) as exc:
+            raise InitialConditionError(f"initial.path: cannot load {path!r}: {exc}") from exc
         if file_grid != grid:
-            raise ValueError(
-                f"snapshot grid N={file_grid.n_modes} does not match run grid N={grid.n_modes}")
+            raise InitialConditionError(
+                f"initial.path: snapshot grid N={file_grid.n_modes} does not match "
+                f"run grid N={grid.n_modes}")
         if coeffs.ndim != 3 or coeffs.shape[0] != 2:
-            raise ValueError("snapshot does not hold a 2-component field")
+            raise InitialConditionError("initial.path: snapshot does not hold a "
+                                        "2-component field")
         # the transforms read only the ky >= 0 half, so outside data is made Hermitian
         return SpectralVelocity(grid, hermitian_symmetrize(grid, coeffs))
-    raise ValueError(f"unknown initial condition kind {kind!r}")
+    raise InitialConditionError(f"initial: unknown kind {kind!r}")
+
+
+def _no_extra(kind: str, params: dict) -> None:
+    if params:
+        raise InitialConditionError(f"initial: unknown {kind} parameters {sorted(params)}")
 
 
 def check_cfl(config: SolverConfig, v: SpectralVelocity) -> None:
@@ -182,44 +198,83 @@ def check_cfl(config: SolverConfig, v: SpectralVelocity) -> None:
             f"{0.5 * h / umax:.3g}", RuntimeWarning, stacklevel=2)
 
 
+class _StepWorkspace:
+    """What one context's ``step`` keeps between calls: the transform buffers
+    of the six padded fields (c and grad w; the forward pass shares them when
+    the flux is transformed too), the padded product batch, xi (zero off the
+    noise support) and the Stokes multipliers for the last (dt, Re)."""
+
+    def __init__(self, grid: TorusGrid, noisy: bool):
+        m = grid.pad_size
+        self.inverse = TransformBuffers(grid, (6,), m)
+        self.forward = self.inverse if noisy else TransformBuffers(grid, (2,), m)
+        self.prod = np.empty((6 if noisy else 2, m, m))
+        self.xi = np.zeros((2, grid.n_modes, grid.n_modes), dtype=complex)
+        self.key = self.factor = self.a_diag = None
+
+    def stokes(self, grid: TorusGrid, dt: float, reynolds: float) -> tuple:
+        """(exp(-dt |k|^2 / Re), |k|^2 / Re), stored complex so that their
+        products with complex fields need no cast buffer."""
+        if self.key != (dt, reynolds):
+            self.factor = np.exp(-dt * grid.k_sq / reynolds).astype(complex)
+            self.a_diag = (grid.k_sq / reynolds).astype(complex)
+            self.key = (dt, reynolds)
+        return self.factor, self.a_diag
+
+
 def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None,
          dt: float) -> SpectralVelocity:
     """One Euler-Maruyama step with integrating-factor Stokes treatment.
 
     Fused form of exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta]:
-    12 real transforms on the padded grid with noise, 8 without.
+    12 real transforms on the padded grid with noise, 8 without.  The padded
+    arrays are a workspace kept in the context's cache (shared by contexts
+    made with ``dataclasses.replace``), so a warm step allocates only its
+    grid-sized result and small temporaries.  The workspace makes ``step``
+    not reentrant: contexts that share a cache must not step in two threads
+    at once.  The returned state never aliases the workspace.
     """
     grid = ctx.grid
     m = grid.pad_size
     n = grid.n_modes
+    h = n // 2
     v = state.coeffs
     noisy = ctx.epsilon > 0.0 and ctx.noise.amplitude != 0.0
-    c = dt * v
-    w = v
-    if noisy:
-        eps = ctx.epsilon
-        w = v + eps**2 * ctx.us_raw
-        if dbeta is not None:
-            xi = np.tensordot(dbeta, ctx.phi_stack, axes=(0, 0))
-            c = c + eps * xi
-    # c and grad w, with gw[l, i] = d_l w_i
-    phys = to_physical(grid, np.concatenate([c, gradient(grid, w).reshape(4, n, n)]), m)
+    work = ctx.cached(("step", noisy), lambda: _StepWorkspace(grid, noisy))
+    eps = ctx.epsilon
+    xi = ctx.noise_field(dbeta, out=work.xi) if noisy and dbeta is not None else None
+    # c = dt v + eps xi and grad w (w = v + eps^2 u_s), gw[l, i] = d_l w_i,
+    # written straight into the ky >= 0 columns of the padded half spectrum
+    half = work.inverse.half
+    for dst, src in work.inverse.blocks:
+        vb = v[:, src, :h]
+        c = np.multiply(dt, vb, out=half[:2, dst])
+        if xi is not None:
+            np.add(c, eps * xi[:, src, :h], out=c)
+        w = vb + eps**2 * ctx.us_raw[:, src, :h] if noisy else vb
+        np.multiply(grid.ikx[src], w, out=half[2:4, dst])
+        np.multiply(grid.iky[:, :h], w, out=half[4:6, dst])
+    phys = to_physical(grid, None, m, work.inverse)
     cp, gw = phys[:2], phys[2:].reshape(2, 2, m, m)
-    prod = np.empty((6 if noisy else 2, m, m))
-    np.add(cp[0] * gw[0], cp[1] * gw[1], out=prod[:2])         # (c.grad) w
-    if noisy:  # (a grad w)_{j i}
+    prod = work.prod
+    if noisy:  # (a grad w)_{j i}, before gw[1] is overwritten
         tensor_flux_physical(ctx.a_pad, gw, out=prod[2:].reshape(2, 2, m, m))
-    hat = from_physical(grid, prod)
+    np.multiply(cp[0], gw[0], out=prod[:2])                     # (c.grad) w
+    np.add(prod[:2], np.multiply(cp[1], gw[1], out=gw[1]), out=prod[:2])
+    hat = from_physical(grid, prod, work.forward)
     rhs = v - hat[:2]
-    if noisy:
-        flux_hat = hat[2:].reshape(2, 2, n, n)
-        stokes_arg = eps**2 * dt * ctx.us_raw  # eps^2 dt A u_s - eps A xi
-        if dbeta is not None:
-            stokes_arg = stokes_arg - eps * xi
-        rhs += (0.5 * eps**2 * dt * divergence(grid, flux_hat)
-                + (grid.k_sq / ctx.reynolds) * stokes_arg)
-    new = leray_project(grid, np.exp(-dt * grid.k_sq / ctx.reynolds) * rhs)
-    return SpectralVelocity(grid, new)
+    factor, a_diag = work.stokes(grid, dt, ctx.reynolds)
+    if noisy:  # + (eps^2 dt / 2) div(a grad w) + eps^2 dt A u_s - eps A xi
+        flux = hat[2:].reshape(2, 2, n, n)
+        div = np.multiply(grid.ikx, flux[0], out=flux[0])
+        np.add(div, np.multiply(grid.iky, flux[1], out=flux[1]), out=div)
+        np.multiply(0.5 * eps**2 * dt, div, out=div)
+        stokes_arg = np.multiply(eps**2 * dt, ctx.us_raw, out=hat[:2])
+        if xi is not None:
+            np.subtract(stokes_arg, np.multiply(eps, xi, out=flux[1]), out=stokes_arg)
+        np.add(div, np.multiply(a_diag, stokes_arg, out=stokes_arg), out=div)
+        rhs += div
+    return SpectralVelocity(grid, leray_project(grid, np.multiply(factor, rhs, out=rhs), out=rhs))
 
 
 def _record(field: SpectralVelocity) -> tuple:
@@ -309,7 +364,6 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
     times = [0.0]
     energies = [0.5 * h_norm(grid, q) ** 2]
     snaps = [q.copy()] if store_snapshots else None
-    phi_stack = ctx.phi_stack if use_noise else None
     # as in run, a diverging tracer ends in BlowUpError, not in FP warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
@@ -317,7 +371,7 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
             if eps > 0.0:
                 incr += dt * 0.5 * eps**2 * divergence(grid, tensor_flux(grid, ctx.a_pad, q))
             if use_noise:
-                xi = np.tensordot(path.increments[i], phi_stack, axes=(0, 0))
+                xi = ctx.noise_field(path.increments[i])
                 incr -= eps * advect(grid, xi, q)
             q = q + incr
             t = (i + 1) * dt

@@ -54,6 +54,8 @@ class TorusGrid:
         self.kx = k1d[:, None]
         self.ky = k1d[None, :]
         self.k_sq = self.kx**2 + self.ky**2
+        self.ikx, self.iky = 1j * self.kx, 1j * self.ky  # derivative multipliers
+        self.k_sq_safe = np.where(self.k_sq == 0, 1.0, self.k_sq)  # Leray denominator
         half = n // 2
         self.nyquist_mask = (np.abs(k1d[:, None]) == half) | (np.abs(k1d[None, :]) == half)
         # index of mode -k for each mode k (valid away from Nyquist)
@@ -105,7 +107,38 @@ class SpectralScalar:
 # ---------------------------------------------------------------------------
 # transforms
 
-def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None) -> np.ndarray:
+def _half_blocks(n: int, m: int) -> tuple:
+    """(half-spectrum rows, coefficient rows) of the retained kx >= 0 and kx < 0 modes."""
+    h = n // 2
+    return (slice(0, h), slice(0, h)), (slice(m - h, m), slice(h, n))
+
+
+class TransformBuffers:
+    """Preallocated arrays for ``to_physical``/``from_physical`` of a batch of
+    fields with leading shape ``batch`` on the m x m grid.
+
+    ``half`` is the zero-padded ky >= 0 half spectrum, (*batch, m, n/2); only
+    its row ``blocks`` are written, so its other rows stay zero.  ``blocks``
+    pairs each block of ``half`` rows with the coefficient rows it holds.
+    ``cols`` holds the x-pass of either direction, ``phys`` the physical
+    values of the inverse, ``rows`` the y-pass of the forward transform and
+    ``out`` its Hermitian coefficients.  A call returns a view of these
+    arrays, which the next call through the same buffers overwrites.
+    """
+
+    def __init__(self, grid: TorusGrid, batch: tuple, m: int):
+        n = grid.n_modes
+        h = n // 2
+        self.half = np.zeros(batch + (m, h), dtype=complex)
+        self.cols = np.empty(batch + (m, h), dtype=complex)
+        self.phys = np.empty(batch + (m, m))
+        self.rows = np.empty(batch + (m, m // 2 + 1), dtype=complex)
+        self.out = np.empty(batch + (n, n), dtype=complex)
+        self.blocks = _half_blocks(n, m)
+
+
+def to_physical(grid: TorusGrid, coeffs: np.ndarray | None, m: int | None = None,
+                buffers: TransformBuffers | None = None) -> np.ndarray:
     """Evaluate Hermitian coefficients on an m x m physical grid (default n x n).
 
     Batched over leading axes.  Only the ky >= 0 half of ``coeffs`` is read:
@@ -113,43 +146,65 @@ def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None) -> np
     spectrum and inverted with one 2D real FFT, run as its two 1D passes so
     that the x-pass skips the all-zero columns ky >= n/2 (the result is
     bitwise that of ``numpy.fft.irfft2`` on the full half spectrum).
+
+    With ``buffers`` (built for this batch and m) the passes write into them
+    and the result is ``buffers.phys``, with the same bits as a call without
+    them.  ``coeffs`` may then be None when the caller has already written
+    the coefficients into the row blocks of ``buffers.half``.
     """
     n = grid.n_modes
     m = n if m is None else m
     if m < n:
         raise ValueError("pad target smaller than grid")
     h = n // 2
-    half = np.zeros(coeffs.shape[:-2] + (m, h), dtype=complex)
-    half[..., :h, :] = coeffs[..., :h, :h]
-    half[..., m - h:, :] = coeffs[..., h:, :h]
-    cols = np.fft.ifft(half, axis=-2, norm="forward")
-    return np.fft.irfft(cols, n=m, axis=-1, norm="forward")
+    if buffers is None:
+        half = np.zeros(coeffs.shape[:-2] + (m, h), dtype=complex)
+        blocks, cols, phys = _half_blocks(n, m), None, None
+    else:
+        if buffers.phys.shape[-1] != m:
+            raise ValueError(f"buffers are for m = {buffers.phys.shape[-1]}, not {m}")
+        half, blocks, cols, phys = buffers.half, buffers.blocks, buffers.cols, buffers.phys
+    if coeffs is not None:
+        for dst, src in blocks:
+            half[..., dst, :] = coeffs[..., src, :h]
+    cols = np.fft.ifft(half, axis=-2, norm="forward", out=cols)
+    return np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=phys)
 
 
-def from_physical(grid: TorusGrid, values: np.ndarray) -> np.ndarray:
+def from_physical(grid: TorusGrid, values: np.ndarray,
+                  buffers: TransformBuffers | None = None) -> np.ndarray:
     """Project real values on an m x m grid back onto the retained modes.
 
     Batched over leading axes.  One 2D real FFT gives the ky >= 0 half; its
     x-pass runs only on the retained columns ky = 0 .. n/2-1 (bitwise the
     corresponding part of ``numpy.fft.rfft2``).  The ky < 0 half and the
     kx < 0 part of the ky = 0 column are conjugate mirrors, so the result is
-    exactly Hermitian with the Nyquist modes zero.
+    exactly Hermitian with the Nyquist modes zero.  With ``buffers`` (built
+    for this batch and m) the result is ``buffers.out``, with the same bits.
     """
     m = values.shape[-1]
     n = grid.n_modes
     h = n // 2
-    rows = np.fft.rfft(values, axis=-1, norm="forward")[..., :h]
-    r = np.fft.fft(rows, axis=-2, norm="forward")
-    out = np.empty(values.shape[:-2] + (n, n), dtype=complex)
+    if buffers is None:
+        rows = cols = None
+        out = np.empty(values.shape[:-2] + (n, n), dtype=complex)
+    else:
+        rows, cols, out = buffers.rows, buffers.cols, buffers.out
+    rows = np.fft.rfft(values, axis=-1, norm="forward", out=rows)[..., :h]
+    r = np.fft.fft(rows, axis=-2, norm="forward", out=cols)
     out[..., :h, :h] = r[..., :h, :]
     out[..., h:, :h] = r[..., m - h:, :]
     out[..., h, :] = 0.0
     out[..., :, h] = 0.0
-    out[..., h + 1:, 0] = np.conj(out[..., h - 1:0:-1, 0])
+    # the mirrors read r, not out, so no ufunc sees overlapping operands
+    np.conjugate(r[..., h - 1:0:-1, 0], out=out[..., h + 1:, 0])
     out[..., 0, 0] = out[..., 0, 0].real
-    # c(kx, -ky) = conj c(-kx, ky); row 0 is its own mirror, rows r and n-r swap
-    out[..., 0, h + 1:] = np.conj(out[..., 0, h - 1:0:-1])
-    out[..., 1:, h + 1:] = np.conj(out[..., :0:-1, h - 1:0:-1])
+    # c(kx, -ky) = conj c(-kx, ky); row 0 is its own mirror, rows r and n-r
+    # swap, and the Nyquist row h mirrors itself: conj(0) = 0 - 0j
+    np.conjugate(r[..., 0, h - 1:0:-1], out=out[..., 0, h + 1:])
+    np.conjugate(r[..., m - 1:m - h:-1, h - 1:0:-1], out=out[..., 1:h, h + 1:])
+    out[..., h, h + 1:] = np.conj(0j)
+    np.conjugate(r[..., h - 1:0:-1, h - 1:0:-1], out=out[..., h + 1:, h + 1:])
     return out
 
 
@@ -167,31 +222,33 @@ def hermitian_symmetrize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 
 def spectral_derivative(grid: TorusGrid, coeffs: np.ndarray, direction: int) -> np.ndarray:
     """Multiply coefficients by i*k_direction (x: 0, y: 1)."""
-    k = grid.kx if direction == 0 else grid.ky
-    return 1j * k * coeffs
+    return (grid.ikx if direction == 0 else grid.iky) * coeffs
 
 
 def gradient(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Gradient along a new leading axis: out[j] = d/dx_j coeffs."""
-    return np.stack([1j * grid.kx * coeffs, 1j * grid.ky * coeffs])
+    return np.stack([grid.ikx * coeffs, grid.iky * coeffs])
 
 
 def divergence(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Divergence of a 2-component field (contracts the leading axis)."""
-    return 1j * grid.kx * coeffs[0] + 1j * grid.ky * coeffs[1]
+    return grid.ikx * coeffs[0] + grid.iky * coeffs[1]
 
 
-def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
+def leray_project(grid: TorusGrid, coeffs: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Remove the gradient part: u_k -> u_k - k (k.u_k)/|k|^2, zero mean mode.
 
     Acts as the identity on divergence-free fields and annihilates pure
-    gradients; idempotent and self-adjoint in the L2 inner product.
+    gradients; idempotent and self-adjoint in the L2 inner product.  ``out``
+    (C-contiguous, may be ``coeffs`` itself) receives the result.
     """
-    k_sq = np.where(grid.k_sq == 0, 1.0, grid.k_sq)
+    k_sq = grid.k_sq_safe
     k_dot_u = grid.kx * coeffs[0] + grid.ky * coeffs[1]
-    out = np.empty(coeffs.shape, dtype=coeffs.dtype)
-    out[0] = coeffs[0] - grid.kx * k_dot_u / k_sq
-    out[1] = coeffs[1] - grid.ky * k_dot_u / k_sq
+    if out is None:
+        out = np.empty(coeffs.shape, dtype=coeffs.dtype)
+    np.subtract(coeffs[0], grid.kx * k_dot_u / k_sq, out=out[0])
+    np.subtract(coeffs[1], grid.ky * k_dot_u / k_sq, out=out[1])
     out[:, 0, 0] = 0.0
     return out
 

@@ -185,6 +185,33 @@ def test_cli_blow_up_exit_code(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+def test_cli_unknown_random_band_key_is_config_error(tmp_path, capsys):
+    doc = dict(SMALL, initial={"kind": "random_band", "bogus": 1})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "bogus" in err and "Traceback" not in err
+
+
+def test_cli_missing_initial_path_is_config_error(tmp_path, capsys):
+    doc = dict(SMALL, initial={"kind": "file", "path": str(tmp_path / "nope.bin")})
+    cfg = _write_config(tmp_path, doc)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "initial.path" in err and "nope.bin" in err
+
+
+def test_cli_snapshot_grid_mismatch_is_config_error(tmp_path, capsys):
+    snap = tmp_path / "n32.lufs"
+    save_snapshot(str(snap), TorusGrid(32), np.zeros((2, 32, 32), complex))
+    doc = dict(SMALL, initial={"kind": "file", "path": str(snap)})  # SMALL runs at N = 16
+    cfg = _write_config(tmp_path, doc)
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "N=32" in err and "N=16" in err
+
+
 @pytest.mark.parametrize("seed", ["abc", "-3"])
 def test_cli_bad_env_seed_is_config_error(tmp_path, capsys, monkeypatch, seed):
     monkeypatch.setenv("LU_FLOW_SEED", seed)
@@ -225,3 +252,16 @@ def test_manifest_tool_version_is_package_version():
 
     config, _ = parse_config("{}")
     assert make_manifest(config, None, []).tool_version == lu_flow.__version__ == "0.1.0"
+
+
+def test_manifest_records_software_environment(tmp_path):
+    import platform
+
+    import scipy
+
+    cfg = _write_config(tmp_path, SMALL)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    env = json.loads((tmp_path / "o" / "manifest.json").read_text())["environment"]
+    assert env["python"] == platform.python_version()
+    assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
+    assert env["platform"].startswith(platform.system())

@@ -231,6 +231,24 @@ def test_noise_increment_zero_and_column_match(grid32, rng):
     assert np.max(np.abs(single - col)) < 1e-13 * max(np.max(np.abs(col)), 1e-30)
 
 
+@pytest.mark.parametrize("model", ["mix", "pure", "synthetic"])
+def test_noise_field_matches_tensordot_bitwise(grid32, rng, model):
+    # xi is summed on the joint support of the modes, off BLAS, with the bits
+    # of the dense contraction
+    if model == "synthetic":
+        noise = synthetic_inhomogeneous_model(grid32)
+    else:
+        noise = build_noise_model(grid32, 8, 3.0, 1.0, mix_shells=model == "mix")
+    ctx = OperatorContext(grid32, noise, 0.1, 100.0)
+    out = np.zeros((2, 32, 32), dtype=complex)
+    for _ in range(20):
+        dbeta = 0.03 * rng.standard_normal(noise.k_modes)
+        dense = np.tensordot(dbeta, ctx.phi_stack, axes=(0, 0))
+        assert ctx.noise_field(dbeta).tobytes() == dense.tobytes()
+        assert ctx.noise_field(dbeta, out=out) is out
+        assert out.tobytes() == dense.tobytes()
+
+
 def test_noise_increment_linearity(grid32, rng):
     ctx = make_ctx(grid32)
     v = SpectralVelocity(grid32, random_div_free(grid32, rng))

@@ -1,5 +1,8 @@
 """Time stepping: validation, closed forms, reduction, self-convergence."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,52 @@ def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
     assert counts.get("fft", 0) + counts.get("ifft", 0) == counts.get("rfft", 0) + counts.get(
         "irfft", 0)
     assert counts.get("fft2", 0) + counts.get("ifft2", 0) == 0
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_warm_step_allocates_little(n):
+    # the padded arrays live in the context's workspace: a warm step allocates
+    # its grid-sized result and a few grid-sized temporaries, nothing padded
+    ctx = build_context(short_config(n_modes=n, k_modes=8))
+    v = make_initial("random_band", ctx.grid, {"k_max": n // 4, "seed": 1})
+    dbeta = 0.03 * np.ones(8)
+    v = step(step(v, ctx, dbeta, 1e-3), ctx, dbeta, 1e-3)
+    tracemalloc.start()
+    try:
+        step(v, ctx, dbeta, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * v.coeffs.nbytes
+
+
+def test_step_result_survives_next_step(grid32, rng):
+    ctx = build_context(short_config(k_modes=8), grid32)
+    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    first = step(v, ctx, 0.03 * np.ones(8), 1e-3)
+    kept = first.coeffs.copy()
+    step(first, ctx, -0.02 * np.ones(8), 1e-3)
+    step(v, ctx, None, 2e-3)
+    assert np.array_equal(first.coeffs, kept)
+
+
+def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
+    # contexts made with replace share the cache, and with it the workspace and
+    # the cached Stokes factors; interleaving them and changing dt must give
+    # the bits of a fresh context built for each step
+    cfg = short_config(k_modes=8)
+    base = build_context(cfg, grid32)
+    shared = {eps: replace(base, epsilon=eps) for eps in (0.2, 0.1, 0.0)}
+    v0 = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    dbetas = [0.03 * rng.standard_normal(8) for _ in range(4)]
+    a = {eps: v0 for eps in shared}
+    b = dict(a)
+    for i, dt in enumerate((1e-3, 1e-3, 5e-4, 1e-3)):
+        for eps in shared:
+            dbeta = dbetas[i] if eps > 0 else None
+            a[eps] = step(a[eps], shared[eps], dbeta, dt)
+            b[eps] = step(b[eps], build_context(cfg.with_epsilon(eps), grid32), dbeta, dt)
+            assert a[eps].coeffs.tobytes() == b[eps].coeffs.tobytes()
 
 
 def test_step_self_convergence_under_path_refinement():

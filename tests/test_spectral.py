@@ -9,6 +9,7 @@ from lu_flow.spectral import (
     SpectralScalar,
     SpectralVelocity,
     TorusGrid,
+    TransformBuffers,
     dealiased_product,
     dealiased_product_fields,
     divergence,
@@ -101,6 +102,41 @@ def test_real_transforms_match_numpy_rfft2_bitwise(n, rng):
     got = from_physical(grid, values)
     assert np.array_equal(got[:, :h, 1:h], full[:, :h, 1:h])
     assert np.array_equal(got[:, h + 1:, 1:h], full[:, m - h + 1:, 1:h])
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("padded", [False, True])
+def test_transforms_with_buffers_match_fresh_bitwise(n, batch, padded, rng):
+    # the buffers change where the passes write, not a bit of what they compute
+    grid = TorusGrid(n)
+    m = grid.pad_size if padded else n
+    bufs = TransformBuffers(grid, batch, m)
+    for _ in range(2):  # a second call through the same buffers overwrites the first
+        c = random_div_free(grid, rng, components=1) * rng.standard_normal(batch + (1, 1))
+        phys = to_physical(grid, c, m, bufs)
+        assert phys is bufs.phys
+        assert _same_bits(phys, to_physical(grid, c, m))
+        values = rng.standard_normal(batch + (m, m))
+        hat = from_physical(grid, values, bufs)
+        assert hat is bufs.out
+        assert _same_bits(hat, from_physical(grid, values))
+
+
+def test_to_physical_reads_prefilled_half_spectrum(grid16, rng):
+    # coeffs=None transforms what the caller wrote into the row blocks of half
+    c = random_div_free(grid16, rng)
+    m = grid16.pad_size
+    bufs = TransformBuffers(grid16, (2,), m)
+    for dst, src in bufs.blocks:
+        bufs.half[:, dst] = c[:, src, :8]
+    assert _same_bits(to_physical(grid16, None, m, bufs), to_physical(grid16, c, m))
+    with pytest.raises(ValueError, match="buffers are for m"):
+        to_physical(grid16, c, 16, bufs)
 
 
 def test_from_physical_is_exactly_hermitian(grid16, rng):
