@@ -79,9 +79,17 @@ def cmd_simulate(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
     return 0
 
 
-def _member_job(args):
-    config, member = args
-    record = run(config, member_index=member)
+_worker_context = None  # a pool worker's one OperatorContext, set by _init_worker
+
+
+def _init_worker(config: SolverConfig) -> None:
+    global _worker_context
+    _worker_context = build_context(config)
+
+
+def _member_job(config: SolverConfig, member: int, ctx=None):
+    # run once per member: the benchmark counts member-steps per run call
+    record = run(config, member_index=member, ctx=ctx or _worker_context)
     return member, list(_trajectory_rows(record))
 
 
@@ -90,12 +98,15 @@ def cmd_ensemble(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
     if len(members) < 2:
         raise ConfigError("field 'study.ensemble_size' must be >= 2 for ensemble "
                           f"(std_energy is a sample standard deviation), got {len(members)}")
+    # one context (noise model, padded caches, step workspace) per process
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_member_job, [(config, m) for m in members]))
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
+                                 initargs=(config,)) as pool:
+            results = list(pool.map(_member_job, [config] * len(members), members))
         results.sort(key=lambda r: r[0])
     else:
-        results = [_member_job((config, m)) for m in members]
+        ctx = build_context(config)
+        results = [_member_job(config, m, ctx) for m in members]
     rows = [(m, *row) for m, member_rows in results for row in member_rows]
     _write_csv(out / "members.csv", ("member", *TRAJECTORY_COLUMNS), rows)
 

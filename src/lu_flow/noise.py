@@ -7,17 +7,22 @@ covariance family.  Derived fields: the variance tensor
 a(x) = sum_k phi_k(x) phi_k(x)^T and the Ito-Stokes drift u_s = 0.5 div a.
 
 Brownian increments are generated with the counter-based Philox engine and
-an inverse-CDF Gaussian transform, so increment tables are bit-reproducible
-across runs and platforms given (seed, dt, n_steps, K).
+an inverse-CDF Gaussian transform: a numpy port of the Cephes ``ndtri``
+(the algorithm behind ``scipy.special.ndtri``) that takes its logarithms from
+the C library (``math.log``), not from numpy's SIMD ``log``, which differs
+from it in the last bit for some arguments.  Increment tables are
+bit-reproducible across runs given (seed, member, dt, n_steps, K) and bitwise
+equal to ``scipy.special.ndtri`` on the same host (tested); across hosts the
+bits follow the C library's ``log``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtri
 
 from .spectral import (
     TWO_PI,
@@ -223,11 +228,97 @@ def format_regularity_report(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # Brownian paths
 
+# Cephes ndtri (S. L. Moshier, Cephes Math Library), coefficients as in its C
+# source, with the unit leading coefficient of each Q written out: a rational
+# approximation in y - 1/2 on the centre and in z = 1/sqrt(-2 ln y) on either
+# tail.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# tail, 2 <= sqrt(-2 ln y) < 8
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# far tail, sqrt(-2 ln y) >= 8
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """coef[0] x^n + ... + coef[n] in the Horner order of Cephes ``polevl``.
+
+    With coef[0] = 1.0 it is also ``p1evl``: 1.0 * x is exact.
+    """
+    ans = coef[0] * x + coef[1]
+    for c in coef[2:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log, the one Cephes calls; numpy's SIMD log
+    # differs from it in the last bit for some arguments
+    return np.fromiter(map(math.log, x.tolist()), np.float64, count=x.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Inverse standard normal CDF of uniforms 0 < u < 1 (Cephes ``ndtri``).
+
+    Bitwise equal to ``scipy.special.ndtri`` on the same host: each step is
+    one correctly rounded numpy operation in the order of the C source, and
+    the logarithms (tail elements only) come from the C library.
+    """
+    upper = u > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - u, u)
+    central = y > _EXP_M2
+    out = np.empty_like(y)
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    out[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
+    tail = ~central
+    x = np.sqrt(-2.0 * _libm_log(y[tail]))
+    x0 = x - _libm_log(x) / x
+    z = 1.0 / x
+    x1 = z * _polevl(z, _P1) / _polevl(z, _Q1)
+    far = x >= 8.0  # u < exp(-32) or 1 - u < exp(-32)
+    if far.any():
+        zf = z[far]
+        x1[far] = zf * _polevl(zf, _P2) / _polevl(zf, _Q2)
+    xt = x0 - x1
+    out[tail] = np.where(upper[tail], xt, -xt)
+    return out
+
+
+def _increments_from_bits(raw: np.ndarray, dt: float) -> np.ndarray:
+    """Gaussian increments of variance dt from 53-bit integers.
+
+    The uniform is (raw + 1/2) / 2**53.  The one draw that rounds to 1.0
+    (raw = 2**53 - 1) is clamped to the largest double below 1, so every
+    increment is finite and every other one keeps its bits.
+    """
+    uniforms = np.minimum((raw.astype(np.float64) + 0.5) / 2**53, _BELOW_ONE)
+    return _ndtri(uniforms) * np.sqrt(dt)
+
+
 class WienerPath:
     """Reproducible table of Brownian increments, shape (n_steps, K).
 
-    Generated with Philox keyed by (seed, member) and a 53-bit uniform ->
-    inverse normal CDF transform; bit-exact across platforms.
+    Generated with Philox keyed by (seed, member), 53-bit uniforms in (0, 1)
+    and the Cephes inverse normal CDF ``_ndtri``.  The table is the same on
+    every run on a host and bitwise equal to ``scipy.special.ndtri`` there;
+    across hosts its bits follow the C library's ``log``.
     """
 
     def __init__(self, seed: int, dt: float, n_steps: int, k_modes: int,
@@ -243,8 +334,7 @@ class WienerPath:
             bitgen = np.random.Philox(key=[self.seed % 2**64, self.member % 2**64])
             gen = np.random.Generator(bitgen)
             raw = gen.integers(0, 2**53, size=(self.n_steps, self.k_modes), dtype=np.int64)
-            uniforms = (raw.astype(np.float64) + 0.5) / 2**53
-            self.increments = ndtri(uniforms) * np.sqrt(self.dt)
+            self.increments = _increments_from_bits(raw, self.dt)
             self._self_check()
 
     def _self_check(self):

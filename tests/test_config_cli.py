@@ -130,6 +130,34 @@ def test_cli_ensemble(tmp_path):
     assert len(agg) - 1 == (len(members) - 1) // 3
 
 
+def test_cli_ensemble_builds_one_context(tmp_path, monkeypatch):
+    import lu_flow.cli as cli
+    import lu_flow.solver as solver
+
+    real, calls = solver.build_context, []
+
+    def counting(config, grid=None):
+        calls.append(config)
+        return real(config, grid)
+
+    monkeypatch.setattr(cli, "build_context", counting)
+    monkeypatch.setattr(solver, "build_context", counting)
+    cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": 4}))
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "ens"),
+                 "--jobs", "1"]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_ensemble_jobs_agree_bytewise(tmp_path):
+    cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": 4},
+                                       noise={"K": 4, "seed": 3, "mix": True}))
+    for jobs in ("1", "2"):
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    for name in ("members.csv", "aggregate.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+
 def test_cli_converge(tmp_path):
     doc = dict(SMALL, T=0.02, study={"epsilons": [0.2, 0.1, 0.05],
                                      "ensemble_size": 4})

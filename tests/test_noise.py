@@ -1,10 +1,20 @@
 """Noise model construction, variance tensor, drift, regularity, Wiener paths."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
+import lu_flow
 from lu_flow.noise import (
     WienerPath,
+    _increments_from_bits,
+    _ndtri,
     build_noise_model,
     check_regularity,
     sample_increments,
@@ -209,3 +219,82 @@ def test_increment_moments():
             se = se_diag if i == j else se_off
             assert abs(cov[i, j] - target) < 5 * se, (i, j, cov[i, j])
     assert abs(x.mean()) < 5 * np.sqrt(dt / (3 * n))
+
+
+# ---------------------------------------------------------------------------
+# Gaussian transform (Cephes ndtri port)
+
+
+def _lattice(k):
+    return (np.asarray(k, dtype=np.int64).astype(np.float64) + 0.5) / 2**53
+
+
+def _around(c, half_width=1000):
+    """2 * half_width + 1 consecutive doubles centred on c."""
+    return c + np.arange(-half_width, half_width + 1) * np.spacing(c)
+
+
+def _assert_bitwise_scipy(u):
+    ours, ref = _ndtri(u), ndtri(u)
+    bad = np.flatnonzero(ours.view(np.int64) != ref.view(np.int64))
+    assert bad.size == 0, (bad.size, u[bad[:5]])
+
+
+def test_ndtri_bitwise_on_lattice_uniforms():
+    # a port built on numpy's SIMD log instead of libm's differs on about
+    # 5e-5 of the draws, so the sample must hold well over 1e5 of them
+    k = np.random.default_rng(2024).integers(0, 2**53 - 1, size=1_200_000, dtype=np.int64)
+    _assert_bitwise_scipy(_lattice(k))
+
+
+def test_ndtri_bitwise_on_tails_and_branch_edges():
+    below_one = np.nextafter(1.0, 0.0)
+    u = np.concatenate([
+        _lattice(np.arange(2000)),                                  # lower tail
+        np.minimum(_lattice(np.arange(2**53 - 2000, 2**53)), below_one),  # upper tail
+        _around(math.exp(-2)), _around(1.0 - math.exp(-2)),         # centre/tail switch
+        _around(0.5),
+        _around(math.exp(-32)),                                     # P1/P2 switch
+        _around(1.0 - math.exp(-32), 50),
+        [5e-324, 1e-300, below_one],
+    ])
+    _assert_bitwise_scipy(u)
+    x = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+    assert (x < 8.0).any() and (x >= 8.0).any()    # both tail polynomials used
+    assert (u > math.exp(-2)).any() and (u < 1 - math.exp(-2)).any()
+
+
+@pytest.mark.parametrize("seed,member,n_steps,k_modes,dt", [
+    (0, 0, 100, 8, 1e-3), (42, 3, 300, 8, 1e-3), (7, 11, 50, 4, 2e-3),
+    (2**40 + 5, 2**33, 64, 16, 0.01),
+])
+def test_wiener_path_bitwise_scipy_reference(seed, member, n_steps, k_modes, dt):
+    path = WienerPath(seed, dt, n_steps, k_modes, member=member)
+    gen = np.random.Generator(np.random.Philox(key=[seed % 2**64, member % 2**64]))
+    raw = gen.integers(0, 2**53, size=(n_steps, k_modes), dtype=np.int64)
+    ref = ndtri((raw.astype(np.float64) + 0.5) / 2**53) * np.sqrt(dt)
+    assert path.increments.tobytes() == ref.tobytes()
+    coarse = path.coarsen(2)
+    ref_coarse = ref.reshape(n_steps // 2, 2, k_modes).sum(axis=1)
+    assert coarse.increments.tobytes() == ref_coarse.tobytes()
+
+
+def test_top_draw_gives_finite_increment():
+    # raw = 2**53 - 1 makes (raw + 0.5) / 2**53 round to exactly 1.0
+    assert _lattice([2**53 - 1])[0] == 1.0
+    raw = np.array([[2**53 - 1, 2**53 - 2, 0]], dtype=np.int64)
+    inc = _increments_from_bits(raw, 1e-3)
+    assert np.isfinite(inc).all()
+    assert inc[0, 0] == ndtri(np.nextafter(1.0, 0.0)) * np.sqrt(1e-3)
+    # the clamp moves no other draw
+    assert inc[0, 1:].tobytes() == (ndtri(_lattice([2**53 - 2, 0])) * np.sqrt(1e-3)).tobytes()
+
+
+def test_cli_import_does_not_load_scipy_special():
+    src = str(Path(lu_flow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, lu_flow.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
