@@ -9,7 +9,6 @@ from .spectral import (
     TorusGrid,
     dealiased_product,
     energy,
-    enstrophy,
     h_norm,
     leray_project,
     load_snapshot,
@@ -17,15 +16,13 @@ from .spectral import (
     spectral_derivative,
     v_norm,
 )
-from .noise import NoiseModel, WienerPath, build_noise_model, check_regularity, sample_increments
+from .noise import NoiseModel, WienerPath, build_noise_model, check_regularity
 from .operators import (
     OperatorContext,
     apply_A,
     apply_B,
     apply_F,
     apply_G_column,
-    change_of_variable,
-    inverse_change,
     noise_increment,
 )
 from .solver import (

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import diagnostics as diag
 from .config import ConfigError, make_manifest, parse_config
-from .noise import WienerPath
 from .solver import (
     BlowUpError,
     InitialConditionError,
     SolverConfig,
     build_context,
     make_initial,
+    member_path,
     run,
     run_scalar_transport,
 )
@@ -149,10 +149,8 @@ def cmd_transport(config: SolverConfig, study: dict, out: Path, jobs: int) -> in
                                             + 0.5 * np.cos(2 * grid.x)))
     budget = diag.energy_budget_transport(q0, ctx.noise, config.epsilon)
     velocity = make_initial(config.initial_kind, grid, config.initial_params)
-    path = None
-    if config.epsilon > 0 and config.amplitude != 0:
-        path = WienerPath(config.seed, config.dt, config.n_steps, config.k_modes)
-    result = run_scalar_transport(q0, velocity, ctx, config.dt, config.t_end, path,
+    result = run_scalar_transport(q0, velocity, ctx, config.dt, config.t_end,
+                                  member_path(config, ctx),
                                   record_every=config.record_every)
     _write_csv(out / "transport.csv", ("time", "tracer_energy"),
                list(zip(result["times"].tolist(), result["energies"].tolist())))

@@ -19,7 +19,7 @@ The config file is JSON.  Schema (defaults in parentheses):
 
 ``study.epsilons`` holds at least two distinct numbers in (0, 1];
 ``study.ensemble_size`` is an integer >= 1 (>= 2 for ``ensemble``).
-Unknown keys are rejected.
+Unknown keys are rejected; every number must be finite.
 The LU_FLOW_SEED environment variable, when set, overrides the noise seed
 (recorded in the manifest); it must be an integer >= 0.
 """
@@ -32,10 +32,10 @@ import hashlib
 import json
 import os
 import platform
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .solver import SolverConfig
@@ -59,10 +59,18 @@ _INITIAL_DEFAULTS = {"kind": "taylor_green"}
 _STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
 
 
-def _take(section: dict, defaults: dict, where: str, extra_ok=()) -> dict:
+def _section(body: dict, name: str) -> dict:
+    """The JSON object under ``name`` (empty when absent), taken out of ``body``."""
+    value = body.pop(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"field {name!r} must be a JSON object, got {value!r}")
+    return value
+
+
+def _take(section: dict, defaults: dict, where: str) -> dict:
     out = dict(defaults)
     for key, value in section.items():
-        if key not in defaults and key not in extra_ok:
+        if key not in defaults:
             raise ConfigError(f"unknown key '{where}{key}'")
         out[key] = value
     return out
@@ -73,6 +81,9 @@ def _require_number(value, name, *, positive=False, integer=False, minimum=None)
         raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"field {name!r} must be numeric, got {value!r}")
+    # json accepts NaN and Infinity; NaN fails every comparison
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"field {name!r} must be a finite number, got {value!r}")
     if positive and value <= 0:
         raise ConfigError(f"field {name!r} must be positive, got {value!r}")
     if minimum is not None and value < minimum:
@@ -117,11 +128,11 @@ def parse_config(text: str) -> tuple[SolverConfig, dict]:
         raise ConfigError("top-level config must be a JSON object")
 
     body = dict(raw)
-    noise = _take(body.pop("noise", {}), _NOISE_DEFAULTS, "noise.")
-    initial = dict(body.pop("initial", {}))
+    noise = _take(_section(body, "noise"), _NOISE_DEFAULTS, "noise.")
+    initial = dict(_section(body, "initial"))
     if "kind" not in initial:
         initial["kind"] = _INITIAL_DEFAULTS["kind"]
-    study = _take(body.pop("study", {}), _STUDY_DEFAULTS, "study.")
+    study = _take(_section(body, "study"), _STUDY_DEFAULTS, "study.")
     top = _take(body, _TOP_DEFAULTS, "")
 
     n = _require_number(top["N"], "N", integer=True, minimum=8)
@@ -130,6 +141,9 @@ def parse_config(text: str) -> tuple[SolverConfig, dict]:
     _require_number(top["Re"], "Re", positive=True)
     _require_number(top["dt"], "dt", positive=True)
     _require_number(top["T"], "T", positive=True)
+    if top["T"] / top["dt"] > sys.float_info.max:
+        raise ConfigError(f"fields 'T' and 'dt' give more steps than a float holds: "
+                          f"T = {top['T']!r}, dt = {top['dt']!r}")
     eps = _require_number(top["eps"], "eps", minimum=0.0)
     if eps > 1.0:
         raise ConfigError(f"field 'eps' must lie in [0, 1], got {eps}")
@@ -214,6 +228,8 @@ def make_manifest(config: SolverConfig, study: dict | None, outputs: list[str]) 
 
 def software_environment() -> dict:
     """Interpreter, numpy and scipy versions and the platform, for the manifest."""
+    import scipy  # here, not at module level: the import would cost every command's start
+
     uname = platform.uname()  # platform.platform() would also scan the interpreter for libc
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,

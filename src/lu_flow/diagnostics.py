@@ -11,8 +11,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .noise import NoiseModel, WienerPath
-from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, run, run_deterministic
+from .noise import NoiseModel
+from .solver import (SolverConfig, TrajectoryRecord, build_context, make_initial, member_path,
+                     run, run_deterministic)
 from .spectral import (
     SpectralScalar,
     SpectralVelocity,
@@ -166,9 +167,7 @@ def contraction_test(config: SolverConfig, delta: float, member: int = 0,
     ctx = build_context(config)
     grid = ctx.grid
     v0 = make_initial(config.initial_kind, grid, config.initial_params)
-    use_noise = config.epsilon > 0 and config.amplitude != 0
-    path = WienerPath(config.seed, config.dt, config.n_steps, config.k_modes,
-                      member=member) if use_noise else None
+    path = member_path(config, ctx, member)
     rec1 = run(config, member, ctx=ctx, path=path, v0=v0, store_snapshots=True,
                warn_cfl=False)
     pert = perturbation_field(grid, delta) if delta > 0 else SpectralVelocity(

@@ -2,8 +2,8 @@
 
 The unresolved velocity is expanded on the K lowest divergence-free real
 Fourier modes of the torus, each weighted by amplitude * lambda_k**(-r)
-with lambda_k = |k|^2 / Re (the Stokes eigenvalue), the standard smooth
-covariance family.  Derived fields: the variance tensor
+with lambda_k = |k|^2 (the Stokes eigenvalue at unit viscosity), the
+standard smooth covariance family.  Derived fields: the variance tensor
 a(x) = sum_k phi_k(x) phi_k(x)^T and the Ito-Stokes drift u_s = 0.5 div a.
 
 Brownian increments are generated with the counter-based Philox engine and
@@ -85,7 +85,8 @@ class NoiseModel:
     """Eigenmode expansion of the unresolved-velocity covariance.
 
     ``modes`` holds the weighted eigenfunctions (amplitude folded in);
-    ``variance_tensor`` is a(x) on the physical grid, shape (2, 2, n, n);
+    ``variance_tensor`` is a(x) on the physical grid, shape (2, 2, n, n),
+    and ``variance_hat`` its coefficients;
     ``ito_stokes_drift`` the raw (unprojected) field 0.5 div a;
     ``a_pad`` a on the padded grid, built on first use.
     """
@@ -94,19 +95,19 @@ class NoiseModel:
     modes: list[SpectralVelocity]
     spectrum_exponent: float
     amplitude: float
-    reynolds: float = 1.0
     variance_tensor: np.ndarray = field(init=False)
+    variance_hat: np.ndarray = field(init=False)
     ito_stokes_drift: SpectralVelocity = field(init=False)
 
     def __post_init__(self):
         self.variance_tensor = variance_tensor(self)
+        self.variance_hat = from_physical(self.grid, self.variance_tensor)
         self.ito_stokes_drift = ito_stokes_drift(self)
 
     @cached_property
     def a_pad(self) -> np.ndarray:
         """Variance tensor on the padded physical grid, (2, 2, m, m)."""
-        a_hat = from_physical(self.grid, self.variance_tensor)
-        return to_physical(self.grid, a_hat, self.grid.pad_size)
+        return to_physical(self.grid, self.variance_hat, self.grid.pad_size)
 
     @property
     def k_modes(self) -> int:
@@ -118,10 +119,10 @@ class NoiseModel:
 
 
 def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
-                      amplitude: float, reynolds: float = 1.0,
-                      mix_shells: bool = False) -> NoiseModel:
+                      amplitude: float, mix_shells: bool = False) -> NoiseModel:
     """K lowest divergence-free real Fourier eigenmodes, weighted by
-    amplitude * lambda_k**(-spectrum_exponent) with lambda_k = |k|^2 / Re.
+    amplitude * lambda_k**(-spectrum_exponent) with lambda_k = |k|^2, the
+    Stokes eigenvalue at unit viscosity.
 
     For pure single-wavevector modes every outer product phi phi^T has zero
     divergence, so the Ito-Stokes drift vanishes identically (the truncated
@@ -149,8 +150,7 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
             modes.append(SpectralVelocity(grid, c))
 
     def weight_of(kvec):
-        lam = (kvec[0] ** 2 + kvec[1] ** 2) / reynolds
-        return amplitude * lam ** (-spectrum_exponent)
+        return amplitude * (kvec[0] ** 2 + kvec[1] ** 2) ** (-spectrum_exponent)
 
     if not mix_shells:
         for kvec in reps:
@@ -163,7 +163,7 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
             emit(pair, weight)
     if len(modes) < k_modes:
         raise ValueError(f"could not assemble {k_modes} modes at N={grid.n_modes}")
-    return NoiseModel(grid, modes, spectrum_exponent, amplitude, reynolds)
+    return NoiseModel(grid, modes, spectrum_exponent, amplitude)
 
 
 def variance_tensor(model: NoiseModel) -> np.ndarray:
@@ -180,8 +180,7 @@ def variance_tensor(model: NoiseModel) -> np.ndarray:
 def ito_stokes_drift(model: NoiseModel) -> SpectralVelocity:
     """0.5 div a computed spectrally (row-wise divergence), stored raw."""
     grid = model.grid
-    a_hat = from_physical(grid, model.variance_tensor)
-    us = np.stack([0.5 * divergence(grid, a_hat[i]) for i in range(2)])
+    us = np.stack([0.5 * divergence(grid, model.variance_hat[i]) for i in range(2)])
     return SpectralVelocity(grid, us)
 
 
@@ -212,17 +211,6 @@ def check_regularity(model: NoiseModel, tail_threshold: float = 0.1) -> dict:
         "us_h3": us_h3,
         "a_grad_us_v": a_grad_us_v,
     }
-
-
-def format_regularity_report(report: dict) -> str:
-    lines = [
-        f"partial_sum_h3 {report['partial_sum_h3']:.12g}",
-        f"tail_ratio {report['tail_ratio']:.12g}",
-        f"passes {str(report['passes']).lower()}",
-        f"us_h3 {report['us_h3']:.12g}",
-        f"a_grad_us_v {report['a_grad_us_v']:.12g}",
-    ]
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +345,3 @@ class WienerPath:
         coarse = self.increments.reshape(self.n_steps // factor, factor, self.k_modes).sum(axis=1)
         return WienerPath(self.seed, self.dt * factor, self.n_steps // factor,
                           self.k_modes, self.member, _increments=coarse)
-
-
-def sample_increments(path: WienerPath, step: int) -> np.ndarray:
-    """Row ``step`` of the increment table."""
-    if not 0 <= step < path.n_steps:
-        raise IndexError(f"step {step} out of range [0, {path.n_steps})")
-    return path.increments[step]

@@ -73,6 +73,13 @@ class OperatorContext:
             raise GridMismatchError("noise model grid differs from context grid")
 
     @property
+    def noisy(self) -> bool:
+        """Whether the noise acts: eps > 0 and a nonzero amplitude.  Every
+        run decision that skips the noise (and so keeps eps = 0 bitwise
+        deterministic) reads this."""
+        return self.epsilon > 0.0 and self.noise.amplitude != 0.0
+
+    @property
     def a_pad(self) -> np.ndarray:
         """Variance tensor on the padded physical grid, (2, 2, m, m)."""
         return self.noise.a_pad
@@ -82,7 +89,7 @@ class OperatorContext:
         """Leray-projected Ito-Stokes drift coefficients (the advected part).
 
         The drift terms inside F and G use the raw field ``us_raw``; the
-        change of variable and the effective advection use this projection.
+        effective tracer advection u - eps^2 u_s uses this projection.
         """
         if "us" not in self._cache:
             self._cache["us"] = leray_project(self.grid, self.noise.ito_stokes_drift.coeffs)
@@ -244,13 +251,3 @@ def transport_quadratic_sum(ctx: OperatorContext, v: SpectralVelocity) -> float:
         # quadrature on the padded grid: exact for the band-limited integrand
         total += float(np.sum(np.mean(pv**2, axis=(-2, -1)))) * (2.0 * np.pi) ** 2
     return total
-
-
-def change_of_variable(u: SpectralVelocity, ctx: OperatorContext) -> SpectralVelocity:
-    """v = u - eps^2 P(u_s)."""
-    return SpectralVelocity(u.grid, u.coeffs - ctx.epsilon**2 * ctx.us)
-
-
-def inverse_change(v: SpectralVelocity, ctx: OperatorContext) -> SpectralVelocity:
-    """u = v + eps^2 P(u_s)."""
-    return SpectralVelocity(v.grid, v.coeffs + ctx.epsilon**2 * ctx.us)

@@ -27,6 +27,7 @@ zero), so the zero-noise reduction is bitwise.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -142,17 +143,23 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
     raise ``InitialConditionError``."""
     params = dict(params or {})
     if kind == "taylor_green":
-        scale = params.pop("scale", 1.0)
+        scale = _finite_param(kind, params, "scale", 1.0)
         _no_extra(kind, params)
         ux = scale * np.cos(grid.x) * np.sin(grid.y)
         uy = -scale * np.sin(grid.x) * np.cos(grid.y)
         coeffs = leray_project(grid, from_physical(grid, np.stack([ux, uy])))
         return SpectralVelocity(grid, coeffs)
     if kind == "random_band":
-        k_min = params.pop("k_min", 1)
-        k_max = params.pop("k_max", grid.n_modes // 4)
-        target_energy = params.pop("energy", 1.0)
+        k_min = _finite_param(kind, params, "k_min", 1)
+        k_max = _finite_param(kind, params, "k_max", grid.n_modes // 4)
+        target_energy = _finite_param(kind, params, "energy", 1.0)
+        if target_energy <= 0:
+            raise InitialConditionError(f"initial: random_band 'energy' must be positive, "
+                                        f"got {target_energy!r}")
         rng_seed = params.pop("seed", 0)
+        if not isinstance(rng_seed, int) or isinstance(rng_seed, bool) or rng_seed < 0:
+            raise InitialConditionError(f"initial: random_band 'seed' must be an integer "
+                                        f">= 0, got {rng_seed!r}")
         _no_extra(kind, params)
         gen = np.random.Generator(np.random.Philox(key=[rng_seed % 2**64, 2**32]))
         coeffs = random_solenoidal(grid, gen, k_min, k_max)
@@ -181,6 +188,16 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
         # the transforms read only the ky >= 0 half, so outside data is made Hermitian
         return SpectralVelocity(grid, hermitian_symmetrize(grid, coeffs))
     raise InitialConditionError(f"initial: unknown kind {kind!r}")
+
+
+def _finite_param(kind: str, params: dict, key: str, default):
+    """Take ``key`` out of ``params``: a finite number (NaN fails the bound)."""
+    value = params.pop(key, default)
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not abs(value) <= sys.float_info.max):
+        raise InitialConditionError(f"initial: {kind} {key!r} must be a finite number, "
+                                    f"got {value!r}")
+    return value
 
 
 def _no_extra(kind: str, params: dict) -> None:
@@ -239,7 +256,7 @@ def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None
     n = grid.n_modes
     h = n // 2
     v = state.coeffs
-    noisy = ctx.epsilon > 0.0 and ctx.noise.amplitude != 0.0
+    noisy = ctx.noisy
     work = ctx.cached(("step", noisy), lambda: _StepWorkspace(grid, noisy))
     eps = ctx.epsilon
     xi = ctx.noise_field(dbeta, out=work.xi) if noisy and dbeta is not None else None
@@ -283,6 +300,14 @@ def _record(field: SpectralVelocity) -> tuple:
     return (0.5 * hn**2, 0.5 * vn**2, hn, vn, max_divergence(field.grid, field.coeffs))
 
 
+def member_path(config: SolverConfig, ctx: OperatorContext, member: int = 0) -> WienerPath | None:
+    """The Brownian path of ``member`` derived from (config.seed, member), or
+    None when the noise of ``ctx`` is off."""
+    if not ctx.noisy:
+        return None
+    return WienerPath(config.seed, config.dt, config.n_steps, config.k_modes, member=member)
+
+
 def run(config: SolverConfig, member_index: int = 0, *,
         ctx: OperatorContext | None = None, path: WienerPath | None = None,
         v0: SpectralVelocity | None = None, store_snapshots: bool = False,
@@ -298,10 +323,9 @@ def run(config: SolverConfig, member_index: int = 0, *,
         raise ValueError("context epsilon disagrees with config")
     grid = ctx.grid
     n_steps = config.n_steps
-    use_noise = config.epsilon > 0.0 and config.amplitude != 0.0
-    if use_noise and path is None:
-        path = WienerPath(config.seed, config.dt, n_steps, config.k_modes,
-                          member=member_index)
+    noisy = ctx.noisy
+    if path is None:
+        path = member_path(config, ctx, member_index)
     # A diverging (or non-finite initial) state overflows before the check
     # after each step raises BlowUpError, and TrajectoryRecord rejects any
     # non-finite record, so floating-point warnings would add nothing.
@@ -314,7 +338,7 @@ def run(config: SolverConfig, member_index: int = 0, *,
         if store_snapshots:
             snaps.append(state.copy())
         for i in range(n_steps):
-            dbeta = path.increments[i] if use_noise else None
+            dbeta = path.increments[i] if noisy else None
             state = step(state, ctx, dbeta, config.dt)
             t = (i + 1) * config.dt
             if not np.isfinite(state.coeffs).all():
@@ -356,8 +380,8 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
     n_steps = int(round(t_end / dt))
     u_adv = velocity.coeffs - (eps**2) * ctx.us
     u_adv_pad = to_physical(grid, u_adv, grid.pad_size)
-    use_noise = eps > 0.0 and ctx.noise.amplitude != 0.0
-    if use_noise and path is None:
+    noisy = ctx.noisy
+    if noisy and path is None:
         raise ValueError("a WienerPath is required when the noise is active")
 
     q = q0.coeffs.copy()
@@ -370,7 +394,7 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
             incr = -dt * advect(grid, u_adv, q, u_phys_pad=u_adv_pad)
             if eps > 0.0:
                 incr += dt * 0.5 * eps**2 * divergence(grid, tensor_flux(grid, ctx.a_pad, q))
-            if use_noise:
+            if noisy:
                 xi = ctx.noise_field(path.increments[i])
                 incr -= eps * advect(grid, xi, q)
             q = q + incr

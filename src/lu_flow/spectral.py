@@ -48,7 +48,6 @@ class TorusGrid:
         if n_modes % 2 != 0 or n_modes < 8:
             raise ValueError(f"n_modes must be even and >= 8, got {n_modes}")
         self.n_modes = int(n_modes)
-        self.side_length = TWO_PI
         n = self.n_modes
         k1d = np.fft.fftfreq(n, d=1.0 / n)  # integer wavenumbers, fft order
         self.kx = k1d[:, None]
@@ -284,12 +283,6 @@ def dealiased_product(grid: TorusGrid, f: np.ndarray, g: np.ndarray) -> np.ndarr
     return from_physical(grid, fp * gp)
 
 
-def dealiased_product_fields(f, g):
-    if f.grid != g.grid:
-        raise GridMismatchError(f"grids differ: {f.grid} vs {g.grid}")
-    return dealiased_product(f.grid, f.coeffs, g.coeffs)
-
-
 def advect(grid: TorusGrid, u: np.ndarray, f: np.ndarray,
            u_phys_pad: np.ndarray | None = None) -> np.ndarray:
     """(u . grad) f with dealiasing.  f may be scalar (n,n) or vector (2,n,n).
@@ -330,11 +323,6 @@ def h_norm(grid: TorusGrid, f: np.ndarray) -> float:
     return float(TWO_PI * np.sqrt(np.sum(np.abs(f) ** 2)))
 
 
-def v_inner(grid: TorusGrid, f: np.ndarray, g: np.ndarray) -> float:
-    """H1 seminorm inner product (gradient inner product)."""
-    return float(TWO_PI**2 * np.sum(grid.k_sq * (np.conj(f) * g).real))
-
-
 def v_norm(grid: TorusGrid, f: np.ndarray) -> float:
     return float(TWO_PI * np.sqrt(np.sum(grid.k_sq * np.abs(f) ** 2)))
 
@@ -348,11 +336,6 @@ def sobolev_norm_sq(grid: TorusGrid, f: np.ndarray, order: int) -> float:
 def energy(field: SpectralVelocity) -> float:
     """Kinetic energy 0.5 |v|_H^2."""
     return 0.5 * h_norm(field.grid, field.coeffs) ** 2
-
-
-def enstrophy(field: SpectralVelocity) -> float:
-    """0.5 ||v||_V^2."""
-    return 0.5 * v_norm(field.grid, field.coeffs) ** 2
 
 
 # ---------------------------------------------------------------------------

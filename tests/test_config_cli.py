@@ -1,6 +1,10 @@
 """Config parsing, manifests, and the lu-flow command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,13 @@ def test_invalid_json_names_line():
     ({"noise": {"K": 0}}, "noise.K"),
     ({"noise": {"seed": -1}}, "noise.seed"),
     ({"noise": {"mix": 1}}, "noise.mix"),
+    ({"eps": float("nan")}, "eps"),
+    ({"Re": float("nan")}, "Re"),
+    ({"Re": float("inf")}, "Re"),
+    ({"noise": [1]}, "noise"),
+    ({"initial": "taylor_green"}, "initial"),
+    ({"study": 3}, "study"),
+    ({"T": 1e300, "dt": 1e-300}, "T"),
 ])
 def test_bad_values_name_field(doc, field):
     with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
@@ -213,12 +224,21 @@ def test_cli_blow_up_exit_code(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
-def test_cli_unknown_random_band_key_is_config_error(tmp_path, capsys):
-    doc = dict(SMALL, initial={"kind": "random_band", "bogus": 1})
-    cfg = _write_config(tmp_path, doc)
+@pytest.mark.parametrize("initial,key", [
+    ({"kind": "random_band", "bogus": 1}, "bogus"),
+    ({"kind": "random_band", "k_min": "a"}, "k_min"),
+    ({"kind": "random_band", "k_max": float("nan")}, "k_max"),
+    ({"kind": "taylor_green", "scale": "x"}, "scale"),
+    ({"kind": "random_band", "energy": -1}, "energy"),
+    ({"kind": "random_band", "energy": float("inf")}, "energy"),
+    ({"kind": "random_band", "seed": 1.5}, "seed"),
+    ({"kind": "random_band", "seed": -1}, "seed"),
+], ids=["bogus", "k_min", "k_max", "scale", "energy", "energy_inf", "seed", "seed_negative"])
+def test_cli_unknown_random_band_key_is_config_error(tmp_path, capsys, initial, key):
+    cfg = _write_config(tmp_path, dict(SMALL, initial=initial))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and "bogus" in err and "Traceback" not in err
+    assert "config error" in err and key in err and "Traceback" not in err
 
 
 def test_cli_missing_initial_path_is_config_error(tmp_path, capsys):
@@ -293,3 +313,34 @@ def test_manifest_records_software_environment(tmp_path):
     assert env["python"] == platform.python_version()
     assert env["numpy"] == np.__version__ and env["scipy"] == scipy.__version__
     assert env["platform"].startswith(platform.system())
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _src_env():
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_does_not_load_scipy():
+    # the manifest imports scipy for its version only when it is written
+    code = "import sys, lu_flow.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_benchmark_trace_hook_runs(tmp_path):
+    # perfbench/hook.py patches lu_flow functions and OperatorContext
+    # properties by name, so a rename must fail here, not only in a traced benchmark run
+    cfg = _write_config(tmp_path, {"N": 16, "T": 0.01, "dt": 1e-3,
+                                   "noise": {"K": 4, "mix": True}})
+    opdir = tmp_path / "op"
+    opdir.mkdir()
+    proc = subprocess.run([sys.executable, "perfbench/hook.py", "trace", str(opdir),
+                           "simulate", "--config", cfg, "--out", str(tmp_path / "o")],
+                          cwd=ROOT, env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads((opdir / "spans.json").read_text())["spans"]}
+    assert {"solver.step", "operators.OperatorContext.a_pad"} <= names

@@ -17,7 +17,6 @@ from lu_flow.noise import (
     _ndtri,
     build_noise_model,
     check_regularity,
-    sample_increments,
 )
 from lu_flow.spectral import (
     TorusGrid,
@@ -182,13 +181,6 @@ def test_path_determinism_and_seed_sensitivity():
     c = WienerPath(43, 1e-3, 50, 4)
     assert np.array_equal(a.increments, b.increments)
     assert np.max(np.abs(a.increments - c.increments)) > 1e-6
-
-
-def test_sample_increments_contract():
-    path = WienerPath(7, 1e-3, 10, 3)
-    assert np.array_equal(sample_increments(path, 4), sample_increments(path, 4))
-    with pytest.raises(IndexError):
-        sample_increments(path, 10)
 
 
 def test_member_streams_differ():

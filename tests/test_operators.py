@@ -10,9 +10,7 @@ from lu_flow.operators import (
     apply_B,
     apply_F,
     apply_G_column,
-    change_of_variable,
     dirichlet_form,
-    inverse_change,
     noise_increment,
     transport_quadratic_sum,
     trilinear_b,
@@ -277,18 +275,3 @@ def test_transport_energy_identity(grid32, rng):
         lhs = transport_quadratic_sum(ctx, v)
         rhs = dirichlet_form(ctx, v.coeffs)
         assert abs(lhs - rhs) < 1e-10 * rhs
-
-
-# ---------------------------------------------------------------------------
-# change of variable
-
-
-def test_change_of_variable(grid32, rng):
-    u = SpectralVelocity(grid32, random_div_free(grid32, rng))
-    ctx0 = make_ctx(grid32, epsilon=0.0)
-    assert np.array_equal(change_of_variable(u, ctx0).coeffs, u.coeffs)
-    hom = make_ctx(grid32, epsilon=0.3, mix=False)   # u_s = 0
-    assert np.max(np.abs(change_of_variable(u, hom).coeffs - u.coeffs)) < 1e-14
-    ctx = make_ctx(grid32, epsilon=0.3)
-    back = inverse_change(change_of_variable(u, ctx), ctx)
-    assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-14

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from lu_flow.noise import build_noise_model
+from lu_flow.operators import OperatorContext
 from lu_flow.spectral import (
     GridMismatchError,
-    SpectralScalar,
     SpectralVelocity,
     TorusGrid,
     TransformBuffers,
     dealiased_product,
-    dealiased_product_fields,
     divergence,
     from_physical,
     h_inner,
@@ -57,10 +56,9 @@ def test_grid_equality_and_mismatch():
     assert TorusGrid(16) == TorusGrid(16)
     g, h = TorusGrid(16), TorusGrid(32)
     assert g != h
-    f = SpectralScalar(g, np.zeros((16, 16), dtype=complex))
-    other = SpectralScalar(h, np.zeros((32, 32), dtype=complex))
+    model = build_noise_model(g, 4, 3.0, 1.0)
     with pytest.raises(GridMismatchError):
-        dealiased_product_fields(f, other)
+        OperatorContext(h, model, 0.1, 100.0)
 
 
 # ---------------------------------------------------------------------------
