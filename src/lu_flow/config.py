@@ -8,7 +8,6 @@ The config file is JSON.  Schema (defaults in parentheses):
       "eps": float (0.1),
       "dt": float (1e-3),
       "T": float (1.0),
-      "scheme": str ("euler_maruyama_semi_implicit"),
       "record_every": int (10),
       "initial": {"kind": "taylor_green" | "random_band" | "file", ...},
       "noise": {"K": int (4), "r": float (3.0), "amp": float (1.0),
@@ -38,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .noise import max_modes
 from .solver import SolverConfig
 
 
@@ -45,17 +45,14 @@ class ConfigError(ValueError):
     """Schema or physical-validity violation, with the offending field."""
 
 
-_TOP_DEFAULTS = {
-    "N": 32,
-    "Re": 100.0,
-    "eps": 0.1,
-    "dt": 1e-3,
-    "T": 1.0,
-    "scheme": "euler_maruyama_semi_implicit",
-    "record_every": 10,
+# the SolverConfig field of each top-level ("") and "noise" key; the defaults,
+# and the type a value is cast to, are SolverConfig's
+_FIELDS = {
+    "": {"N": "n_modes", "Re": "reynolds", "eps": "epsilon", "dt": "dt", "T": "t_end",
+         "record_every": "record_every"},
+    "noise": {"K": "k_modes", "r": "spectrum_exponent", "amp": "amplitude", "seed": "seed",
+              "mix": "noise_mixing"},
 }
-_NOISE_DEFAULTS = {"K": 4, "r": 3.0, "amp": 1.0, "seed": 0, "mix": False}
-_INITIAL_DEFAULTS = {"kind": "taylor_green"}
 _STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
 
 
@@ -65,6 +62,10 @@ def _section(body: dict, name: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"field {name!r} must be a JSON object, got {value!r}")
     return value
+
+
+def _defaults(section: str) -> dict:
+    return {key: getattr(SolverConfig, name) for key, name in _FIELDS[section].items()}
 
 
 def _take(section: dict, defaults: dict, where: str) -> dict:
@@ -128,12 +129,11 @@ def parse_config(text: str) -> tuple[SolverConfig, dict]:
         raise ConfigError("top-level config must be a JSON object")
 
     body = dict(raw)
-    noise = _take(_section(body, "noise"), _NOISE_DEFAULTS, "noise.")
+    noise = _take(_section(body, "noise"), _defaults("noise"), "noise.")
     initial = dict(_section(body, "initial"))
-    if "kind" not in initial:
-        initial["kind"] = _INITIAL_DEFAULTS["kind"]
+    kind = initial.pop("kind", SolverConfig.initial_kind)
     study = _take(_section(body, "study"), _STUDY_DEFAULTS, "study.")
-    top = _take(body, _TOP_DEFAULTS, "")
+    top = _take(body, _defaults(""), "")
 
     n = _require_number(top["N"], "N", integer=True, minimum=8)
     if n % 2 != 0:
@@ -154,36 +154,28 @@ def parse_config(text: str) -> tuple[SolverConfig, dict]:
     _require_number(noise["seed"], "noise.seed", integer=True, minimum=0)
     if not isinstance(noise["mix"], bool):
         raise ConfigError(f"field 'noise.mix' must be a boolean, got {noise['mix']!r}")
+    limit = max_modes(n, noise["mix"])
+    if noise["K"] > limit:
+        raise ConfigError(f"field 'noise.K' must be <= {limit} at N={n}"
+                          f"{' with mix: true' if noise['mix'] else ''}, got {noise['K']}")
     _require_number(study["ensemble_size"], "study.ensemble_size", integer=True, minimum=1)
     _check_epsilons(study["epsilons"])
-    kind = initial.pop("kind")
+    noise["seed"] = _env_seed(noise["seed"])
 
-    seed = _env_seed(int(noise["seed"]))
-
+    values = {name: type(getattr(SolverConfig, name))(given[key])
+              for section, given in (("", top), ("noise", noise))
+              for key, name in _FIELDS[section].items()}
     try:
-        config = SolverConfig(
-            n_modes=int(n), reynolds=float(top["Re"]), epsilon=float(eps),
-            dt=float(top["dt"]), t_end=float(top["T"]), k_modes=int(noise["K"]),
-            spectrum_exponent=float(noise["r"]), amplitude=float(noise["amp"]),
-            seed=seed, scheme=top["scheme"], record_every=int(top["record_every"]),
-            initial_kind=kind, initial_params=initial,
-            noise_mixing=bool(noise["mix"]),
-        )
+        config = SolverConfig(**values, initial_kind=kind, initial_params=initial)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return config, study
 
 
 def canonical_dict(config: SolverConfig, study: dict | None = None) -> dict:
-    doc = {
-        "N": config.n_modes, "Re": config.reynolds, "eps": config.epsilon,
-        "dt": config.dt, "T": config.t_end, "scheme": config.scheme,
-        "record_every": config.record_every,
-        "initial": {"kind": config.initial_kind, **config.initial_params},
-        "noise": {"K": config.k_modes, "r": config.spectrum_exponent,
-                  "amp": config.amplitude, "seed": config.seed,
-                  "mix": config.noise_mixing},
-    }
+    doc = {key: getattr(config, name) for key, name in _FIELDS[""].items()}
+    doc["initial"] = {"kind": config.initial_kind, **config.initial_params}
+    doc["noise"] = {key: getattr(config, name) for key, name in _FIELDS["noise"].items()}
     if study is not None:
         doc["study"] = dict(sorted(study.items()))
     return doc

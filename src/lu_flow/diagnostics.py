@@ -246,7 +246,7 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     int_v = np.zeros((len(epsilons), ensemble_size))
     for j, eps in enumerate(epsilons):
         cfg = base_config.with_epsilon(float(eps))
-        ctx = replace(grid_ctx, epsilon=float(eps))  # shares the eps-independent caches
+        ctx = replace(grid_ctx, epsilon=float(eps))  # shares the noise model and cache
         for m in range(ensemble_size):
             member = m if shared_path else m + 1000 * (j + 1)
             rec = run(cfg, member, ctx=ctx, store_snapshots=True, warn_cfl=False)

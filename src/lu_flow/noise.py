@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +29,7 @@ from .spectral import (
     SpectralVelocity,
     divergence,
     from_physical,
+    leray_project,
     sobolev_norm_sq,
     tensor_flux,
     to_physical,
@@ -52,12 +52,14 @@ def _mode_wavevectors(grid: TorusGrid, k_modes: int) -> list[tuple[int, int]]:
                 continue
             reps.append((k1, k2))
     reps.sort(key=lambda k: (k[0] ** 2 + k[1] ** 2, k[0], k[1]))
-    n_pairs = (k_modes + 1) // 2
-    if n_pairs > len(reps):
-        raise ValueError(
-            f"requested {k_modes} noise modes but only {2 * len(reps)} exist at N={grid.n_modes}"
-        )
-    return reps[:n_pairs]
+    return reps[:(k_modes + 1) // 2]
+
+
+def max_modes(n_modes: int, mix_shells: bool = False) -> int:
+    """The largest K that ``build_noise_model`` assembles at N = n_modes: two
+    polarizations per half-lattice wavevector, or one when mixing pairs them."""
+    n_reps = 2 * (n_modes // 2) * (n_modes // 2 - 1)  # the lattice of _mode_wavevectors
+    return n_reps if mix_shells else 2 * n_reps
 
 
 def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str) -> np.ndarray:
@@ -82,40 +84,49 @@ def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str)
 
 @dataclass
 class NoiseModel:
-    """Eigenmode expansion of the unresolved-velocity covariance.
-
-    ``modes`` holds the weighted eigenfunctions (amplitude folded in);
-    ``variance_tensor`` is a(x) on the physical grid, shape (2, 2, n, n),
-    and ``variance_hat`` its coefficients;
-    ``ito_stokes_drift`` the raw (unprojected) field 0.5 div a;
-    ``a_pad`` a on the padded grid, built on first use.
+    """Eigenmode expansion of the unresolved-velocity covariance and every
+    field it fixes, computed once here (eps only scales their terms in F and
+    G, so contexts for any eps share them).  ``modes`` are the weighted
+    eigenfunctions (amplitude folded in) and ``phi`` the same stacked,
+    (K, 2, n, n); ``phi_support`` is (flat indices, (K, 2S) real view of the
+    values) of their joint support; ``variance_tensor`` is a(x) on the
+    physical grid, (2, 2, n, n), ``variance_hat`` its coefficients and
+    ``a_pad`` a on the padded grid; ``ito_stokes_drift`` is the raw field
+    0.5 div a and ``drift_projected`` its Leray projection.
     """
 
     grid: TorusGrid
     modes: list[SpectralVelocity]
     spectrum_exponent: float
     amplitude: float
+    phi: np.ndarray = field(init=False)
+    phi_support: tuple = field(init=False)
     variance_tensor: np.ndarray = field(init=False)
     variance_hat: np.ndarray = field(init=False)
+    a_pad: np.ndarray = field(init=False)
     ito_stokes_drift: SpectralVelocity = field(init=False)
+    drift_projected: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.variance_tensor = variance_tensor(self)
-        self.variance_hat = from_physical(self.grid, self.variance_tensor)
-        self.ito_stokes_drift = ito_stokes_drift(self)
-
-    @cached_property
-    def a_pad(self) -> np.ndarray:
-        """Variance tensor on the padded physical grid, (2, 2, m, m)."""
-        return to_physical(self.grid, self.variance_hat, self.grid.pad_size)
+        grid = self.grid
+        self.phi = np.stack([m.coeffs for m in self.modes])
+        flat = self.phi.reshape(self.k_modes, -1)
+        idx = np.flatnonzero(np.any(flat != 0, axis=0))
+        self.phi_support = (idx, np.ascontiguousarray(flat[:, idx]).view(float))
+        a = np.zeros((2, 2, grid.n_modes, grid.n_modes))
+        for coeffs in self.phi:
+            phys = to_physical(grid, coeffs)
+            a += phys[:, None] * phys[None, :]
+        self.variance_tensor = a
+        self.variance_hat = from_physical(grid, a)
+        self.a_pad = to_physical(grid, self.variance_hat, grid.pad_size)
+        us = np.stack([0.5 * divergence(grid, self.variance_hat[i]) for i in range(2)])
+        self.ito_stokes_drift = SpectralVelocity(grid, us)
+        self.drift_projected = leray_project(grid, us)
 
     @property
     def k_modes(self) -> int:
         return len(self.modes)
-
-    def mode_coeff_stack(self) -> np.ndarray:
-        """All mode coefficients stacked, shape (K, 2, n, n)."""
-        return np.stack([m.coeffs for m in self.modes])
 
 
 def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
@@ -135,8 +146,10 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
     are the geometric mean of the two shell weights.  Mode ordering is
     deterministic in both variants.
     """
-    if k_modes < 1:
-        raise ValueError("k_modes must be >= 1")
+    limit = max_modes(grid.n_modes, mix_shells)
+    if not 1 <= k_modes <= limit:
+        raise ValueError(f"k_modes must lie in [1, {limit}] at N={grid.n_modes}"
+                         f"{' with mix_shells' if mix_shells else ''}, got {k_modes}")
     # pairwise mixing consumes wavevectors twice as fast as pure polarizations
     reps = _mode_wavevectors(grid, 2 * k_modes if mix_shells else k_modes)
     modes = []
@@ -161,27 +174,7 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
             pair = [reps[j]] + ([reps[j + half]] if j + half < len(reps) else [])
             weight = np.sqrt(np.prod([weight_of(kv) for kv in pair]))
             emit(pair, weight)
-    if len(modes) < k_modes:
-        raise ValueError(f"could not assemble {k_modes} modes at N={grid.n_modes}")
     return NoiseModel(grid, modes, spectrum_exponent, amplitude)
-
-
-def variance_tensor(model: NoiseModel) -> np.ndarray:
-    """a(x) = sum_k phi_k(x) phi_k(x)^T on the physical grid, (2, 2, n, n)."""
-    grid = model.grid
-    n = grid.n_modes
-    a = np.zeros((2, 2, n, n))
-    for m in model.modes:
-        phi = to_physical(grid, m.coeffs)
-        a += phi[:, None] * phi[None, :]
-    return a
-
-
-def ito_stokes_drift(model: NoiseModel) -> SpectralVelocity:
-    """0.5 div a computed spectrally (row-wise divergence), stored raw."""
-    grid = model.grid
-    us = np.stack([0.5 * divergence(grid, model.variance_hat[i]) for i in range(2)])
-    return SpectralVelocity(grid, us)
 
 
 def check_regularity(model: NoiseModel, tail_threshold: float = 0.1) -> dict:

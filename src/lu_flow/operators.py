@@ -51,11 +51,12 @@ from .spectral import (
 class OperatorContext:
     """Immutable bundle of grid, noise model and physical parameters.
 
-    Caches the derived noise fields that repeated operator applications
-    reuse (the padded variance tensor is owned by the noise model) and, via
-    ``cached``, the solver's step workspace, one per transform batch.  No
-    cached value depends on the value of epsilon, so ``dataclasses.replace(
-    ctx, epsilon=...)`` gives a context that shares the cache.
+    The eps-independent noise fields are the noise model's; the properties
+    here read them.  ``_cache`` holds what is made on first use: the step
+    workspaces of ``step_workspace`` and the reference-operator fields
+    ``us_pad``, ``div_a_grad_us`` and ``additive_noise_parts``.  None of it
+    depends on eps, so ``dataclasses.replace(ctx, epsilon=...)`` gives a
+    context that shares the model and the cache.
     """
 
     grid: TorusGrid
@@ -91,9 +92,7 @@ class OperatorContext:
         The drift terms inside F and G use the raw field ``us_raw``; the
         effective tracer advection u - eps^2 u_s uses this projection.
         """
-        if "us" not in self._cache:
-            self._cache["us"] = leray_project(self.grid, self.noise.ito_stokes_drift.coeffs)
-        return self._cache["us"]
+        return self.noise.drift_projected
 
     @property
     def us_raw(self) -> np.ndarray:
@@ -116,32 +115,25 @@ class OperatorContext:
 
     @property
     def phi_stack(self) -> np.ndarray:
-        if "phi_stack" not in self._cache:
-            self._cache["phi_stack"] = self.noise.mode_coeff_stack()
-        return self._cache["phi_stack"]
+        return self.noise.phi
 
     def noise_field(self, dbeta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """xi = sum_k dbeta_k phi_k, (2, n, n), summed only on the joint
         support of the phi_k (a few dozen coefficients) instead of through
         BLAS.  ``out`` receives the support values; it must be zero off the
         support, as any earlier result of this method is."""
-        idx, values = self.cached("phi_support", self._phi_support)
+        idx, values = self.noise.phi_support
         if out is None:
             out = np.zeros(self.phi_stack.shape[1:], dtype=complex)
         out.put(idx, np.einsum("k,ks->s", dbeta, values).view(complex))
         return out
 
-    def _phi_support(self) -> tuple[np.ndarray, np.ndarray]:
-        """(flat indices, (K, 2S) real view of the values) of the joint support."""
-        flat = self.phi_stack.reshape(self.noise.k_modes, -1)
-        idx = np.flatnonzero(np.any(flat != 0, axis=0))
-        return idx, np.ascontiguousarray(flat[:, idx]).view(float)
-
-    def cached(self, key, build):
-        """The shared-cache entry ``key``, made by ``build()`` on first use
-        (the noise support and the solver's step workspace live here)."""
+    def step_workspace(self, make):
+        """The solver's step workspace for this context's ``noisy``, made by
+        ``make(grid, noisy)`` on first use and kept in ``_cache``."""
+        key = ("step", self.noisy)
         if key not in self._cache:
-            self._cache[key] = build()
+            self._cache[key] = make(self.grid, self.noisy)
         return self._cache[key]
 
     @property

@@ -56,7 +56,6 @@ from .spectral import (
     v_norm,
 )
 
-SCHEMES = ("euler_maruyama_semi_implicit",)
 INITIAL_KINDS = ("taylor_green", "random_band", "file")
 
 
@@ -80,7 +79,6 @@ class SolverConfig:
     spectrum_exponent: float = 3.0
     amplitude: float = 1.0
     seed: int = 0
-    scheme: str = "euler_maruyama_semi_implicit"
     record_every: int = 10
     initial_kind: str = "taylor_green"
     initial_params: dict = field(default_factory=dict)
@@ -91,8 +89,6 @@ class SolverConfig:
             raise ValueError("dt must be positive")
         if self.t_end < self.dt:
             raise ValueError("t_end must be at least dt")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.initial_kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial condition {self.initial_kind!r}")
         if self.record_every < 1:
@@ -257,7 +253,7 @@ def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None
     h = n // 2
     v = state.coeffs
     noisy = ctx.noisy
-    work = ctx.cached(("step", noisy), lambda: _StepWorkspace(grid, noisy))
+    work = ctx.step_workspace(_StepWorkspace)
     eps = ctx.epsilon
     xi = ctx.noise_field(dbeta, out=work.xi) if noisy and dbeta is not None else None
     # c = dt v + eps xi and grad w (w = v + eps^2 u_s), gw[l, i] = d_l w_i,

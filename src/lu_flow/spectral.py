@@ -343,14 +343,19 @@ def energy(field: SpectralVelocity) -> float:
 # n_modes u32, n_components u32} + interleaved complex64, row-major k-order
 
 def save_snapshot(path, grid: TorusGrid, coeffs: np.ndarray) -> None:
+    """Raises ValueError, before the file is opened, if a coefficient is not
+    finite in complex64 (a real or imaginary part above 3.4e38)."""
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.ndim == 2:
         arr = arr[None]
     n_comp = arr.shape[0]
+    with np.errstate(over="ignore"):  # an overflow is caught by the check below
+        interleaved = np.ascontiguousarray(arr.transpose(1, 2, 0).astype(np.complex64))
+    if not np.isfinite(interleaved).all():
+        raise ValueError("snapshot coefficients must be finite in complex64")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<III", SNAPSHOT_VERSION, grid.n_modes, n_comp))
-        interleaved = np.ascontiguousarray(arr.transpose(1, 2, 0).astype(np.complex64))
         fh.write(interleaved.tobytes())
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 
 from lu_flow.cli import main
 from lu_flow.config import ConfigError, config_hash, make_manifest, parse_config
-from lu_flow.spectral import TorusGrid, save_snapshot
+from lu_flow.solver import SolverConfig
+from lu_flow.spectral import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, TorusGrid, save_snapshot
 
 
 def test_parse_minimal_defaults():
@@ -28,6 +30,7 @@ def test_parse_minimal_defaults():
     assert config.noise_mixing is False
     assert config.initial_kind == "taylor_green"
     assert study["ensemble_size"] == 64
+    assert config == SolverConfig()  # the defaults are SolverConfig's
 
 
 def test_parse_overrides():
@@ -212,12 +215,14 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_blow_up_exit_code(tmp_path, capsys):
-    grid = TorusGrid(16)
-    coeffs = np.zeros((2, 16, 16), complex)
-    coeffs[0, 1, 0] = 1e200
+    # save_snapshot refuses a field complex64 cannot hold, so the snapshot is
+    # written by hand: the header, then (k1, k2, component) complex64 with
+    # one infinite coefficient
+    payload = np.zeros((16, 16, 2), np.complex64)
+    payload[1, 0, 0] = np.inf
     snap = tmp_path / "huge.npz"
-    with pytest.warns(RuntimeWarning, match="overflow"):  # complex64 payload holds inf
-        save_snapshot(str(snap), grid, coeffs)
+    snap.write_bytes(SNAPSHOT_MAGIC + struct.pack("<III", SNAPSHOT_VERSION, 16, 2)
+                     + payload.tobytes())
     doc = dict(SMALL, initial={"kind": "file", "path": str(snap)})
     cfg = _write_config(tmp_path, doc)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -278,12 +283,26 @@ def test_cli_bad_ensemble_size_is_config_error(tmp_path, capsys, size):
     assert "config error" in err and "study.ensemble_size" in err
 
 
-@pytest.mark.parametrize("key,value", [("delta", "abc"), ("dt_coarse", [1, 2])])
-def test_cli_removed_study_keys_rejected(tmp_path, capsys, key, value):
-    cfg = _write_config(tmp_path, dict(SMALL, study={key: value}))
+@pytest.mark.parametrize("doc,key", [
+    ({"study": {"delta": "abc"}}, "study.delta"),
+    ({"study": {"dt_coarse": [1, 2]}}, "study.dt_coarse"),
+    ({"scheme": "euler_maruyama_semi_implicit"}, "scheme"),
+], ids=["delta-abc", "dt_coarse-value1", "scheme"])
+def test_cli_removed_study_keys_rejected(tmp_path, capsys, doc, key):
+    cfg = _write_config(tmp_path, dict(SMALL, **doc))
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "config error" in err and f"unknown key 'study.{key}'" in err
+    assert "config error" in err and f"unknown key '{key}'" in err
+
+
+@pytest.mark.parametrize("eps", [{}, {"eps": 0}], ids=["noisy", "eps0"])
+def test_cli_too_many_noise_modes_is_config_error(tmp_path, capsys, eps):
+    # N = 16 holds 224 modes; the noise model is built even when eps = 0
+    cfg = _write_config(tmp_path, {"N": 16, "T": 0.01, "noise": {"K": 500}, **eps})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "noise.K" in err and "224" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("epsilons", [["a"], [0.1], [0.1, 0.1], [0.2, 0.0], [1.5, 0.1],

@@ -20,9 +20,14 @@ from lu_flow.noise import (
 )
 from lu_flow.spectral import (
     TorusGrid,
+    divergence,
+    from_physical,
     h_norm,
+    leray_project,
     to_physical,
 )
+
+from conftest import synthetic_inhomogeneous_model
 
 
 def fd_divergence(a, n):
@@ -83,6 +88,40 @@ def test_modes_divergence_free_and_ordering_deterministic(grid16):
 def test_too_many_modes_rejected():
     with pytest.raises(ValueError):
         build_noise_model(TorusGrid(8), 500, 3.0, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["mix", "pure", "synthetic"])
+def test_model_fields_match_per_field_rebuild(grid16, kind):
+    # every field the model fixes in __post_init__ has the bits of the
+    # recipe that built it field by field: a per-mode sum of outer products,
+    # one forward transform, a padded inverse, 0.5 div a and its projection
+    if kind == "synthetic":
+        model = synthetic_inhomogeneous_model(grid16)
+    else:
+        model = build_noise_model(grid16, 8, 3.0, 1.0, mix_shells=kind == "mix")
+    g = grid16
+    phi = np.stack([m.coeffs for m in model.modes])
+    flat = phi.reshape(model.k_modes, -1)
+    idx = np.flatnonzero(np.any(flat != 0, axis=0))
+    values = np.ascontiguousarray(flat[:, idx]).view(float)
+    a = np.zeros((2, 2, 16, 16))
+    for m in model.modes:
+        p = to_physical(g, m.coeffs)
+        a += p[:, None] * p[None, :]
+    a_hat = from_physical(g, a)
+    us = np.stack([0.5 * divergence(g, a_hat[i]) for i in range(2)])
+    expected = {"phi": phi, "support_idx": idx, "support_values": values,
+                "variance_tensor": a, "variance_hat": a_hat,
+                "a_pad": to_physical(g, a_hat, g.pad_size),
+                "us_raw": us, "us": leray_project(g, us)}
+    got = {"phi": model.phi, "support_idx": model.phi_support[0],
+           "support_values": model.phi_support[1],
+           "variance_tensor": model.variance_tensor, "variance_hat": model.variance_hat,
+           "a_pad": model.a_pad, "us_raw": model.ito_stokes_drift.coeffs,
+           "us": model.drift_projected}
+    for name, arr in expected.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Operator identities, epsilon scalings, and the noise-pair energy identity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,19 @@ def test_noise_increment_zero_and_column_match(grid32, rng):
     single = noise_increment(ctx, v, e2).coeffs
     col = apply_G_column(ctx, v, 2).coeffs
     assert np.max(np.abs(single - col)) < 1e-13 * max(np.max(np.abs(col)), 1e-30)
+
+
+def test_contexts_share_the_model_fields(grid32):
+    # the eps-independent fields are the model's, so a context made by
+    # replace or from ctx.noise reads the very same arrays
+    ctx = make_ctx(grid32)
+    others = [replace(ctx, epsilon=0.3), replace(ctx, epsilon=0.0),
+              OperatorContext(grid32, ctx.noise, 0.05, 50.0)]
+    for other in others:
+        for name in ("a_pad", "us", "us_raw", "phi_stack"):
+            assert getattr(other, name) is getattr(ctx, name), name
+    assert ctx.a_pad is ctx.noise.a_pad and ctx.us is ctx.noise.drift_projected
+    assert ctx.phi_stack is ctx.noise.phi
 
 
 @pytest.mark.parametrize("model", ["mix", "pure", "synthetic"])

@@ -51,8 +51,6 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         SolverConfig(dt=0.2, t_end=0.1)
     with pytest.raises(ValueError):
-        SolverConfig(scheme="runge_kutta_9000")
-    with pytest.raises(ValueError):
         SolverConfig(dt=3e-3, t_end=1.0)  # not an integer multiple
 
 

@@ -346,6 +346,16 @@ def test_snapshot_round_trip(tmp_path, grid16, rng):
     assert np.array_equal(c2, c)
 
 
+@pytest.mark.parametrize("value", [1e200, -1e39j, np.inf])
+def test_snapshot_beyond_complex64_raises_and_writes_nothing(tmp_path, grid16, value):
+    c = np.zeros((2, 16, 16), complex)
+    c[0, 1, 0] = value
+    path = tmp_path / "huge.lufs"
+    with pytest.raises(ValueError, match="complex64"):
+        save_snapshot(path, grid16, c)
+    assert not path.exists()
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     path = tmp_path / "bad.lufs"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
