@@ -27,7 +27,7 @@ from .solver import (
     run,
     run_scalar_transport,
 )
-from .spectral import SpectralScalar, from_physical
+from .spectral import SpectralScalar, TorusGrid, from_physical
 
 TRAJECTORY_COLUMNS = ("time", "energy", "enstrophy", "h_norm", "v_norm", "max_div")
 
@@ -50,8 +50,9 @@ def _trajectory_rows(record):
                float(d["h_norm"][i]), float(d["v_norm"][i]), float(d["max_div"][i]))
 
 
-def _plot(path: Path, xs, curves: dict, xlabel: str, ylabel: str, loglog=False) -> None:
-    # decoration only; acceptance reads CSV, never pixels
+def _plot(path: Path, xs, curves: dict, xlabel: str, ylabel: str, loglog=False) -> bool:
+    """Write a best-effort PNG; whether it was written.  Decoration only:
+    acceptance reads CSV, never pixels."""
     try:
         import matplotlib
         matplotlib.use("Agg")
@@ -66,8 +67,10 @@ def _plot(path: Path, xs, curves: dict, xlabel: str, ylabel: str, loglog=False) 
         ax.legend()
         fig.savefig(path, dpi=120)
         plt.close(fig)
+        return True
     except Exception as exc:  # pragma: no cover - best effort
         print(f"plot skipped: {exc}", file=sys.stderr)
+        return False
 
 
 def cmd_simulate(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
@@ -134,9 +137,10 @@ def cmd_converge(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
         fh.write(f"fitted_slope {report.fitted_slope!r}\n")
         fh.write(f"ensemble_size {report.ensemble_size}\n")
         fh.write(f"shared_path {str(report.shared_path).lower()}\n")
-    _plot(out / "convergence.png", report.epsilons,
-          {"RMS sup_t H-error": report.errors_h}, "epsilon", "error", loglog=True)
-    outputs = ["convergence.csv", "summary.txt", "convergence.png", "manifest.json"]
+    plotted = _plot(out / "convergence.png", report.epsilons,
+                    {"RMS sup_t H-error": report.errors_h}, "epsilon", "error", loglog=True)
+    png = ["convergence.png"] if plotted else []
+    outputs = ["convergence.csv", "summary.txt", *png, "manifest.json"]
     make_manifest(config, study, outputs).write(out / "manifest.json")
     print(f"converge: fitted slope {report.fitted_slope:.3f} -> {out / 'convergence.csv'}")
     return 0
@@ -168,6 +172,8 @@ def cmd_transport(config: SolverConfig, study: dict, out: Path, jobs: int) -> in
 def cmd_validate(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
     from .validation import run_validation_suite
 
+    # the suite uses no initial field, but a bad `initial` is a config error here too
+    make_initial(config.initial_kind, TorusGrid(config.n_modes), config.initial_params)
     results = run_validation_suite(config)
     failed = 0
     for name, ok, detail in results:

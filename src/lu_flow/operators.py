@@ -52,11 +52,12 @@ class OperatorContext:
     """Immutable bundle of grid, noise model and physical parameters.
 
     The eps-independent noise fields are the noise model's; the properties
-    here read them.  ``_cache`` holds what is made on first use: the step
-    workspaces of ``step_workspace`` and the reference-operator fields
-    ``us_pad``, ``div_a_grad_us`` and ``additive_noise_parts``.  None of it
-    depends on eps, so ``dataclasses.replace(ctx, epsilon=...)`` gives a
-    context that shares the model and the cache.
+    here read them.  ``us_pad``, ``div_a_grad_us`` and
+    ``additive_noise_parts``, which only the reference operators read, are
+    computed on each use.  ``_cache`` holds the step workspaces of
+    ``step_workspace``, made on first use.  None of it depends on eps, so
+    ``dataclasses.replace(ctx, epsilon=...)`` gives a context that shares the
+    model and the cache.
     """
 
     grid: TorusGrid
@@ -103,15 +104,11 @@ class OperatorContext:
 
     @property
     def us_pad(self) -> np.ndarray:
-        if "us_pad" not in self._cache:
-            self._cache["us_pad"] = to_physical(self.grid, self.us, self.grid.pad_size)
-        return self._cache["us_pad"]
+        return to_physical(self.grid, self.us, self.grid.pad_size)
 
     @property
     def div_a_grad_us(self) -> np.ndarray:
-        if "div_a_grad_us" not in self._cache:
-            self._cache["div_a_grad_us"] = _div_a_grad(self, self.us_raw)
-        return self._cache["div_a_grad_us"]
+        return _div_a_grad(self, self.us_raw)
 
     @property
     def phi_stack(self) -> np.ndarray:
@@ -140,15 +137,12 @@ class OperatorContext:
     def additive_noise_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode state-independent G parts: (A phi_k, P(phi_k . grad u_s)),
         both shaped (K, 2, n, n)."""
-        if "additive" not in self._cache:
-            grid = self.grid
-            phis = self.phi_stack
-            a_phi = (grid.k_sq / self.reynolds) * phis
-            b_phi_us = np.stack([
-                leray_project(grid, advect(grid, phi, self.us_raw)) for phi in phis
-            ])
-            self._cache["additive"] = (a_phi, b_phi_us)
-        return self._cache["additive"]
+        grid = self.grid
+        a_phi = (grid.k_sq / self.reynolds) * self.phi_stack
+        b_phi_us = np.stack([
+            leray_project(grid, advect(grid, phi, self.us_raw)) for phi in self.phi_stack
+        ])
+        return a_phi, b_phi_us
 
 
 def apply_A(ctx: OperatorContext, v: SpectralVelocity) -> SpectralVelocity:

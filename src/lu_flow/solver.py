@@ -212,13 +212,15 @@ def check_cfl(config: SolverConfig, v: SpectralVelocity) -> None:
 
 
 class _StepWorkspace:
-    """What one context's ``step`` keeps between calls: the transform buffers
-    of the six padded fields (c and grad w; the forward pass shares them when
-    the flux is transformed too), the padded product batch, xi (zero off the
-    noise support) and the Stokes multipliers for the last (dt, Re)."""
+    """What one context's ``step`` keeps between calls: the ky >= 0 columns
+    of the six fields c and grad w, their transform buffers (the forward
+    pass shares them when the flux is transformed too), the padded product
+    batch, xi (zero off the noise support) and the Stokes multipliers for
+    the last (dt, Re)."""
 
     def __init__(self, grid: TorusGrid, noisy: bool):
         m = grid.pad_size
+        self.spec = np.empty((6, grid.n_modes, grid.n_modes // 2), dtype=complex)
         self.inverse = TransformBuffers(grid, (6,), m)
         self.forward = self.inverse if noisy else TransformBuffers(grid, (2,), m)
         self.prod = np.empty((6 if noisy else 2, m, m))
@@ -240,12 +242,15 @@ def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None
     """One Euler-Maruyama step with integrating-factor Stokes treatment.
 
     Fused form of exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta]:
-    12 real transforms on the padded grid with noise, 8 without.  The padded
-    arrays are a workspace kept in the context's cache (shared by contexts
-    made with ``dataclasses.replace``), so a warm step allocates only its
-    grid-sized result and small temporaries.  The workspace makes ``step``
-    not reentrant: contexts that share a cache must not step in two threads
-    at once.  The returned state never aliases the workspace.
+    12 real transforms on the padded grid with noise, 8 without.  c and
+    grad w are formed on the retained ky >= 0 columns only, in one
+    (6, n, n/2) array that goes through ``to_physical`` like any other
+    input.  That array and the padded ones are a workspace kept in the
+    context's cache (shared by contexts made with ``dataclasses.replace``),
+    so a warm step allocates only its grid-sized result and small
+    temporaries.  The workspace makes ``step`` not reentrant: contexts that
+    share a cache must not step in two threads at once.  The returned state
+    never aliases the workspace.
     """
     grid = ctx.grid
     m = grid.pad_size
@@ -257,17 +262,15 @@ def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None
     eps = ctx.epsilon
     xi = ctx.noise_field(dbeta, out=work.xi) if noisy and dbeta is not None else None
     # c = dt v + eps xi and grad w (w = v + eps^2 u_s), gw[l, i] = d_l w_i,
-    # written straight into the ky >= 0 columns of the padded half spectrum
-    half = work.inverse.half
-    for dst, src in work.inverse.blocks:
-        vb = v[:, src, :h]
-        c = np.multiply(dt, vb, out=half[:2, dst])
-        if xi is not None:
-            np.add(c, eps * xi[:, src, :h], out=c)
-        w = vb + eps**2 * ctx.us_raw[:, src, :h] if noisy else vb
-        np.multiply(grid.ikx[src], w, out=half[2:4, dst])
-        np.multiply(grid.iky[:, :h], w, out=half[4:6, dst])
-    phys = to_physical(grid, None, m, work.inverse)
+    # on the ky >= 0 columns, the only ones to_physical reads
+    spec, vh = work.spec, v[..., :h]
+    c = np.multiply(dt, vh, out=spec[:2])
+    if xi is not None:
+        np.add(c, eps * xi[..., :h], out=c)
+    w = vh + eps**2 * ctx.us_raw[..., :h] if noisy else vh
+    np.multiply(grid.ikx, w, out=spec[2:4])
+    np.multiply(grid.iky[:, :h], w, out=spec[4:6])
+    phys = to_physical(grid, spec, m, work.inverse)
     cp, gw = phys[:2], phys[2:].reshape(2, 2, m, m)
     prod = work.prod
     if noisy:  # (a grad w)_{j i}, before gw[1] is overwritten
@@ -359,17 +362,16 @@ def run_deterministic(config: SolverConfig, *, v0: SpectralVelocity | None = Non
 
 def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
                          ctx: OperatorContext, dt: float, t_end: float,
-                         path: WienerPath | None, record_every: int = 1,
-                         store_snapshots: bool = False) -> dict:
+                         path: WienerPath | None, record_every: int = 1) -> dict:
     """Euler-Maruyama integration of the stochastic tracer equation
 
         d q = -(u - eps^2 u_s).grad q dt - eps (sigma dW).grad q
               + (eps^2/2) div(a grad q) dt
 
     in a steady velocity u.  The flux a grad q comes from
-    ``spectral.tensor_flux``, the contraction the velocity step uses.  Raises BlowUpError at the first step
-    whose tracer is not finite.  Returns {"times", "energies", "snapshots"}
-    with 0.5 |q|_H^2 recorded.
+    ``spectral.tensor_flux``, the contraction the velocity step uses.  Raises
+    BlowUpError at the first step whose tracer is not finite.  Returns
+    {"times", "energies"} with 0.5 |q|_H^2 recorded.
     """
     grid = ctx.grid
     eps = ctx.epsilon
@@ -383,7 +385,6 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
     q = q0.coeffs.copy()
     times = [0.0]
     energies = [0.5 * h_norm(grid, q) ** 2]
-    snaps = [q.copy()] if store_snapshots else None
     # as in run, a diverging tracer ends in BlowUpError, not in FP warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
@@ -400,6 +401,4 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
             if (i + 1) % record_every == 0 or i + 1 == n_steps:
                 times.append(t)
                 energies.append(0.5 * h_norm(grid, q) ** 2)
-                if store_snapshots:
-                    snaps.append(q.copy())
-    return {"times": np.array(times), "energies": np.array(energies), "snapshots": snaps}
+    return {"times": np.array(times), "energies": np.array(energies)}

@@ -106,23 +106,17 @@ class SpectralScalar:
 # ---------------------------------------------------------------------------
 # transforms
 
-def _half_blocks(n: int, m: int) -> tuple:
-    """(half-spectrum rows, coefficient rows) of the retained kx >= 0 and kx < 0 modes."""
-    h = n // 2
-    return (slice(0, h), slice(0, h)), (slice(m - h, m), slice(h, n))
-
-
 class TransformBuffers:
-    """Preallocated arrays for ``to_physical``/``from_physical`` of a batch of
+    """The arrays ``to_physical``/``from_physical`` write into, for a batch of
     fields with leading shape ``batch`` on the m x m grid.
 
     ``half`` is the zero-padded ky >= 0 half spectrum, (*batch, m, n/2); only
-    its row ``blocks`` are written, so its other rows stay zero.  ``blocks``
-    pairs each block of ``half`` rows with the coefficient rows it holds.
-    ``cols`` holds the x-pass of either direction, ``phys`` the physical
-    values of the inverse, ``rows`` the y-pass of the forward transform and
-    ``out`` its Hermitian coefficients.  A call returns a view of these
-    arrays, which the next call through the same buffers overwrites.
+    its row ``blocks`` (pairs of half-spectrum rows and the coefficient rows
+    of the retained kx >= 0 and kx < 0 modes) are written, so its other rows
+    stay zero.  ``cols`` holds the x-pass of either direction, ``phys`` the
+    physical values of the inverse, ``rows`` the y-pass of the forward
+    transform and ``out`` its Hermitian coefficients.  A call returns a view
+    of these arrays, which the next call through the same buffers overwrites.
     """
 
     def __init__(self, grid: TorusGrid, batch: tuple, m: int):
@@ -133,41 +127,34 @@ class TransformBuffers:
         self.phys = np.empty(batch + (m, m))
         self.rows = np.empty(batch + (m, m // 2 + 1), dtype=complex)
         self.out = np.empty(batch + (n, n), dtype=complex)
-        self.blocks = _half_blocks(n, m)
+        self.blocks = ((slice(0, h), slice(0, h)), (slice(m - h, m), slice(h, n)))
 
 
-def to_physical(grid: TorusGrid, coeffs: np.ndarray | None, m: int | None = None,
+def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None,
                 buffers: TransformBuffers | None = None) -> np.ndarray:
     """Evaluate Hermitian coefficients on an m x m physical grid (default n x n).
 
-    Batched over leading axes.  Only the ky >= 0 half of ``coeffs`` is read:
-    the retained columns ky = 0 .. n/2-1 are placed in an m-row half
-    spectrum and inverted with one 2D real FFT, run as its two 1D passes so
-    that the x-pass skips the all-zero columns ky >= n/2 (the result is
-    bitwise that of ``numpy.fft.irfft2`` on the full half spectrum).
-
-    With ``buffers`` (built for this batch and m) the passes write into them
-    and the result is ``buffers.phys``, with the same bits as a call without
-    them.  ``coeffs`` may then be None when the caller has already written
-    the coefficients into the row blocks of ``buffers.half``.
+    Batched over leading axes.  Only the retained ky >= 0 columns
+    ky = 0 .. n/2-1 of ``coeffs`` are read, so it may hold just those n/2
+    columns.  They are placed in an m-row half spectrum and inverted with one
+    2D real FFT, run as its two 1D passes so that the x-pass skips the
+    all-zero columns ky >= n/2 (the result is bitwise that of
+    ``numpy.fft.irfft2`` on the full half spectrum).  The passes write into
+    ``buffers`` (built for this batch and m; fresh ones when None) and the
+    result is ``buffers.phys``.
     """
     n = grid.n_modes
     m = n if m is None else m
     if m < n:
         raise ValueError("pad target smaller than grid")
-    h = n // 2
     if buffers is None:
-        half = np.zeros(coeffs.shape[:-2] + (m, h), dtype=complex)
-        blocks, cols, phys = _half_blocks(n, m), None, None
-    else:
-        if buffers.phys.shape[-1] != m:
-            raise ValueError(f"buffers are for m = {buffers.phys.shape[-1]}, not {m}")
-        half, blocks, cols, phys = buffers.half, buffers.blocks, buffers.cols, buffers.phys
-    if coeffs is not None:
-        for dst, src in blocks:
-            half[..., dst, :] = coeffs[..., src, :h]
-    cols = np.fft.ifft(half, axis=-2, norm="forward", out=cols)
-    return np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=phys)
+        buffers = TransformBuffers(grid, coeffs.shape[:-2], m)
+    elif buffers.phys.shape[-1] != m:
+        raise ValueError(f"buffers are for m = {buffers.phys.shape[-1]}, not {m}")
+    for dst, src in buffers.blocks:
+        buffers.half[..., dst, :] = coeffs[..., src, :n // 2]
+    cols = np.fft.ifft(buffers.half, axis=-2, norm="forward", out=buffers.cols)
+    return np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=buffers.phys)
 
 
 def from_physical(grid: TorusGrid, values: np.ndarray,
@@ -178,19 +165,17 @@ def from_physical(grid: TorusGrid, values: np.ndarray,
     x-pass runs only on the retained columns ky = 0 .. n/2-1 (bitwise the
     corresponding part of ``numpy.fft.rfft2``).  The ky < 0 half and the
     kx < 0 part of the ky = 0 column are conjugate mirrors, so the result is
-    exactly Hermitian with the Nyquist modes zero.  With ``buffers`` (built
-    for this batch and m) the result is ``buffers.out``, with the same bits.
+    exactly Hermitian with the Nyquist modes zero.  The passes write into
+    ``buffers`` (built for this batch and m; fresh ones when None) and the
+    result is ``buffers.out``.
     """
     m = values.shape[-1]
-    n = grid.n_modes
-    h = n // 2
+    h = grid.n_modes // 2
     if buffers is None:
-        rows = cols = None
-        out = np.empty(values.shape[:-2] + (n, n), dtype=complex)
-    else:
-        rows, cols, out = buffers.rows, buffers.cols, buffers.out
-    rows = np.fft.rfft(values, axis=-1, norm="forward", out=rows)[..., :h]
-    r = np.fft.fft(rows, axis=-2, norm="forward", out=cols)
+        buffers = TransformBuffers(grid, values.shape[:-2], m)
+    rows = np.fft.rfft(values, axis=-1, norm="forward", out=buffers.rows)[..., :h]
+    r = np.fft.fft(rows, axis=-2, norm="forward", out=buffers.cols)
+    out = buffers.out
     out[..., :h, :h] = r[..., :h, :]
     out[..., h:, :h] = r[..., m - h:, :]
     out[..., h, :] = 0.0

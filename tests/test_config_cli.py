@@ -183,6 +183,9 @@ def test_cli_converge(tmp_path):
     assert len(rows) == 4
     summary = (out / "summary.txt").read_text()
     assert "fitted_slope" in summary and "ensemble_size 4" in summary
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    assert "convergence.csv" in outputs
+    assert all((out / name).exists() for name in outputs)
 
 
 def test_cli_transport(tmp_path):
@@ -229,27 +232,33 @@ def test_cli_blow_up_exit_code(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("initial,key", [
-    ({"kind": "random_band", "bogus": 1}, "bogus"),
-    ({"kind": "random_band", "k_min": "a"}, "k_min"),
-    ({"kind": "random_band", "k_max": float("nan")}, "k_max"),
-    ({"kind": "taylor_green", "scale": "x"}, "scale"),
-    ({"kind": "random_band", "energy": -1}, "energy"),
-    ({"kind": "random_band", "energy": float("inf")}, "energy"),
-    ({"kind": "random_band", "seed": 1.5}, "seed"),
-    ({"kind": "random_band", "seed": -1}, "seed"),
-], ids=["bogus", "k_min", "k_max", "scale", "energy", "energy_inf", "seed", "seed_negative"])
-def test_cli_unknown_random_band_key_is_config_error(tmp_path, capsys, initial, key):
+_BAD_INITIAL = {
+    "bogus": ({"kind": "random_band", "bogus": 1}, "bogus"),
+    "k_min": ({"kind": "random_band", "k_min": "a"}, "k_min"),
+    "k_max": ({"kind": "random_band", "k_max": float("nan")}, "k_max"),
+    "scale": ({"kind": "taylor_green", "scale": "x"}, "scale"),
+    "energy": ({"kind": "random_band", "energy": -1}, "energy"),
+    "energy_inf": ({"kind": "random_band", "energy": float("inf")}, "energy"),
+    "seed": ({"kind": "random_band", "seed": 1.5}, "seed"),
+    "seed_negative": ({"kind": "random_band", "seed": -1}, "seed"),
+}
+
+
+@pytest.mark.parametrize("command,initial,key", [
+    pytest.param(command, initial, key, id=name if command == "simulate" else f"{command}-{name}")
+    for command in ("simulate", "validate") for name, (initial, key) in _BAD_INITIAL.items()])
+def test_cli_unknown_random_band_key_is_config_error(tmp_path, capsys, command, initial, key):
     cfg = _write_config(tmp_path, dict(SMALL, initial=initial))
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "Traceback" not in err
 
 
-def test_cli_missing_initial_path_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+def test_cli_missing_initial_path_is_config_error(tmp_path, capsys, command):
     doc = dict(SMALL, initial={"kind": "file", "path": str(tmp_path / "nope.bin")})
     cfg = _write_config(tmp_path, doc)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "initial.path" in err and "nope.bin" in err
 

@@ -116,25 +116,19 @@ def test_transforms_with_buffers_match_fresh_bitwise(n, batch, padded, rng):
     bufs = TransformBuffers(grid, batch, m)
     for _ in range(2):  # a second call through the same buffers overwrites the first
         c = random_div_free(grid, rng, components=1) * rng.standard_normal(batch + (1, 1))
+        fresh = to_physical(grid, c, m)
         phys = to_physical(grid, c, m, bufs)
         assert phys is bufs.phys
-        assert _same_bits(phys, to_physical(grid, c, m))
+        assert _same_bits(phys, fresh)
+        # only the retained ky >= 0 columns are read: the step passes just those
+        assert _same_bits(to_physical(grid, np.ascontiguousarray(c[..., :n // 2]), m), fresh)
+        assert _same_bits(to_physical(grid, c[..., :n // 2], m, bufs), fresh)
         values = rng.standard_normal(batch + (m, m))
         hat = from_physical(grid, values, bufs)
         assert hat is bufs.out
         assert _same_bits(hat, from_physical(grid, values))
-
-
-def test_to_physical_reads_prefilled_half_spectrum(grid16, rng):
-    # coeffs=None transforms what the caller wrote into the row blocks of half
-    c = random_div_free(grid16, rng)
-    m = grid16.pad_size
-    bufs = TransformBuffers(grid16, (2,), m)
-    for dst, src in bufs.blocks:
-        bufs.half[:, dst] = c[:, src, :8]
-    assert _same_bits(to_physical(grid16, None, m, bufs), to_physical(grid16, c, m))
     with pytest.raises(ValueError, match="buffers are for m"):
-        to_physical(grid16, c, 16, bufs)
+        to_physical(grid, c, m + 2, bufs)
 
 
 def test_from_physical_is_exactly_hermitian(grid16, rng):
