@@ -32,7 +32,6 @@ from .solver import (
     build_context,
     make_initial,
     run,
-    run_deterministic,
     run_scalar_transport,
     step,
 )

@@ -44,10 +44,9 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _trajectory_rows(record):
-    d = record.diagnostics
-    for i, t in enumerate(record.times):
-        yield (float(t), float(d["energy"][i]), float(d["enstrophy"][i]),
-               float(d["h_norm"][i]), float(d["v_norm"][i]), float(d["max_div"][i]))
+    columns = [record.times, *(record.diagnostics[name] for name in TRAJECTORY_COLUMNS[1:])]
+    for row in zip(*columns):
+        yield tuple(map(float, row))
 
 
 def _plot(path: Path, xs, curves: dict, xlabel: str, ylabel: str, loglog=False) -> bool:
@@ -92,8 +91,7 @@ def _init_worker(config: SolverConfig) -> None:
 
 def _member_job(config: SolverConfig, member: int, ctx=None):
     # run once per member: the benchmark counts member-steps per run call
-    record = run(config, member_index=member, ctx=ctx or _worker_context)
-    return member, list(_trajectory_rows(record))
+    return run(config, member_index=member, ctx=ctx or _worker_context)
 
 
 def cmd_ensemble(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
@@ -105,17 +103,16 @@ def cmd_ensemble(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
                                  initargs=(config,)) as pool:
-            results = list(pool.map(_member_job, [config] * len(members), members))
-        results.sort(key=lambda r: r[0])
+            records = list(pool.map(_member_job, [config] * len(members), members))
     else:
         ctx = build_context(config)
-        results = [_member_job(config, m, ctx) for m in members]
-    rows = [(m, *row) for m, member_rows in results for row in member_rows]
+        records = [_member_job(config, m, ctx) for m in members]
+    rows = [(m, *row) for m, record in zip(members, records) for row in _trajectory_rows(record)]
     _write_csv(out / "members.csv", ("member", *TRAJECTORY_COLUMNS), rows)
 
-    times = np.array([row[0] for row in results[0][1]])
-    energies = np.stack([[row[1] for row in r[1]] for r in results])
-    enstrophies = np.stack([[row[2] for row in r[1]] for r in results])
+    times = records[0].times
+    energies = np.stack([r.diagnostics["energy"] for r in records])
+    enstrophies = np.stack([r.diagnostics["enstrophy"] for r in records])
     agg = [(float(t), float(energies[:, i].mean()), float(energies[:, i].std(ddof=1)),
             float(enstrophies[:, i].mean())) for i, t in enumerate(times)]
     _write_csv(out / "aggregate.csv",
@@ -217,7 +214,11 @@ def main(argv=None) -> int:
         return 1
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
     try:
         return COMMANDS[args.command](config, study, out, max(1, args.jobs))
     except (ConfigError, InitialConditionError) as exc:

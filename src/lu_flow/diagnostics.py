@@ -12,8 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .noise import NoiseModel
-from .solver import (SolverConfig, TrajectoryRecord, build_context, make_initial, member_path,
-                     run, run_deterministic)
+from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, member_path, run
 from .spectral import (
     SpectralScalar,
     SpectralVelocity,
@@ -122,6 +121,12 @@ def energy_estimate_check(records: list[TrajectoryRecord], p: int = 2, *,
     }
 
 
+def _sq_distances(norm, rec: TrajectoryRecord, ref: TrajectoryRecord) -> np.ndarray:
+    """norm(a - b)^2 for each record of two runs that stored snapshots."""
+    return np.array([norm(a.grid, a.coeffs - b.coeffs) ** 2
+                     for a, b in zip(rec.snapshots, ref.snapshots)])
+
+
 # ---------------------------------------------------------------------------
 # pathwise contraction
 
@@ -174,10 +179,7 @@ def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
     rec2 = run(config, ctx=ctx, path=path, v0=v0b, store_snapshots=True, warn_cfl=False)
 
     times = rec1.times
-    diff_sq = np.array([
-        h_norm(grid, a.coeffs - b.coeffs) ** 2
-        for a, b in zip(rec2.snapshots, rec1.snapshots)
-            ])
+    diff_sq = _sq_distances(h_norm, rec2, rec1)
     bitwise = bool(np.all(diff_sq == 0.0))
     vsq2 = 2.0 * rec1.diagnostics["enstrophy"]  # ||v2||_V^2 of the base flow
     integral = np.concatenate([[0.0], np.cumsum(
@@ -233,26 +235,21 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     statement that also cuts Monte Carlo variance.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    det = run_deterministic(base_config, store_snapshots=True)
-    det_coeffs = [s.coeffs for s in det.snapshots]
-    grid_ctx = build_context(base_config.with_epsilon(float(epsilons[0])))
-    grid = grid_ctx.grid
+    ctx = build_context(base_config)  # every run below shares its noise model and cache
+    det = run(base_config.with_epsilon(0.0), ctx=replace(ctx, epsilon=0.0),
+              store_snapshots=True, warn_cfl=False)
     times = det.times
 
     sup_h = np.zeros((len(epsilons), ensemble_size))
     int_v = np.zeros((len(epsilons), ensemble_size))
     for j, eps in enumerate(epsilons):
         cfg = base_config.with_epsilon(float(eps))
-        ctx = replace(grid_ctx, epsilon=float(eps))  # shares the noise model and cache
+        eps_ctx = replace(ctx, epsilon=float(eps))
         for m in range(ensemble_size):
             member = m if shared_path else m + 1000 * (j + 1)
-            rec = run(cfg, member, ctx=ctx, store_snapshots=True, warn_cfl=False)
-            dh = np.array([h_norm(grid, a.coeffs - b) ** 2
-                           for a, b in zip(rec.snapshots, det_coeffs)])
-            dv = np.array([v_norm(grid, a.coeffs - b) ** 2
-                           for a, b in zip(rec.snapshots, det_coeffs)])
-            sup_h[j, m] = np.sqrt(dh.max())
-            int_v[j, m] = np.trapezoid(dv, times)
+            rec = run(cfg, member, ctx=eps_ctx, store_snapshots=True, warn_cfl=False)
+            sup_h[j, m] = np.sqrt(_sq_distances(h_norm, rec, det).max())
+            int_v[j, m] = np.trapezoid(_sq_distances(v_norm, rec, det), times)
 
     rms_h = np.sqrt((sup_h**2).mean(axis=1))
     rms_v = np.sqrt((int_v**2).mean(axis=1))

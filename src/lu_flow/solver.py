@@ -119,8 +119,8 @@ class TrajectoryRecord:
                 raise ValueError(f"non-finite diagnostic {name!r}")
 
 
-def build_context(config: SolverConfig, grid: TorusGrid | None = None) -> OperatorContext:
-    grid = grid or TorusGrid(config.n_modes)
+def build_context(config: SolverConfig) -> OperatorContext:
+    grid = TorusGrid(config.n_modes)
     # mode weights use the unit-viscosity eigenvalue |k|^2; the Reynolds
     # factor of the Stokes spectrum would only rescale the overall amplitude
     model = build_noise_model(grid, config.k_modes, config.spectrum_exponent,
@@ -170,6 +170,8 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
             raise InitialConditionError("initial: kind 'file' needs 'path'")
         path = params.pop("path")
         _no_extra(kind, params)
+        if not isinstance(path, str):  # an int would be opened as a file descriptor
+            raise InitialConditionError(f"initial.path must be a string, got {path!r}")
         try:
             file_grid, coeffs = load_snapshot(path)
         except (OSError, ValueError) as exc:
@@ -315,11 +317,16 @@ def run(config: SolverConfig, member_index: int = 0, *,
 
     The member's Brownian path is derived from (config.seed, member_index)
     unless an explicit ``path`` (e.g. a refined/coarsened one) is supplied.
-    Bit-reproducible for a fixed config and member index.
+    Bit-reproducible for a fixed config and member index.  A given ``ctx``
+    must match the config in eps, Re, N and K, or ``ValueError`` names the field.
     """
     ctx = ctx or build_context(config)
-    if ctx.epsilon != config.epsilon:
-        raise ValueError("context epsilon disagrees with config")
+    for name, got, want in (("epsilon", ctx.epsilon, config.epsilon),
+                            ("reynolds", ctx.reynolds, config.reynolds),
+                            ("n_modes", ctx.grid.n_modes, config.n_modes),
+                            ("k_modes", ctx.noise.k_modes, config.k_modes)):
+        if got != want:
+            raise ValueError(f"context {name} {got!r} disagrees with config {want!r}")
     grid = ctx.grid
     n_steps = config.n_steps
     noisy = ctx.noisy
@@ -350,14 +357,6 @@ def run(config: SolverConfig, member_index: int = 0, *,
     names = ("energy", "enstrophy", "h_norm", "v_norm", "max_div")
     diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(names)}
     return TrajectoryRecord(np.array(times), diags, snaps if store_snapshots else None)
-
-
-def run_deterministic(config: SolverConfig, *, v0: SpectralVelocity | None = None,
-                      store_snapshots: bool = False) -> TrajectoryRecord:
-    """Integrate d_t v + Av + B(v) = 0 with the same stepper, no noise."""
-    det = config.with_epsilon(0.0)
-    return run(det, ctx=build_context(det), v0=v0, store_snapshots=store_snapshots,
-               warn_cfl=False)
 
 
 def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,

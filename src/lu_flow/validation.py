@@ -7,12 +7,14 @@ regularity test.  Each entry returns (name, passed, detail).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import diagnostics as diag
 from .noise import check_regularity
 from .operators import apply_A, apply_B, trilinear_b
-from .solver import SolverConfig, build_context, run_deterministic
+from .solver import SolverConfig, build_context, run
 from .spectral import (
     SpectralScalar,
     SpectralVelocity,
@@ -63,8 +65,9 @@ def run_validation_suite(config: SolverConfig) -> list[tuple]:
 
     tg_cfg = SolverConfig(n_modes=config.n_modes, reynolds=100.0, epsilon=0.0,
                           dt=1e-3, t_end=0.1, k_modes=config.k_modes,
-                          amplitude=0.0, initial_kind="taylor_green")
-    rec = run_deterministic(tg_cfg, store_snapshots=True)
+                          initial_kind="taylor_green")
+    rec = run(tg_cfg, ctx=replace(ctx, epsilon=0.0, reynolds=100.0), store_snapshots=True,
+              warn_cfl=False)
     v0 = rec.snapshots[0]
     vT = rec.snapshots[-1]
     exact = v0.coeffs * np.exp(-2.0 * tg_cfg.t_end / tg_cfg.reynolds)

@@ -35,7 +35,6 @@ from lu_flow.solver import (
     build_context,
     make_initial,
     run,
-    run_deterministic,
     run_scalar_transport,
 )
 from lu_flow.spectral import (
@@ -66,7 +65,7 @@ def test_criterion_1_operator_identities():
     grid = TorusGrid(32)
     cfg = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.1, dt=1e-3,
                        t_end=1e-3, k_modes=4, noise_mixing=True)
-    ctx = build_context(cfg, grid)
+    ctx = build_context(cfg)
     gen = np.random.default_rng(2024)
     worst = {"stokes": 0.0, "bilinear": 0.0, "trilinear": 0.0,
              "leray_idem": 0.0, "leray_selfadj": 0.0}
@@ -122,7 +121,7 @@ def test_criterion_2_transport_energy_neutrality():
     eps, dt_fine, t_end, members = 0.1, 1e-3, 1.0, 64
     cfg = SolverConfig(n_modes=32, reynolds=100.0, epsilon=eps, dt=dt_fine,
                        t_end=t_end, k_modes=4, noise_mixing=True)
-    ctx = build_context(cfg, grid)
+    ctx = build_context(cfg)
     velocity = make_initial("taylor_green", grid)
     drifts = np.zeros((2, members))
     for m in range(members):
@@ -147,7 +146,7 @@ def test_criterion_3_taylor_green_oracle():
     t0 = time.time()
     cfg = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.0, dt=1e-3,
                        t_end=1.0, k_modes=4, record_every=1000)
-    rec = run_deterministic(cfg, store_snapshots=True)
+    rec = run(cfg.with_epsilon(0.0), store_snapshots=True, warn_cfl=False)
     grid = rec.snapshots[0].grid
     exact = rec.snapshots[0].coeffs * np.exp(-2.0 * cfg.t_end / cfg.reynolds)
     err = h_norm(grid, rec.snapshots[-1].coeffs - exact) / h_norm(grid, exact)
@@ -216,7 +215,7 @@ def test_criterion_6_energy_estimate():
     base = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.1, dt=2e-3,
                         t_end=1.0, k_modes=4, record_every=25, seed=0,
                         noise_mixing=True)
-    det = run_deterministic(base)
+    det = run(base.with_epsilon(0.0), warn_cfl=False)
     excesses = []
     checks = []
     for eps in (0.1, 0.2, 0.4):
@@ -279,7 +278,7 @@ def test_criterion_8_operator_epsilon_scaling():
     f_norms, g_norms = [], []
     base = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.2, dt=1e-3,
                         t_end=1e-3, k_modes=4, noise_mixing=True)
-    ctx0 = build_context(base, grid)
+    ctx0 = build_context(base)
     for eps in eps_grid:
         ctx = OperatorContext(grid, ctx0.noise, float(eps), base.reynolds,
                               _cache=ctx0._cache)

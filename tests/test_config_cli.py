@@ -144,21 +144,36 @@ def test_cli_ensemble(tmp_path):
     assert len(agg) - 1 == (len(members) - 1) // 3
 
 
-def test_cli_ensemble_builds_one_context(tmp_path, monkeypatch):
-    import lu_flow.cli as cli
+def _count_context_builds(monkeypatch) -> list:
+    """Rebind build_context in every lu_flow module to a counting wrapper."""
     import lu_flow.solver as solver
+    import lu_flow.validation  # noqa: F401  (cli imports it only when validate runs)
 
     real, calls = solver.build_context, []
 
-    def counting(config, grid=None):
+    def counting(config):
         calls.append(config)
-        return real(config, grid)
+        return real(config)
 
-    monkeypatch.setattr(cli, "build_context", counting)
-    monkeypatch.setattr(solver, "build_context", counting)
+    for name, mod in list(sys.modules.items()):
+        if (name == "lu_flow" or name.startswith("lu_flow.")) and \
+                getattr(mod, "build_context", None) is real:
+            monkeypatch.setattr(mod, "build_context", counting)
+    return calls
+
+
+def test_cli_ensemble_builds_one_context(tmp_path, monkeypatch):
+    calls = _count_context_builds(monkeypatch)
     cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": 4}))
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "ens"),
                  "--jobs", "1"]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_validate_builds_one_context(tmp_path, monkeypatch):
+    calls = _count_context_builds(monkeypatch)
+    cfg = _write_config(tmp_path, SMALL)
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v")]) in (0, 3)
     assert len(calls) == 1
 
 
@@ -263,6 +278,33 @@ def test_cli_missing_initial_path_is_config_error(tmp_path, capsys, command):
     assert "config error" in err and "initial.path" in err and "nope.bin" in err
 
 
+@pytest.mark.parametrize("path", [2, 0, 3.5, ["x"]], ids=["fd2", "fd0", "float", "list"])
+def test_cli_non_string_initial_path_is_config_error(tmp_path, path):
+    # in a subprocess: an int path opened as a file descriptor would close
+    # the test process's own stdin or stderr.  stdin holds a valid snapshot,
+    # so reading fd 0 would succeed.
+    snap = tmp_path / "n16.lufs"
+    save_snapshot(str(snap), TorusGrid(16), np.zeros((2, 16, 16), complex))
+    cfg = _write_config(tmp_path, dict(SMALL, initial={"kind": "file", "path": path}))
+    with open(snap, "rb") as stdin:
+        proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", "simulate", "--config",
+                               cfg, "--out", str(tmp_path / "o")], env=_src_env(),
+                              stdin=stdin, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr and "initial.path" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_out_naming_a_file_is_config_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path, SMALL)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["simulate", "--config", cfg, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert taken.read_text() == ""
+
+
 def test_cli_snapshot_grid_mismatch_is_config_error(tmp_path, capsys):
     snap = tmp_path / "n32.lufs"
     save_snapshot(str(snap), TorusGrid(32), np.zeros((2, 32, 32), complex))
@@ -359,16 +401,19 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-def test_benchmark_trace_hook_runs(tmp_path):
+@pytest.mark.parametrize("command", ["simulate", "converge"])
+def test_benchmark_trace_hook_runs(tmp_path, command):
     # perfbench/hook.py patches lu_flow functions and OperatorContext
     # properties by name, so a rename must fail here, not only in a traced benchmark run
     cfg = _write_config(tmp_path, {"N": 16, "T": 0.01, "dt": 1e-3,
-                                   "noise": {"K": 4, "mix": True}})
+                                   "noise": {"K": 4, "mix": True},
+                                   "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}})
     opdir = tmp_path / "op"
     opdir.mkdir()
     proc = subprocess.run([sys.executable, "perfbench/hook.py", "trace", str(opdir),
-                           "simulate", "--config", cfg, "--out", str(tmp_path / "o")],
+                           command, "--config", cfg, "--out", str(tmp_path / "o")],
                           cwd=ROOT, env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads((opdir / "spans.json").read_text())["spans"]}
-    assert {"solver.step", "operators.OperatorContext.a_pad"} <= names
+    names = [span[0] for span in json.loads((opdir / "spans.json").read_text())["spans"]]
+    assert {"solver.step", "operators.OperatorContext.a_pad"} <= set(names)
+    assert names.count("solver.build_context") == 1

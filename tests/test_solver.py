@@ -15,7 +15,6 @@ from lu_flow.solver import (
     build_context,
     make_initial,
     run,
-    run_deterministic,
     run_scalar_transport,
     step,
 )
@@ -124,7 +123,7 @@ def _reference_step(ctx, v, dbeta, dt):
 @pytest.mark.parametrize("with_noise", [True, False])
 def test_fused_step_matches_operator_reference(grid32, rng, model, epsilon, with_noise):
     if model == "mix":
-        base = build_context(short_config(k_modes=8), grid32)
+        base = build_context(short_config(k_modes=8))
     else:
         base = OperatorContext(grid32, synthetic_inhomogeneous_model(grid32), 0.1, 100.0)
     ctx = OperatorContext(grid32, base.noise, epsilon, 100.0)
@@ -138,7 +137,7 @@ def test_fused_step_matches_operator_reference(grid32, rng, model, epsilon, with
 
 
 def test_step_output_is_hermitian(grid32, rng):
-    ctx = build_context(short_config(k_modes=8), grid32)
+    ctx = build_context(short_config(k_modes=8))
     v = SpectralVelocity(grid32, random_div_free(grid32, rng))
     out = step(v, ctx, 0.03 * np.ones(8), 1e-3).coeffs
     neg = (-np.arange(32)) % 32
@@ -149,7 +148,7 @@ def test_step_output_is_hermitian(grid32, rng):
 def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
     # each 2D real transform is one real pass along y plus one complex pass
     # along x; no full complex 2D transform is left
-    ctx = build_context(short_config(epsilon=epsilon, k_modes=8), grid32)
+    ctx = build_context(short_config(epsilon=epsilon, k_modes=8))
     v = SpectralVelocity(grid32, random_div_free(grid32, rng))
     dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
     step(v, ctx, dbeta, 1e-3)  # fills the context caches
@@ -189,7 +188,7 @@ def test_warm_step_allocates_little(n):
 
 
 def test_step_result_survives_next_step(grid32, rng):
-    ctx = build_context(short_config(k_modes=8), grid32)
+    ctx = build_context(short_config(k_modes=8))
     v = SpectralVelocity(grid32, random_div_free(grid32, rng))
     first = step(v, ctx, 0.03 * np.ones(8), 1e-3)
     kept = first.coeffs.copy()
@@ -203,7 +202,7 @@ def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
     # the cached Stokes factors; interleaving them and changing dt must give
     # the bits of a fresh context built for each step
     cfg = short_config(k_modes=8)
-    base = build_context(cfg, grid32)
+    base = build_context(cfg)
     shared = {eps: replace(base, epsilon=eps) for eps in (0.2, 0.1, 0.0)}
     v0 = SpectralVelocity(grid32, random_div_free(grid32, rng))
     dbetas = [0.03 * rng.standard_normal(8) for _ in range(4)]
@@ -213,7 +212,7 @@ def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
         for eps in shared:
             dbeta = dbetas[i] if eps > 0 else None
             a[eps] = step(a[eps], shared[eps], dbeta, dt)
-            b[eps] = step(b[eps], build_context(cfg.with_epsilon(eps), grid32), dbeta, dt)
+            b[eps] = step(b[eps], build_context(cfg.with_epsilon(eps)), dbeta, dt)
             assert a[eps].coeffs.tobytes() == b[eps].coeffs.tobytes()
 
 
@@ -249,11 +248,24 @@ def test_step_self_convergence_under_path_refinement():
 
 
 def test_zero_noise_reduction_bitwise():
-    cfg = short_config(epsilon=0.0)
-    a = run(cfg, store_snapshots=True)
-    b = run_deterministic(cfg, store_snapshots=True)
-    for sa, sb in zip(a.snapshots, b.snapshots):
-        assert np.array_equal(sa.coeffs, sb.coeffs)
+    # with the noise off (eps = 0 or a null amplitude) the run is the
+    # deterministic one, bit for bit, whatever the noise model
+    runs = [run(short_config(**kw), store_snapshots=True, warn_cfl=False) for kw in (
+        dict(epsilon=0.0, k_modes=8, noise_mixing=True),
+        dict(epsilon=0.1, amplitude=0.0),
+        dict(epsilon=0.0, k_modes=1),
+    )]
+    snaps = [[s.coeffs.tobytes() for s in rec.snapshots] for rec in runs]
+    assert snaps[0] == snaps[1] == snaps[2]
+
+
+@pytest.mark.parametrize("field,ctx_value", [("epsilon", 0.2), ("reynolds", 50.0),
+                                              ("n_modes", 16), ("k_modes", 8)])
+def test_run_rejects_context_of_another_config(field, ctx_value):
+    cfg = short_config(t_end=2e-3)
+    ctx = build_context(replace(cfg, **{field: ctx_value}))
+    with pytest.raises(ValueError, match=f"context {field} "):
+        run(cfg, ctx=ctx)
 
 
 def test_run_bitwise_reproducible():
@@ -288,7 +300,7 @@ def test_convergence_study_matches_fresh_contexts():
     cfg = short_config(n_modes=16, t_end=0.02, record_every=5, k_modes=4)
     epsilons = [0.2, 0.1]
     report = epsilon_convergence_study(cfg, epsilons, 2)
-    det = run_deterministic(cfg, store_snapshots=True)
+    det = run(cfg.with_epsilon(0.0), store_snapshots=True, warn_cfl=False)
     grid = TorusGrid(16)
     for j, eps in enumerate(epsilons):
         eps_cfg = cfg.with_epsilon(eps)
@@ -301,10 +313,9 @@ def test_convergence_study_matches_fresh_contexts():
 
 
 def test_deterministic_energy_monotone():
-    rec = run_deterministic(short_config(initial_kind="random_band",
-                                         initial_params={"k_min": 1, "k_max": 8,
-                                                         "energy": 1.0, "seed": 5},
-                                         epsilon=0.0))
+    rec = run(short_config(initial_kind="random_band",
+                           initial_params={"k_min": 1, "k_max": 8, "energy": 1.0, "seed": 5},
+                           epsilon=0.0), warn_cfl=False)
     e = rec.diagnostics["energy"]
     assert np.all(e[1:] <= e[:-1] * (1 + 1e-12))
 
