@@ -235,8 +235,8 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     statement that also cuts Monte Carlo variance.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    ctx = build_context(base_config)  # every run below shares its noise model and cache
-    det = run(base_config.with_epsilon(0.0), ctx=replace(ctx, epsilon=0.0),
+    ctx = build_context(base_config)  # the noisy runs share its model and cache
+    det = run(base_config.with_epsilon(0.0), ctx=replace(ctx, epsilon=0.0, _cache={}),
               store_snapshots=True, warn_cfl=False)
     times = det.times
 

@@ -86,9 +86,9 @@ def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str)
 class NoiseModel:
     """Eigenmode expansion of the unresolved-velocity covariance and every
     field it fixes, computed once here (eps only scales their terms in F and
-    G, so contexts for any eps share them).  ``modes`` are the weighted
-    eigenfunctions (amplitude folded in) and ``phi`` the same stacked,
-    (K, 2, n, n); ``phi_support`` is (flat indices, (K, 2S) real view of the
+    G, so contexts for any eps share them).  ``phi`` holds the weighted
+    eigenfunctions (amplitude folded in), stacked (K, 2, n, n);
+    ``phi_support`` is (flat indices, (K, 2S) real view of the
     values) of their joint support; ``variance_tensor`` is a(x) on the
     physical grid, (2, 2, n, n), ``variance_hat`` its coefficients and
     ``a_pad`` a on the padded grid; ``ito_stokes_drift`` is the raw field
@@ -96,10 +96,9 @@ class NoiseModel:
     """
 
     grid: TorusGrid
-    modes: list[SpectralVelocity]
+    phi: np.ndarray
     spectrum_exponent: float
     amplitude: float
-    phi: np.ndarray = field(init=False)
     phi_support: tuple = field(init=False)
     variance_tensor: np.ndarray = field(init=False)
     variance_hat: np.ndarray = field(init=False)
@@ -109,7 +108,6 @@ class NoiseModel:
 
     def __post_init__(self):
         grid = self.grid
-        self.phi = np.stack([m.coeffs for m in self.modes])
         flat = self.phi.reshape(self.k_modes, -1)
         idx = np.flatnonzero(np.any(flat != 0, axis=0))
         self.phi_support = (idx, np.ascontiguousarray(flat[:, idx]).view(float))
@@ -126,7 +124,7 @@ class NoiseModel:
 
     @property
     def k_modes(self) -> int:
-        return len(self.modes)
+        return len(self.phi)
 
 
 def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
@@ -160,7 +158,7 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
                 return
             c = sum(_real_mode_coeffs(grid, kv, pol) for kv in kvecs)
             c *= weight / np.sqrt(len(kvecs))
-            modes.append(SpectralVelocity(grid, c))
+            modes.append(c)
 
     def weight_of(kvec):
         return amplitude * (kvec[0] ** 2 + kvec[1] ** 2) ** (-spectrum_exponent)
@@ -174,7 +172,7 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
             pair = [reps[j]] + ([reps[j + half]] if j + half < len(reps) else [])
             weight = np.sqrt(np.prod([weight_of(kv) for kv in pair]))
             emit(pair, weight)
-    return NoiseModel(grid, modes, spectrum_exponent, amplitude)
+    return NoiseModel(grid, np.stack(modes), spectrum_exponent, amplitude)
 
 
 def check_regularity(model: NoiseModel) -> dict:
@@ -189,7 +187,7 @@ def check_regularity(model: NoiseModel) -> dict:
     most 0.1.
     """
     grid = model.grid
-    terms = np.array([sobolev_norm_sq(grid, m.coeffs, 3) for m in model.modes])
+    terms = np.array([sobolev_norm_sq(grid, coeffs, 3) for coeffs in model.phi])
     partial = float(terms.sum())
     last_term_ratio = float(terms[-1] / partial) if partial > 0 else 0.0
     tail_ratio = float(terms[len(terms) // 2:].sum() / partial) if partial > 0 else 0.0

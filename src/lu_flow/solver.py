@@ -14,8 +14,9 @@ so ``step`` evaluates the bracket as one fused expression,
 
 with c = dt v + eps xi and xi = sum_k phi_k dbeta_k: one batched inverse
 real FFT of c and grad w on the padded grid, one batched forward real FFT
-of (c.grad) w and the flux a grad w, and one Leray projection.  The state
-stays Hermitian because the transforms produce Hermitian coefficients.
+of (c.grad) w and the flux a grad w, and one Leray projection.  The kernel
+of the transforms, ``_transport``, also steps the tracer.  The state stays
+Hermitian because the transforms produce Hermitian coefficients.
 The per-operator functions of ``operators`` are the reference this step is
 tested against.  The integrating factor removes the stiff linear stability
 constraint; only an advective CFL condition remains and is warned about.
@@ -40,7 +41,6 @@ from .spectral import (
     SpectralVelocity,
     TorusGrid,
     TransformBuffers,
-    advect,
     divergence,
     energy,
     from_physical,
@@ -50,7 +50,6 @@ from .spectral import (
     load_snapshot,
     max_divergence,
     random_solenoidal,
-    tensor_flux,
     tensor_flux_physical,
     to_physical,
     v_norm,
@@ -214,18 +213,19 @@ def check_cfl(config: SolverConfig, v: SpectralVelocity) -> None:
 
 
 class _StepWorkspace:
-    """What one context's ``step`` keeps between calls: the ky >= 0 columns
-    of the six fields c and grad w, their transform buffers (the forward
-    pass shares them when the flux is transformed too), the padded product
-    batch, xi (zero off the noise support) and the Stokes multipliers for
-    the last (dt, Re)."""
+    """What ``_transport`` keeps between calls for f of k components (2 for
+    the velocity, 1 for a tracer): the ky >= 0 columns of c and grad f, their
+    transform buffers (shared by the forward pass when its batch is as
+    large), the padded product batch, xi (zero off the noise support) and
+    the Stokes multipliers of ``step`` for the last (dt, Re)."""
 
-    def __init__(self, grid: TorusGrid, noisy: bool):
+    def __init__(self, grid: TorusGrid, noisy: bool, k: int = 2):
         m = grid.pad_size
-        self.spec = np.empty((6, grid.n_modes, grid.n_modes // 2), dtype=complex)
-        self.inverse = TransformBuffers(grid, (6,), m)
-        self.forward = self.inverse if noisy else TransformBuffers(grid, (2,), m)
-        self.prod = np.empty((6 if noisy else 2, m, m))
+        n_in, n_out = 2 + 2 * k, 3 * k if noisy else k
+        self.spec = np.empty((n_in, grid.n_modes, grid.n_modes // 2), dtype=complex)
+        self.inverse = TransformBuffers(grid, (n_in,), m)
+        self.forward = self.inverse if n_out == n_in else TransformBuffers(grid, (n_out,), m)
+        self.prod = np.empty((n_out, m, m))
         self.xi = np.zeros((2, grid.n_modes, grid.n_modes), dtype=complex)
         self.key = self.factor = self.a_diag = None
 
@@ -239,47 +239,57 @@ class _StepWorkspace:
         return self.factor, self.a_diag
 
 
+def _transport(ctx: OperatorContext, work: _StepWorkspace, u: np.ndarray, f: np.ndarray,
+               xi: np.ndarray | None, dt: float) -> np.ndarray:
+    """(c.grad) f for c = dt u + eps xi and f of k components, (k, n, n),
+    then with noise the flux a grad f as (2k, n, n), from one batched inverse
+    and one forward real FFT through ``work`` (a view of it, overwritten by
+    the next call).  Only the ky >= 0 columns of u, f and xi are read."""
+    grid = ctx.grid
+    m = grid.pad_size
+    h = grid.n_modes // 2
+    k = f.shape[0]
+    # c and grad f, gf[l, i] = d_l f_i, on the ky >= 0 columns to_physical reads
+    spec = work.spec
+    c = np.multiply(dt, u[..., :h], out=spec[:2])
+    if xi is not None:
+        np.add(c, ctx.epsilon * xi[..., :h], out=c)
+    gf = spec[2:].reshape(2, k, grid.n_modes, h)
+    np.multiply(grid.ikx, f[..., :h], out=gf[0])
+    np.multiply(grid.iky[:, :h], f[..., :h], out=gf[1])
+    phys = to_physical(grid, spec, m, work.inverse)
+    cp, gf = phys[:2], phys[2:].reshape(2, k, m, m)
+    prod = work.prod
+    if ctx.noisy:  # (a grad f)_{j i}, before gf[1] is overwritten
+        tensor_flux_physical(ctx.a_pad, gf, out=prod[k:].reshape(2, k, m, m))
+    np.multiply(cp[0], gf[0], out=prod[:k])                     # (c.grad) f
+    np.add(prod[:k], np.multiply(cp[1], gf[1], out=gf[1]), out=prod[:k])
+    return from_physical(grid, prod, work.forward)
+
+
 def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None,
          dt: float) -> SpectralVelocity:
     """One Euler-Maruyama step with integrating-factor Stokes treatment.
 
     Fused form of exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta]:
-    12 real transforms on the padded grid with noise, 8 without.  c and
-    grad w are formed on the retained ky >= 0 columns only, in one
-    (6, n, n/2) array that goes through ``to_physical`` like any other
-    input.  That array and the padded ones are a workspace kept in the
-    context's cache (shared by contexts made with ``dataclasses.replace``),
-    so a warm step allocates only its grid-sized result and small
-    temporaries.  The workspace makes ``step`` not reentrant: contexts that
-    share a cache must not step in two threads at once.  The returned state
-    never aliases the workspace.
+    ``_transport`` of w = v + eps^2 u_s by c = dt v + eps xi, 12 real
+    transforms on the padded grid with noise, 8 without.  Its workspace is
+    kept in the context's cache (shared by contexts made with
+    ``dataclasses.replace``), so a warm step allocates only its grid-sized
+    result and small temporaries.  The workspace makes ``step`` not
+    reentrant: contexts that share a cache must not step in two threads at
+    once.  The returned state never aliases the workspace.
     """
     grid = ctx.grid
-    m = grid.pad_size
     n = grid.n_modes
-    h = n // 2
     v = state.coeffs
     noisy = ctx.noisy
     work = ctx.step_workspace(_StepWorkspace)
     eps = ctx.epsilon
     xi = ctx.noise_field(dbeta, out=work.xi) if noisy and dbeta is not None else None
-    # c = dt v + eps xi and grad w (w = v + eps^2 u_s), gw[l, i] = d_l w_i,
-    # on the ky >= 0 columns, the only ones to_physical reads
-    spec, vh = work.spec, v[..., :h]
-    c = np.multiply(dt, vh, out=spec[:2])
-    if xi is not None:
-        np.add(c, eps * xi[..., :h], out=c)
-    w = vh + eps**2 * ctx.us_raw[..., :h] if noisy else vh
-    np.multiply(grid.ikx, w, out=spec[2:4])
-    np.multiply(grid.iky[:, :h], w, out=spec[4:6])
-    phys = to_physical(grid, spec, m, work.inverse)
-    cp, gw = phys[:2], phys[2:].reshape(2, 2, m, m)
-    prod = work.prod
-    if noisy:  # (a grad w)_{j i}, before gw[1] is overwritten
-        tensor_flux_physical(ctx.a_pad, gw, out=prod[2:].reshape(2, 2, m, m))
-    np.multiply(cp[0], gw[0], out=prod[:2])                     # (c.grad) w
-    np.add(prod[:2], np.multiply(cp[1], gw[1], out=gw[1]), out=prod[:2])
-    hat = from_physical(grid, prod, work.forward)
+    # w on the ky >= 0 columns only, the ones _transport reads
+    w = v[..., :n // 2] + eps**2 * ctx.us_raw[..., :n // 2] if noisy else v
+    hat = _transport(ctx, work, v, w, xi, dt)
     rhs = v - hat[:2]
     factor, a_diag = work.stokes(grid, dt, ctx.reynolds)
     if noisy:  # + (eps^2 dt / 2) div(a grad w) + eps^2 dt A u_s - eps A xi
@@ -367,33 +377,32 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
         d q = -(u - eps^2 u_s).grad q dt - eps (sigma dW).grad q
               + (eps^2/2) div(a grad q) dt
 
-    in a steady velocity u.  The flux a grad q comes from
-    ``spectral.tensor_flux``, the contraction the velocity step uses.  Raises
-    BlowUpError at the first step whose tracer is not finite.  Returns
-    {"times", "energies"} with 0.5 |q|_H^2 recorded.
+    in a steady velocity u: q+ = q - (c.grad) q + (eps^2 dt / 2) div(a grad q),
+    c = dt (u - eps^2 u_s) + eps xi, by ``_transport`` through one workspace
+    per call (7 real transforms with noise, 5 without).  Raises BlowUpError
+    at the first step whose tracer is not finite.  Returns {"times",
+    "energies"} with 0.5 |q|_H^2 recorded.
     """
     grid = ctx.grid
     eps = ctx.epsilon
     n_steps = int(round(t_end / dt))
-    u_adv = velocity.coeffs - (eps**2) * ctx.us
-    u_adv_pad = to_physical(grid, u_adv, grid.pad_size)
     noisy = ctx.noisy
     if noisy and path is None:
         raise ValueError("a WienerPath is required when the noise is active")
+    u_adv = velocity.coeffs - (eps**2) * ctx.us
+    work = _StepWorkspace(grid, noisy, k=1)
 
-    q = q0.coeffs.copy()
+    q = q0.coeffs[None]
     times = [0.0]
     energies = [0.5 * h_norm(grid, q) ** 2]
     # as in run, a diverging tracer ends in BlowUpError, not in FP warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            incr = -dt * advect(grid, u_adv, q, u_phys_pad=u_adv_pad)
-            if eps > 0.0:
-                incr += dt * 0.5 * eps**2 * divergence(grid, tensor_flux(grid, ctx.a_pad, q))
+            xi = ctx.noise_field(path.increments[i], out=work.xi) if noisy else None
+            hat = _transport(ctx, work, u_adv, q, xi, dt)
+            q = q - hat[:1]
             if noisy:
-                xi = ctx.noise_field(path.increments[i])
-                incr -= eps * advect(grid, xi, q)
-            q = q + incr
+                q += (0.5 * eps**2 * dt) * divergence(grid, hat[1:])
             t = (i + 1) * dt
             if not np.isfinite(q).all():
                 raise BlowUpError(i + 1, t)

@@ -99,9 +99,6 @@ class SpectralScalar:
     grid: TorusGrid
     coeffs: np.ndarray  # complex128, shape (n, n)
 
-    def copy(self) -> "SpectralScalar":
-        return SpectralScalar(self.grid, self.coeffs.copy())
-
 
 # ---------------------------------------------------------------------------
 # transforms
@@ -268,15 +265,10 @@ def dealiased_product(grid: TorusGrid, f: np.ndarray, g: np.ndarray) -> np.ndarr
     return from_physical(grid, fp * gp)
 
 
-def advect(grid: TorusGrid, u: np.ndarray, f: np.ndarray,
-           u_phys_pad: np.ndarray | None = None) -> np.ndarray:
-    """(u . grad) f with dealiasing.  f may be scalar (n,n) or vector (2,n,n).
-
-    ``u_phys_pad`` optionally supplies u already evaluated on the padded grid.
-    """
+def advect(grid: TorusGrid, u: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(u . grad) f with dealiasing.  f may be scalar (n,n) or vector (2,n,n)."""
     m = grid.pad_size
-    if u_phys_pad is None:
-        u_phys_pad = to_physical(grid, u, m)
+    u_phys_pad = to_physical(grid, u, m)
     gf_phys = to_physical(grid, gradient(grid, f), m)
     prod = u_phys_pad[0] * gf_phys[0] + u_phys_pad[1] * gf_phys[1]
     return from_physical(grid, prod)

@@ -37,8 +37,7 @@ def synthetic_inhomogeneous_model(grid, amplitude=1.0):
     s2 = _real_mode_coeffs(grid, (1, 2), "sin")
     combos = [(c1 + c2) / np.sqrt(2), (s1 + s2) / np.sqrt(2),
               _real_mode_coeffs(grid, (1, 1), "cos")]
-    modes = [SpectralVelocity(grid, amplitude * c) for c in combos]
-    return NoiseModel(grid, modes, 3.0, amplitude)
+    return NoiseModel(grid, amplitude * np.stack(combos), 3.0, amplitude)
 
 
 @pytest.fixture

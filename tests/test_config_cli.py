@@ -209,9 +209,12 @@ def test_cli_transport(tmp_path):
     assert main(["transport", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "transport.csv").read_text().splitlines()
     assert rows[0] == "time,tracer_energy"
-    assert len(rows) > 2
+    # the header, t = 0 and one row per record_every steps
+    assert len(rows) == 1 + round(SMALL["T"] / (SMALL["dt"] * SMALL["record_every"])) + 1
     summary = dict(line.split(" ", 1) for line in
                    (out / "summary.txt").read_text().splitlines())
+    assert set(summary) == {"diffusion_loss", "noise_intake", "residual",
+                            "relative_energy_drift"}
     assert abs(float(summary["residual"])) <= 1e-9
     assert float(summary["relative_energy_drift"]) < 0.5
 

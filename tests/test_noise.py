@@ -80,9 +80,9 @@ def test_modes_divergence_free_and_ordering_deterministic(grid16):
     for mix in (False, True):
         m1 = build_noise_model(grid16, 6, 3.0, 1.0, mix_shells=mix)
         m2 = build_noise_model(grid16, 6, 3.0, 1.0, mix_shells=mix)
-        for a, b in zip(m1.modes, m2.modes):
-            assert np.array_equal(a.coeffs, b.coeffs)
-            assert max_divergence(grid16, a.coeffs) == 0.0
+        for a, b in zip(m1.phi, m2.phi):
+            assert np.array_equal(a, b)
+            assert max_divergence(grid16, a) == 0.0
 
 
 def test_too_many_modes_rejected():
@@ -100,21 +100,21 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
     else:
         model = build_noise_model(grid16, 8, 3.0, 1.0, mix_shells=kind == "mix")
     g = grid16
-    phi = np.stack([m.coeffs for m in model.modes])
+    phi = model.phi
     flat = phi.reshape(model.k_modes, -1)
     idx = np.flatnonzero(np.any(flat != 0, axis=0))
     values = np.ascontiguousarray(flat[:, idx]).view(float)
     a = np.zeros((2, 2, 16, 16))
-    for m in model.modes:
-        p = to_physical(g, m.coeffs)
+    for coeffs in phi:
+        p = to_physical(g, coeffs)
         a += p[:, None] * p[None, :]
     a_hat = from_physical(g, a)
     us = np.stack([0.5 * divergence(g, a_hat[i]) for i in range(2)])
-    expected = {"phi": phi, "support_idx": idx, "support_values": values,
+    expected = {"support_idx": idx, "support_values": values,
                 "variance_tensor": a, "variance_hat": a_hat,
                 "a_pad": to_physical(g, a_hat, g.pad_size),
                 "us_raw": us, "us": leray_project(g, us)}
-    got = {"phi": model.phi, "support_idx": model.phi_support[0],
+    got = {"support_idx": model.phi_support[0],
            "support_values": model.phi_support[1],
            "variance_tensor": model.variance_tensor, "variance_hat": model.variance_hat,
            "a_pad": model.a_pad, "us_raw": model.ito_stokes_drift.coeffs,
@@ -130,7 +130,7 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
 
 def test_single_mode_rank_one(grid16):
     model = build_noise_model(grid16, 1, 3.0, 1.0)
-    phi = to_physical(grid16, model.modes[0].coeffs)
+    phi = to_physical(grid16, model.phi[0])
     expected = np.einsum("i...,j...->ij...", phi, phi)
     assert np.max(np.abs(model.variance_tensor - expected)) < 1e-14
     det = (model.variance_tensor[0, 0] * model.variance_tensor[1, 1]
@@ -143,7 +143,7 @@ def test_variance_tensor_pointwise_summation_oracle():
     # direct physical-space sum over modes
     g = TorusGrid(16)
     model = build_noise_model(g, 4, 3.0, 1.0, mix_shells=True)
-    phys = [to_physical(g, m.coeffs) for m in model.modes]
+    phys = [to_physical(g, coeffs) for coeffs in model.phi]
     direct = sum(np.einsum("i...,j...->ij...", p, p) for p in phys)
     for (i, j) in [(0, 0), (3, 7), (8, 8), (15, 1), (5, 12)]:
         assert np.max(np.abs(model.variance_tensor[:, :, i, j]
@@ -157,7 +157,7 @@ def test_variance_tensor_psd_and_trace_identity(grid16):
     det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
     assert np.all(trace >= -1e-14)
     assert np.all(det >= -1e-12)
-    total = sum(h_norm(grid16, m.coeffs) ** 2 for m in model.modes)
+    total = sum(h_norm(grid16, coeffs) ** 2 for coeffs in model.phi)
     integral = trace.mean() * (2.0 * np.pi) ** 2
     assert abs(integral - total) < 1e-10 * total
 

@@ -187,7 +187,7 @@ def test_g_additive_part(grid32):
     ctx = make_ctx(grid32, epsilon=0.1, mix=False)
     zero = SpectralVelocity(grid32, np.zeros((2, 32, 32), dtype=complex))
     for k in range(4):
-        phi = ctx.noise.modes[k].coeffs
+        phi = ctx.noise.phi[k]
         expected = -ctx.epsilon * (grid32.k_sq / ctx.reynolds) * phi
         got = apply_G_column(ctx, zero, k).coeffs
         assert np.max(np.abs(got - expected)) < 1e-14

@@ -14,6 +14,7 @@ from lu_flow.solver import (
     SolverConfig,
     build_context,
     make_initial,
+    member_path,
     run,
     run_scalar_transport,
     step,
@@ -22,12 +23,15 @@ from lu_flow.spectral import (
     SpectralScalar,
     SpectralVelocity,
     TorusGrid,
+    advect,
+    divergence,
     energy,
     from_physical,
     h_norm,
     leray_project,
     max_divergence,
     save_snapshot,
+    tensor_flux,
 )
 
 from conftest import random_div_free, synthetic_inhomogeneous_model
@@ -118,6 +122,26 @@ def _reference_step(ctx, v, dbeta, dt):
     return np.exp(-dt * grid.k_sq / ctx.reynolds) * leray_project(grid, new)
 
 
+def _reference_tracer(q0, velocity, ctx, dt, t_end, path):
+    """The energies 0.5 |q|_H^2 after every step of the tracer equation of
+    run_scalar_transport, from the per-call functions: advect by
+    u - eps^2 u_s, the flux from tensor_flux and advect by xi."""
+    grid = ctx.grid
+    eps = ctx.epsilon
+    u_adv = velocity.coeffs - (eps**2) * ctx.us
+    q = q0.coeffs
+    energies = [0.5 * h_norm(grid, q) ** 2]
+    for i in range(int(round(t_end / dt))):
+        incr = -dt * advect(grid, u_adv, q)
+        if eps > 0.0:
+            incr += dt * 0.5 * eps**2 * divergence(grid, tensor_flux(grid, ctx.a_pad, q))
+        if ctx.noisy:
+            incr -= eps * advect(grid, ctx.noise_field(path.increments[i]), q)
+        q = q + incr
+        energies.append(0.5 * h_norm(grid, q) ** 2)
+    return np.array(energies)
+
+
 @pytest.mark.parametrize("model", ["mix", "synthetic"])
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
 @pytest.mark.parametrize("with_noise", [True, False])
@@ -144,14 +168,9 @@ def test_step_output_is_hermitian(grid32, rng):
     assert np.array_equal(out, np.conj(out[:, neg[:, None], neg[None, :]]))
 
 
-@pytest.mark.parametrize("epsilon,real", [(0.1, 12), (0.0, 8)])
-def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
-    # each 2D real transform is one real pass along y plus one complex pass
-    # along x; no full complex 2D transform is left
-    ctx = build_context(short_config(epsilon=epsilon, k_modes=8))
-    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
-    dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
-    step(v, ctx, dbeta, 1e-3)  # fills the context caches
+def _count_transforms(monkeypatch, call) -> dict:
+    """Transform passes per numpy.fft function during call(), each counted
+    once per 2D slice."""
     counts = {}
 
     def counting(name, fn):
@@ -160,14 +179,30 @@ def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
             return fn(a, *args, **kwargs)
         return counted
 
-    for name in ("rfft2", "irfft2", "fft2", "ifft2", "rfft", "irfft", "fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
-    step(v, ctx, dbeta, 1e-3)
-    real_passes = sum(counts.get(k, 0) for k in ("rfft", "irfft", "rfft2", "irfft2"))
-    assert real_passes == real
+    with monkeypatch.context() as patch:
+        for name in ("rfft2", "irfft2", "fft2", "ifft2", "rfft", "irfft", "fft", "ifft"):
+            patch.setattr(np.fft, name, counting(name, getattr(np.fft, name)))
+        call()
+    return counts
+
+
+def _real_passes(counts: dict) -> int:
+    # each 2D real transform is one real pass along y plus one complex pass
+    # along x; no full complex 2D transform is left
+    real = sum(counts.get(k, 0) for k in ("rfft", "irfft", "rfft2", "irfft2"))
     assert counts.get("fft", 0) + counts.get("ifft", 0) == counts.get("rfft", 0) + counts.get(
         "irfft", 0)
     assert counts.get("fft2", 0) + counts.get("ifft2", 0) == 0
+    return real
+
+
+@pytest.mark.parametrize("epsilon,real", [(0.1, 12), (0.0, 8)])
+def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
+    ctx = build_context(short_config(epsilon=epsilon, k_modes=8))
+    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
+    step(v, ctx, dbeta, 1e-3)  # fills the context caches
+    assert _real_passes(_count_transforms(monkeypatch, lambda: step(v, ctx, dbeta, 1e-3))) == real
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
@@ -385,3 +420,48 @@ def test_tracer_advection_conserves_energy_to_first_order(grid32):
         drift[dt] = abs(out["energies"][-1] - out["energies"][0]) / out["energies"][0]
     assert drift[1e-3] < 5e-3                      # O(dt) per unit time
     assert 1.6 < drift[2e-3] / drift[1e-3] < 2.4   # first-order in dt
+
+
+@pytest.mark.parametrize("model", ["mix", "pure", "synthetic"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
+def test_fused_tracer_matches_per_call_reference(grid32, model, epsilon):
+    if model == "synthetic":
+        noise = synthetic_inhomogeneous_model(grid32)
+    else:
+        noise = build_context(short_config(k_modes=8, noise_mixing=model == "mix")).noise
+    ctx = OperatorContext(grid32, noise, epsilon, 100.0)
+    q0 = make_tracer(grid32)
+    u = make_initial("random_band", grid32, {"k_max": 8, "seed": 2})
+    dt, t_end = 1e-3, 0.04
+    path = WienerPath(3, dt, 40, noise.k_modes) if ctx.noisy else None
+    got = run_scalar_transport(q0, u, ctx, dt, t_end, path)["energies"]
+    ref = _reference_tracer(q0, u, ctx, dt, t_end, path)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_tracer_null_amplitude_is_noise_free(grid32):
+    # with a null amplitude the noise is off whatever eps: the tracer takes the
+    # eps = 0 path bit for bit
+    q0 = make_tracer(grid32)
+    u = make_initial("taylor_green", grid32)
+    energies = []
+    for kw in (dict(epsilon=0.1, amplitude=0.0), dict(epsilon=0.0)):
+        cfg = short_config(k_modes=8, **kw)
+        ctx = build_context(cfg)
+        out = run_scalar_transport(q0, u, ctx, cfg.dt, 0.05, member_path(cfg, ctx))
+        energies.append(out["energies"].tobytes())
+    assert energies[0] == energies[1]
+
+
+@pytest.mark.parametrize("epsilon,real", [(0.1, 7), (0.0, 5)])
+def test_transform_count_per_tracer_step(grid32, monkeypatch, epsilon, real):
+    # a two-step run minus a one-step one, so that set-up transforms cancel
+    cfg = short_config(epsilon=epsilon, k_modes=8)
+    ctx = build_context(cfg)
+    q0 = make_tracer(grid32)
+    u = make_initial("taylor_green", grid32)
+    path = member_path(cfg, ctx)
+    one, two = (_real_passes(_count_transforms(monkeypatch, lambda t=t: run_scalar_transport(
+        q0, u, ctx, cfg.dt, t * cfg.dt, path))) for t in (1, 2))
+    assert two - one == real
