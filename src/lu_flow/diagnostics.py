@@ -8,6 +8,7 @@ the test-suite use 5-standard-error intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -121,10 +122,11 @@ def energy_estimate_check(records: list[TrajectoryRecord], p: int = 2, *,
     }
 
 
-def _sq_distances(norm, rec: TrajectoryRecord, ref: TrajectoryRecord) -> np.ndarray:
-    """norm(a - b)^2 for each record of two runs that stored snapshots."""
-    return np.array([norm(a.grid, a.coeffs - b.coeffs) ** 2
-                     for a, b in zip(rec.snapshots, ref.snapshots)])
+def _distances_to(refs, out: list, t: float, state: SpectralVelocity) -> None:
+    """Observer for ``run``, bound with ``partial``: append
+    (|state - ref|_H^2, ||state - ref||_V^2) to ``out``, ref the next of ``refs``."""
+    d = state.coeffs - next(refs).coeffs
+    out.append((h_norm(state.grid, d) ** 2, v_norm(state.grid, d) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +174,18 @@ def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
     grid = ctx.grid
     v0 = make_initial(config.initial_kind, grid, config.initial_params)
     path = member_path(config, ctx)
-    rec1 = run(config, ctx=ctx, path=path, v0=v0, store_snapshots=True, warn_cfl=False)
+    states1 = []
+    rec1 = run(config, ctx=ctx, path=path, v0=v0, observe=lambda t, s: states1.append(s),
+               warn_cfl=False)
     pert = perturbation_field(grid, delta) if delta > 0 else SpectralVelocity(
         grid, np.zeros_like(v0.coeffs))
     v0b = SpectralVelocity(grid, v0.coeffs + pert.coeffs)
-    rec2 = run(config, ctx=ctx, path=path, v0=v0b, store_snapshots=True, warn_cfl=False)
+    sq = []
+    run(config, ctx=ctx, path=path, v0=v0b, observe=partial(_distances_to, iter(states1), sq),
+        warn_cfl=False)
 
     times = rec1.times
-    diff_sq = _sq_distances(h_norm, rec2, rec1)
+    diff_sq = np.array(sq)[:, 0]
     bitwise = bool(np.all(diff_sq == 0.0))
     vsq2 = 2.0 * rec1.diagnostics["enstrophy"]  # ||v2||_V^2 of the base flow
     integral = np.concatenate([[0.0], np.cumsum(
@@ -236,9 +242,9 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     ctx = build_context(base_config)  # the noisy runs share its model and cache
-    det = run(base_config.with_epsilon(0.0), ctx=replace(ctx, epsilon=0.0, _cache={}),
-              store_snapshots=True, warn_cfl=False)
-    times = det.times
+    det_states = []
+    times = run(base_config.with_epsilon(0.0), ctx=replace(ctx, epsilon=0.0, _cache={}),
+                observe=lambda t, s: det_states.append(s), warn_cfl=False).times
 
     sup_h = np.zeros((len(epsilons), ensemble_size))
     int_v = np.zeros((len(epsilons), ensemble_size))
@@ -247,9 +253,12 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
         eps_ctx = replace(ctx, epsilon=float(eps))
         for m in range(ensemble_size):
             member = m if shared_path else m + 1000 * (j + 1)
-            rec = run(cfg, member, ctx=eps_ctx, store_snapshots=True, warn_cfl=False)
-            sup_h[j, m] = np.sqrt(_sq_distances(h_norm, rec, det).max())
-            int_v[j, m] = np.trapezoid(_sq_distances(v_norm, rec, det), times)
+            sq = []
+            run(cfg, member, ctx=eps_ctx, observe=partial(_distances_to, iter(det_states), sq),
+                warn_cfl=False)
+            h_sq, v_sq = np.array(sq).T
+            sup_h[j, m] = np.sqrt(h_sq.max())
+            int_v[j, m] = np.trapezoid(v_sq, times)
 
     rms_h = np.sqrt((sup_h**2).mean(axis=1))
     rms_v = np.sqrt((int_v**2).mean(axis=1))

@@ -67,6 +67,18 @@ class BlowUpError(RuntimeError):
         self.time = time
 
 
+def _step_count(dt: float, t_end: float) -> int:
+    """Steps of size dt to t_end; ValueError unless t_end = n dt, n >= 1."""
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    if not t_end >= dt:
+        raise ValueError("t_end must be at least dt")
+    n_steps = t_end / dt
+    if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
+        raise ValueError("t_end must be an integer multiple of dt")
+    return int(round(n_steps))
+
+
 @dataclass
 class SolverConfig:
     n_modes: int = 32
@@ -84,21 +96,15 @@ class SolverConfig:
     noise_mixing: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least dt")
+        _step_count(self.dt, self.t_end)
         if self.initial_kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial condition {self.initial_kind!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        n_steps = self.t_end / self.dt
-        if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
-            raise ValueError("t_end must be an integer multiple of dt")
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.t_end / self.dt))
+        return _step_count(self.dt, self.t_end)
 
     def with_epsilon(self, epsilon: float) -> "SolverConfig":
         return replace(self, epsilon=epsilon)
@@ -108,6 +114,7 @@ class SolverConfig:
 class TrajectoryRecord:
     times: np.ndarray
     diagnostics: dict  # arrays: energy, enstrophy, h_norm, v_norm, max_div
+    # never set by run (states go to its observer); read by perfbench/hook.py
     snapshots: list | None = None
 
     def __post_init__(self):
@@ -319,9 +326,36 @@ def member_path(config: SolverConfig, ctx: OperatorContext, member: int = 0) -> 
     return WienerPath(config.seed, config.dt, config.n_steps, config.k_modes, member=member)
 
 
+# A diverging (or non-finite initial) state overflows before the loop raises
+# BlowUpError, and TrajectoryRecord rejects any non-finite record, so
+# floating-point warnings would add nothing.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+def _integrate(state, advance, path: WienerPath | None, n_steps: int, dt: float,
+               record_every: int, observe) -> np.ndarray:
+    """Step ``state`` n_steps times by ``advance(state, dbeta)``, which returns
+    a new state, with the increments of ``path`` (None without a path), and
+    call ``observe(t, state)`` at t = 0, every ``record_every`` steps and at
+    the last; return those times.  Raises BlowUpError at the first state
+    that is not finite."""
+    times = [0.0]
+    observe(0.0, state)
+    for i in range(n_steps):
+        state = advance(state, None if path is None else path.increments[i])
+        t = (i + 1) * dt
+        if not np.isfinite(state.coeffs).all():
+            raise BlowUpError(i + 1, t)
+        if (i + 1) % record_every == 0 or i + 1 == n_steps:
+            times.append(t)
+            observe(t, state)
+    return np.array(times)
+
+
+@_quiet_overflow
 def run(config: SolverConfig, member_index: int = 0, *,
         ctx: OperatorContext | None = None, path: WienerPath | None = None,
-        v0: SpectralVelocity | None = None, store_snapshots: bool = False,
+        v0: SpectralVelocity | None = None, observe=None,
         warn_cfl: bool = True) -> TrajectoryRecord:
     """Integrate the stochastic system from t = 0 to t_end.
 
@@ -329,6 +363,8 @@ def run(config: SolverConfig, member_index: int = 0, *,
     unless an explicit ``path`` (e.g. a refined/coarsened one) is supplied.
     Bit-reproducible for a fixed config and member index.  A given ``ctx``
     must match the config in eps, Re, N and K, or ``ValueError`` names the field.
+    ``observe(t, state)``, when given, sees each recorded state (``v0`` itself
+    at t = 0) and may keep it; the record holds only the diagnostics.
     """
     ctx = ctx or build_context(config)
     for name, got, want in (("epsilon", ctx.epsilon, config.epsilon),
@@ -337,38 +373,28 @@ def run(config: SolverConfig, member_index: int = 0, *,
                             ("k_modes", ctx.noise.k_modes, config.k_modes)):
         if got != want:
             raise ValueError(f"context {name} {got!r} disagrees with config {want!r}")
-    grid = ctx.grid
-    n_steps = config.n_steps
-    noisy = ctx.noisy
     if path is None:
         path = member_path(config, ctx, member_index)
-    # A diverging (or non-finite initial) state overflows before the check
-    # after each step raises BlowUpError, and TrajectoryRecord rejects any
-    # non-finite record, so floating-point warnings would add nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        state = v0.copy() if v0 is not None else make_initial(
-            config.initial_kind, grid, config.initial_params)
-        if warn_cfl:
-            check_cfl(config, state)
-        times, rows, snaps = [0.0], [_record(state)], []
-        if store_snapshots:
-            snaps.append(state.copy())
-        for i in range(n_steps):
-            dbeta = path.increments[i] if noisy else None
-            state = step(state, ctx, dbeta, config.dt)
-            t = (i + 1) * config.dt
-            if not np.isfinite(state.coeffs).all():
-                raise BlowUpError(i + 1, t)
-            if (i + 1) % config.record_every == 0 or i + 1 == n_steps:
-                times.append(t)
-                rows.append(_record(state))
-                if store_snapshots:
-                    snaps.append(state.copy())
+    state = v0 if v0 is not None else make_initial(
+        config.initial_kind, ctx.grid, config.initial_params)
+    if warn_cfl:
+        check_cfl(config, state)
+    rows = []
+
+    def record(t, state):
+        rows.append(_record(state))
+        if observe is not None:
+            observe(t, state)
+
+    # step is looked up at each call: perfbench/hook.py's one-shot timer rebinds it
+    times = _integrate(state, lambda v, dbeta: step(v, ctx, dbeta, config.dt), path,
+                       config.n_steps, config.dt, config.record_every, record)
     names = ("energy", "enstrophy", "h_norm", "v_norm", "max_div")
     diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(names)}
-    return TrajectoryRecord(np.array(times), diags, snaps if store_snapshots else None)
+    return TrajectoryRecord(times, diags)
 
 
+@_quiet_overflow
 def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
                          ctx: OperatorContext, dt: float, t_end: float,
                          path: WienerPath | None, record_every: int = 1) -> dict:
@@ -379,34 +405,29 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
 
     in a steady velocity u: q+ = q - (c.grad) q + (eps^2 dt / 2) div(a grad q),
     c = dt (u - eps^2 u_s) + eps xi, by ``_transport`` through one workspace
-    per call (7 real transforms with noise, 5 without).  Raises BlowUpError
-    at the first step whose tracer is not finite.  Returns {"times",
-    "energies"} with 0.5 |q|_H^2 recorded.
+    per call (7 real transforms with noise, 5 without).  Raises ValueError
+    unless t_end is a positive integer multiple of dt, and BlowUpError at the
+    first step whose tracer is not finite.  Returns {"times", "energies"}
+    with 0.5 |q|_H^2 recorded.
     """
     grid = ctx.grid
     eps = ctx.epsilon
-    n_steps = int(round(t_end / dt))
+    n_steps = _step_count(dt, t_end)
     noisy = ctx.noisy
     if noisy and path is None:
         raise ValueError("a WienerPath is required when the noise is active")
     u_adv = velocity.coeffs - (eps**2) * ctx.us
     work = _StepWorkspace(grid, noisy, k=1)
+    energies = []
 
-    q = q0.coeffs[None]
-    times = [0.0]
-    energies = [0.5 * h_norm(grid, q) ** 2]
-    # as in run, a diverging tracer ends in BlowUpError, not in FP warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            xi = ctx.noise_field(path.increments[i], out=work.xi) if noisy else None
-            hat = _transport(ctx, work, u_adv, q, xi, dt)
-            q = q - hat[:1]
-            if noisy:
-                q += (0.5 * eps**2 * dt) * divergence(grid, hat[1:])
-            t = (i + 1) * dt
-            if not np.isfinite(q).all():
-                raise BlowUpError(i + 1, t)
-            if (i + 1) % record_every == 0 or i + 1 == n_steps:
-                times.append(t)
-                energies.append(0.5 * h_norm(grid, q) ** 2)
-    return {"times": np.array(times), "energies": np.array(energies)}
+    def advance(q, dbeta):
+        xi = ctx.noise_field(dbeta, out=work.xi) if noisy else None
+        hat = _transport(ctx, work, u_adv, q.coeffs[None], xi, dt)
+        coeffs = q.coeffs - hat[0]
+        if noisy:
+            coeffs += (0.5 * eps**2 * dt) * divergence(grid, hat[1:])
+        return SpectralScalar(grid, coeffs)
+
+    times = _integrate(q0, advance, path, n_steps, dt, record_every,
+                       lambda t, q: energies.append(0.5 * h_norm(grid, q.coeffs) ** 2))
+    return {"times": times, "energies": np.array(energies)}

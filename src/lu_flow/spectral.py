@@ -88,9 +88,6 @@ class SpectralVelocity:
     grid: TorusGrid
     coeffs: np.ndarray  # complex128, shape (2, n, n)
 
-    def copy(self) -> "SpectralVelocity":
-        return SpectralVelocity(self.grid, self.coeffs.copy())
-
 
 @dataclass
 class SpectralScalar:

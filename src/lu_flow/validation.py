@@ -66,10 +66,10 @@ def run_validation_suite(config: SolverConfig) -> list[tuple]:
     tg_cfg = SolverConfig(n_modes=config.n_modes, reynolds=100.0, epsilon=0.0,
                           dt=1e-3, t_end=0.1, k_modes=config.k_modes,
                           initial_kind="taylor_green")
-    rec = run(tg_cfg, ctx=replace(ctx, epsilon=0.0, reynolds=100.0), store_snapshots=True,
-              warn_cfl=False)
-    v0 = rec.snapshots[0]
-    vT = rec.snapshots[-1]
+    states = []
+    run(tg_cfg, ctx=replace(ctx, epsilon=0.0, reynolds=100.0),
+        observe=lambda t, s: states.append(s), warn_cfl=False)
+    v0, vT = states[0], states[-1]
     exact = v0.coeffs * np.exp(-2.0 * tg_cfg.t_end / tg_cfg.reynolds)
     tg_err = h_norm(grid, vT.coeffs - exact) / h_norm(grid, exact)
     results.append(("taylor_green_decay", tg_err < 1e-8, f"rel L2 error {tg_err:.2e}"))

@@ -23,6 +23,15 @@ def random_div_free(grid, gen, band=None, components=2):
     return coeffs[0] if components == 1 else coeffs
 
 
+def recorded_states(config, *args, **kwargs) -> list:
+    """The states ``run(config, ...)`` records, kept by its observer."""
+    from lu_flow.solver import run
+
+    states = []
+    run(config, *args, observe=lambda t, state: states.append(state), **kwargs)
+    return states
+
+
 def synthetic_inhomogeneous_model(grid, amplitude=1.0):
     """Hand-built noise model mixing wavevectors from different shells.
 

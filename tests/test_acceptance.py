@@ -48,7 +48,7 @@ from lu_flow.spectral import (
     v_norm,
 )
 
-from conftest import random_div_free
+from conftest import random_div_free, recorded_states
 
 
 def _report(num, name, ok, detail):
@@ -146,10 +146,10 @@ def test_criterion_3_taylor_green_oracle():
     t0 = time.time()
     cfg = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.0, dt=1e-3,
                        t_end=1.0, k_modes=4, record_every=1000)
-    rec = run(cfg.with_epsilon(0.0), store_snapshots=True, warn_cfl=False)
-    grid = rec.snapshots[0].grid
-    exact = rec.snapshots[0].coeffs * np.exp(-2.0 * cfg.t_end / cfg.reynolds)
-    err = h_norm(grid, rec.snapshots[-1].coeffs - exact) / h_norm(grid, exact)
+    states = recorded_states(cfg.with_epsilon(0.0), warn_cfl=False)
+    grid = states[0].grid
+    exact = states[0].coeffs * np.exp(-2.0 * cfg.t_end / cfg.reynolds)
+    err = h_norm(grid, states[-1].coeffs - exact) / h_norm(grid, exact)
     elapsed = time.time() - t0
     ok = err <= 1e-6 and elapsed < 30
     _report(3, "Taylor-Green decay oracle", ok,

@@ -171,3 +171,33 @@ def test_shared_paths_reduce_error():
     # deterministic solution: both compare against the same reference, so
     # this is a per-epsilon sanity check, not an inequality theorem
     assert np.all(shared.errors_h <= indep.errors_h * 1.5)
+
+
+# ---------------------------------------------------------------------------
+# one run per trajectory, one step lookup per step
+
+
+def test_each_trajectory_is_one_run_of_n_steps(monkeypatch):
+    # every member and every reference enters through one call of the run its
+    # caller's module binds, and each of its steps calls solver.step afresh
+    import lu_flow.diagnostics
+    import lu_flow.solver
+
+    calls = {"run": 0, "step": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(lu_flow.solver, "step", counting("step", lu_flow.solver.step))
+    monkeypatch.setattr(lu_flow.diagnostics, "run", counting("run", lu_flow.diagnostics.run))
+    cfg = base_cfg(n_modes=16, t_end=0.02, record_every=5, k_modes=4)
+    epsilons, members = [0.2, 0.1, 0.05], 3
+    epsilon_convergence_study(cfg, epsilons, members)
+    runs = 1 + len(epsilons) * members
+    assert calls == {"run": runs, "step": runs * cfg.n_steps}
+    calls.update(run=0, step=0)
+    contraction_test(cfg, delta=1e-3)
+    assert calls == {"run": 2, "step": 2 * cfg.n_steps}

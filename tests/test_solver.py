@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from lu_flow import solver
 from lu_flow.diagnostics import epsilon_convergence_study
 from lu_flow.noise import WienerPath
 from lu_flow.operators import OperatorContext, apply_B, apply_F, noise_increment
@@ -32,9 +33,10 @@ from lu_flow.spectral import (
     max_divergence,
     save_snapshot,
     tensor_flux,
+    v_norm,
 )
 
-from conftest import random_div_free, synthetic_inhomogeneous_model
+from conftest import random_div_free, recorded_states, synthetic_inhomogeneous_model
 
 
 def short_config(**kw):
@@ -46,6 +48,23 @@ def short_config(**kw):
 
 # ---------------------------------------------------------------------------
 # config validation
+
+
+@pytest.mark.parametrize("dt,t_end,message", [
+    (0.03, 0.05, "integer multiple"),
+    (0.03, 0.01, "at least dt"),
+    (0.01, 0.0, "at least dt"),
+    (0.0, 0.05, "dt must be positive"),
+    (float("nan"), 0.05, "dt must be positive"),
+], ids=["off-grid", "below-dt", "zero-end", "zero-dt", "nan-dt"])
+def test_end_time_must_be_a_multiple_of_dt(grid32, dt, t_end, message):
+    # the tracer and SolverConfig apply one rule to (dt, t_end)
+    ctx = build_context(short_config(epsilon=0.0))
+    q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
+    with pytest.raises(ValueError, match=message):
+        run_scalar_transport(q0, u, ctx, dt, t_end, None)
+    with pytest.raises(ValueError, match=message):
+        SolverConfig(dt=dt, t_end=t_end)
 
 
 def test_config_rejects_bad_values():
@@ -264,14 +283,13 @@ def test_step_self_convergence_under_path_refinement():
     for m in range(16):
         fine = WienerPath(cfg.seed, dt_ref, int(round(cfg.t_end / dt_ref)),
                           cfg.k_modes, member=m)
-        ref = run(cfg.__class__(**{**cfg.__dict__, "dt": dt_ref}), m, ctx=ctx,
-                  path=fine, store_snapshots=True, warn_cfl=False)
+        ref = recorded_states(cfg.__class__(**{**cfg.__dict__, "dt": dt_ref}), m, ctx=ctx,
+                              path=fine, warn_cfl=False)
         for i, dt in enumerate(dts):
             coarse = fine.coarsen(int(round(dt / dt_ref)))
-            rec = run(cfg.__class__(**{**cfg.__dict__, "dt": dt}), m, ctx=ctx,
-                      path=coarse, store_snapshots=True, warn_cfl=False)
-            errors[i, m] = h_norm(grid, rec.snapshots[-1].coeffs
-                                  - ref.snapshots[-1].coeffs)
+            states = recorded_states(cfg.__class__(**{**cfg.__dict__, "dt": dt}), m, ctx=ctx,
+                                     path=coarse, warn_cfl=False)
+            errors[i, m] = h_norm(grid, states[-1].coeffs - ref[-1].coeffs)
     rms = np.sqrt((errors**2).mean(axis=1))
     assert rms[0] > rms[1] > rms[2]  # monotone over the dyadic sweep
     assert rms[0] / rms[1] >= 1.3
@@ -285,13 +303,55 @@ def test_step_self_convergence_under_path_refinement():
 def test_zero_noise_reduction_bitwise():
     # with the noise off (eps = 0 or a null amplitude) the run is the
     # deterministic one, bit for bit, whatever the noise model
-    runs = [run(short_config(**kw), store_snapshots=True, warn_cfl=False) for kw in (
+    runs = [recorded_states(short_config(**kw), warn_cfl=False) for kw in (
         dict(epsilon=0.0, k_modes=8, noise_mixing=True),
         dict(epsilon=0.1, amplitude=0.0),
         dict(epsilon=0.0, k_modes=1),
     )]
-    snaps = [[s.coeffs.tobytes() for s in rec.snapshots] for rec in runs]
+    snaps = [[s.coeffs.tobytes() for s in states] for states in runs]
     assert snaps[0] == snaps[1] == snaps[2]
+
+
+@pytest.mark.parametrize("trajectory", ["velocity", "tracer"])
+def test_record_cadence(grid32, monkeypatch, trajectory):
+    # dt = 0.01, T = 0.05, every 2 steps: t = 0, steps 2 and 4, and the last
+    seen = []
+    integrate = solver._integrate
+
+    def spy(*args):
+        *loop, observe = args
+
+        def observe_and_log(t, state):
+            seen.append(t)
+            observe(t, state)
+        return integrate(*loop, observe_and_log)
+
+    monkeypatch.setattr(solver, "_integrate", spy)
+    cfg = short_config(dt=0.01, t_end=0.05, record_every=2)
+    if trajectory == "velocity":
+        times = run(cfg, warn_cfl=False).times
+    else:
+        ctx = build_context(cfg)
+        times = run_scalar_transport(make_tracer(grid32), make_initial("taylor_green", grid32),
+                                     ctx, cfg.dt, cfg.t_end, member_path(cfg, ctx),
+                                     record_every=cfg.record_every)["times"]
+    assert seen == [0.0, 0.02, 0.04, 0.05] == times.tolist()
+
+
+def test_step_is_looked_up_at_every_step(monkeypatch):
+    # a wrapper that unbinds itself on its first call, as a one-shot timing
+    # hook does, must see one call and not every step of the first run
+    calls = []
+    original = solver.step
+
+    def first_step(*args, **kwargs):
+        calls.append(1)
+        monkeypatch.setattr(solver, "step", original)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "step", first_step)
+    run(short_config(t_end=5e-3), warn_cfl=False)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("field,ctx_value", [("epsilon", 0.2), ("reynolds", 50.0),
@@ -311,9 +371,9 @@ def test_run_bitwise_reproducible():
 
 
 def test_recorded_states_divergence_free():
-    rec = run(short_config(), store_snapshots=True)
+    states = recorded_states(short_config())
     grid = TorusGrid(32)
-    for snap in rec.snapshots:
+    for snap in states:
         assert max_divergence(grid, snap.coeffs) <= 1e-10 * h_norm(grid, snap.coeffs)
 
 
@@ -322,10 +382,11 @@ def test_run_n96_mixed_noise():
     cfg = short_config(n_modes=96, t_end=3e-3, record_every=1, k_modes=8,
                        initial_kind="random_band",
                        initial_params={"k_min": 1, "k_max": 24, "energy": 1.0, "seed": 1})
-    rec = run(cfg, store_snapshots=True, warn_cfl=False)
+    states = []
+    rec = run(cfg, observe=lambda t, state: states.append(state), warn_cfl=False)
     assert len(rec.times) == 4
     grid = TorusGrid(96)
-    for snap in rec.snapshots:
+    for snap in states:
         assert max_divergence(grid, snap.coeffs) <= 1e-12 * h_norm(grid, snap.coeffs)
 
 
@@ -335,16 +396,21 @@ def test_convergence_study_matches_fresh_contexts():
     cfg = short_config(n_modes=16, t_end=0.02, record_every=5, k_modes=4)
     epsilons = [0.2, 0.1]
     report = epsilon_convergence_study(cfg, epsilons, 2)
-    det = run(cfg.with_epsilon(0.0), store_snapshots=True, warn_cfl=False)
+    det_states = []
+    det = run(cfg.with_epsilon(0.0), observe=lambda t, state: det_states.append(state),
+              warn_cfl=False)
     grid = TorusGrid(16)
     for j, eps in enumerate(epsilons):
         eps_cfg = cfg.with_epsilon(eps)
         ctx = build_context(eps_cfg)
+        int_v = []
         for m in range(2):
-            rec = run(eps_cfg, m, ctx=ctx, store_snapshots=True, warn_cfl=False)
-            dh = [h_norm(grid, a.coeffs - b.coeffs) ** 2
-                  for a, b in zip(rec.snapshots, det.snapshots)]
+            states = recorded_states(eps_cfg, m, ctx=ctx, warn_cfl=False)
+            dh = [h_norm(grid, a.coeffs - b.coeffs) ** 2 for a, b in zip(states, det_states)]
+            dv = [v_norm(grid, a.coeffs - b.coeffs) ** 2 for a, b in zip(states, det_states)]
             assert report.per_member_h[j, m] == np.sqrt(max(dh))
+            int_v.append(np.trapezoid(dv, det.times))
+        assert report.errors_v_sq[j] == np.sqrt((np.array(int_v) ** 2).mean())
 
 
 def test_deterministic_energy_monotone():
@@ -359,8 +425,8 @@ def test_zero_initial_stays_zero(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
     v0 = SpectralVelocity(grid32, np.zeros((2, 32, 32), dtype=complex))
-    rec = run(cfg, ctx=ctx, v0=v0, store_snapshots=True, warn_cfl=False)
-    assert all(np.all(s.coeffs == 0.0) for s in rec.snapshots)
+    states = recorded_states(cfg, ctx=ctx, v0=v0, warn_cfl=False)
+    assert all(np.all(s.coeffs == 0.0) for s in states)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
