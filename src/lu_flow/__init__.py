@@ -4,8 +4,6 @@ under location-uncertainty transport noise on the periodic torus."""
 __version__ = "0.1.0"  # before the imports: config reads it while the package loads
 
 from .spectral import (
-    SpectralScalar,
-    SpectralVelocity,
     TorusGrid,
     dealiased_product,
     energy,
@@ -13,7 +11,6 @@ from .spectral import (
     leray_project,
     load_snapshot,
     save_snapshot,
-    spectral_derivative,
     v_norm,
 )
 from .noise import NoiseModel, WienerPath, build_noise_model, check_regularity

@@ -15,8 +15,7 @@ import numpy as np
 from .noise import NoiseModel
 from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, member_path, run
 from .spectral import (
-    SpectralScalar,
-    SpectralVelocity,
+    TorusGrid,
     divergence,
     gradient,
     h_norm,
@@ -29,7 +28,7 @@ from .spectral import (
 # ---------------------------------------------------------------------------
 # transport energy neutrality
 
-def energy_budget_transport(q: SpectralScalar, model: NoiseModel, epsilon: float) -> dict:
+def energy_budget_transport(q: np.ndarray, model: NoiseModel, epsilon: float) -> dict:
     """Diffusion loss vs Ito noise intake for a tracer.
 
     diffusion_loss = (eps^2/2) int q div(a grad q) dx,
@@ -38,13 +37,13 @@ def energy_budget_transport(q: SpectralScalar, model: NoiseModel, epsilon: float
     the residual (their sum) vanishes to rounding: spectral integration by
     parts on the torus is exact.
     """
-    grid = q.grid
-    gq = gradient(grid, q.coeffs)
-    flux_hat = tensor_flux(grid, model.a_pad, q.coeffs)
+    grid = model.grid
+    gq = gradient(grid, q)
+    flux_hat = tensor_flux(grid, model.a_pad, q)
     div_flux = divergence(grid, flux_hat)
     half_eps2 = 0.5 * epsilon**2
     two_pi_sq = (2.0 * np.pi) ** 2
-    diffusion_loss = half_eps2 * two_pi_sq * float(np.sum((np.conj(q.coeffs) * div_flux).real))
+    diffusion_loss = half_eps2 * two_pi_sq * float(np.sum((np.conj(q) * div_flux).real))
     noise_intake = half_eps2 * two_pi_sq * float(np.sum((np.conj(gq) * flux_hat).real))
     return {
         "diffusion_loss": diffusion_loss,
@@ -122,11 +121,11 @@ def energy_estimate_check(records: list[TrajectoryRecord], p: int = 2, *,
     }
 
 
-def _distances_to(refs, out: list, t: float, state: SpectralVelocity) -> None:
+def _distances_to(grid: TorusGrid, refs, out: list, t: float, state: np.ndarray) -> None:
     """Observer for ``run``, bound with ``partial``: append
     (|state - ref|_H^2, ||state - ref||_V^2) to ``out``, ref the next of ``refs``."""
-    d = state.coeffs - next(refs).coeffs
-    out.append((h_norm(state.grid, d) ** 2, v_norm(state.grid, d) ** 2))
+    d = state - next(refs)
+    out.append((h_norm(grid, d) ** 2, v_norm(grid, d) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +150,12 @@ def _fitted_growth_rate(log_ratio: np.ndarray, times: np.ndarray, epsilon: float
     return float(max(0.0, np.max(log_ratio[mask] / denom)))
 
 
-def perturbation_field(grid, delta: float) -> SpectralVelocity:
+def perturbation_field(grid: TorusGrid, delta: float) -> np.ndarray:
     """Unit-H-norm random divergence-free field scaled by delta."""
     gen = np.random.Generator(np.random.Philox(key=[1234, 3 * 2**32]))
     coeffs = random_solenoidal(grid, gen, 1, grid.n_modes // 4)
     coeffs *= delta / h_norm(grid, coeffs)
-    return SpectralVelocity(grid, coeffs)
+    return coeffs
 
 
 def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
@@ -177,12 +176,10 @@ def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
     states1 = []
     rec1 = run(config, ctx=ctx, path=path, v0=v0, observe=lambda t, s: states1.append(s),
                warn_cfl=False)
-    pert = perturbation_field(grid, delta) if delta > 0 else SpectralVelocity(
-        grid, np.zeros_like(v0.coeffs))
-    v0b = SpectralVelocity(grid, v0.coeffs + pert.coeffs)
+    pert = perturbation_field(grid, delta) if delta > 0 else np.zeros_like(v0)
     sq = []
-    run(config, ctx=ctx, path=path, v0=v0b, observe=partial(_distances_to, iter(states1), sq),
-        warn_cfl=False)
+    run(config, ctx=ctx, path=path, v0=v0 + pert,
+        observe=partial(_distances_to, grid, iter(states1), sq), warn_cfl=False)
 
     times = rec1.times
     diff_sq = np.array(sq)[:, 0]
@@ -254,8 +251,8 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
         for m in range(ensemble_size):
             member = m if shared_path else m + 1000 * (j + 1)
             sq = []
-            run(cfg, member, ctx=eps_ctx, observe=partial(_distances_to, iter(det_states), sq),
-                warn_cfl=False)
+            run(cfg, member, ctx=eps_ctx,
+                observe=partial(_distances_to, ctx.grid, iter(det_states), sq), warn_cfl=False)
             h_sq, v_sq = np.array(sq).T
             sup_h[j, m] = np.sqrt(h_sq.max())
             int_v[j, m] = np.trapezoid(v_sq, times)

@@ -26,7 +26,6 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     TorusGrid,
-    SpectralVelocity,
     divergence,
     from_physical,
     leray_project,
@@ -103,7 +102,7 @@ class NoiseModel:
     variance_tensor: np.ndarray = field(init=False)
     variance_hat: np.ndarray = field(init=False)
     a_pad: np.ndarray = field(init=False)
-    ito_stokes_drift: SpectralVelocity = field(init=False)
+    ito_stokes_drift: np.ndarray = field(init=False)
     drift_projected: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -119,7 +118,7 @@ class NoiseModel:
         self.variance_hat = from_physical(grid, a)
         self.a_pad = to_physical(grid, self.variance_hat, grid.pad_size)
         us = np.stack([0.5 * divergence(grid, self.variance_hat[i]) for i in range(2)])
-        self.ito_stokes_drift = SpectralVelocity(grid, us)
+        self.ito_stokes_drift = us
         self.drift_projected = leray_project(grid, us)
 
     @property
@@ -192,8 +191,8 @@ def check_regularity(model: NoiseModel) -> dict:
     last_term_ratio = float(terms[-1] / partial) if partial > 0 else 0.0
     tail_ratio = float(terms[len(terms) // 2:].sum() / partial) if partial > 0 else 0.0
     us = model.ito_stokes_drift
-    us_h3 = float(np.sqrt(sobolev_norm_sq(grid, us.coeffs, 3)))
-    a_grad_us_v = v_norm(grid, tensor_flux(grid, model.a_pad, us.coeffs))
+    us_h3 = float(np.sqrt(sobolev_norm_sq(grid, us, 3)))
+    a_grad_us_v = v_norm(grid, tensor_flux(grid, model.a_pad, us))
     return {
         "partial_sum_h3": partial,
         "terms_h3": terms,

@@ -35,7 +35,6 @@ import numpy as np
 from .noise import NoiseModel
 from .spectral import (
     GridMismatchError,
-    SpectralVelocity,
     TorusGrid,
     advect,
     divergence,
@@ -100,7 +99,7 @@ class OperatorContext:
         """Raw (unprojected) drift 0.5 div a.  For degenerate-shell mode
         mixing the solenoidal part cancels exactly, so the raw field may be
         a pure gradient even when it is nonzero."""
-        return self.noise.ito_stokes_drift.coeffs
+        return self.noise.ito_stokes_drift
 
     @property
     def us_pad(self) -> np.ndarray:
@@ -145,24 +144,20 @@ class OperatorContext:
         return a_phi, b_phi_us
 
 
-def apply_A(ctx: OperatorContext, v: SpectralVelocity) -> SpectralVelocity:
+def apply_A(ctx: OperatorContext, v: np.ndarray) -> np.ndarray:
     """Stokes operator: (|k|^2 / Re) per mode."""
-    return SpectralVelocity(v.grid, (ctx.grid.k_sq / ctx.reynolds) * v.coeffs)
+    return (ctx.grid.k_sq / ctx.reynolds) * v
 
 
-def apply_B(ctx: OperatorContext, u: SpectralVelocity, v: SpectralVelocity) -> SpectralVelocity:
+def apply_B(ctx: OperatorContext, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """P(u . grad v), evaluated pseudo-spectrally with dealiasing."""
-    if u.grid != v.grid:
-        raise GridMismatchError("operands live on different grids")
-    out = leray_project(ctx.grid, advect(ctx.grid, u.coeffs, v.coeffs))
-    return SpectralVelocity(v.grid, out)
+    return leray_project(ctx.grid, advect(ctx.grid, u, v))
 
 
-def trilinear_b(ctx: OperatorContext, u: SpectralVelocity, v: SpectralVelocity,
-                w: SpectralVelocity) -> float:
+def trilinear_b(ctx: OperatorContext, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     """b(u, v, w) = (w, (u.grad) v)_H."""
-    uv = advect(ctx.grid, u.coeffs, v.coeffs)
-    return h_inner(ctx.grid, w.coeffs, uv)
+    uv = advect(ctx.grid, u, v)
+    return h_inner(ctx.grid, w, uv)
 
 
 def _div_a_grad(ctx: OperatorContext, coeffs: np.ndarray) -> np.ndarray:
@@ -177,23 +172,21 @@ def dirichlet_form(ctx: OperatorContext, coeffs: np.ndarray) -> float:
     return h_inner(grid, gradient(grid, coeffs), tensor_flux(grid, ctx.a_pad, coeffs))
 
 
-def apply_F(ctx: OperatorContext, v: SpectralVelocity) -> SpectralVelocity:
+def apply_F(ctx: OperatorContext, v: np.ndarray) -> np.ndarray:
     """Drift correction induced by the noise; zero when eps = 0."""
     grid = ctx.grid
     eps2 = ctx.epsilon**2
     if eps2 == 0.0:
-        return SpectralVelocity(v.grid, np.zeros_like(v.coeffs))
-    us_field = SpectralVelocity(grid, ctx.us_raw)
-    b_v_us = apply_B(ctx, v, us_field).coeffs
-    out = eps2 * b_v_us
-    out -= 0.5 * eps2 * _div_a_grad(ctx, v.coeffs)
+        return np.zeros_like(v)
+    out = eps2 * apply_B(ctx, v, ctx.us_raw)
+    out -= 0.5 * eps2 * _div_a_grad(ctx, v)
     out -= 0.5 * eps2**2 * ctx.div_a_grad_us
     out -= eps2 * leray_project(grid, (grid.k_sq / ctx.reynolds) * ctx.us_raw)
     # + eps^2 P d/dt u_s: identically zero for time-independent noise
-    return SpectralVelocity(v.grid, out)
+    return out
 
 
-def apply_G_column(ctx: OperatorContext, v: SpectralVelocity, k: int) -> SpectralVelocity:
+def apply_G_column(ctx: OperatorContext, v: np.ndarray, k: int) -> np.ndarray:
     """G(v) phi_k = -eps A phi_k - eps B(phi_k, v) - eps^3 B(phi_k, u_s),
     the noise increment for the k-th unit increment vector."""
     if not 0 <= k < ctx.noise.k_modes:
@@ -201,7 +194,7 @@ def apply_G_column(ctx: OperatorContext, v: SpectralVelocity, k: int) -> Spectra
     return noise_increment(ctx, v, np.eye(ctx.noise.k_modes)[k])
 
 
-def noise_increment(ctx: OperatorContext, v: SpectralVelocity, dbeta: np.ndarray) -> SpectralVelocity:
+def noise_increment(ctx: OperatorContext, v: np.ndarray, dbeta: np.ndarray) -> np.ndarray:
     """sum_k G(v) phi_k * dbeta_k, using linearity of G in its noise argument.
 
     The state-independent parts are contracted against dbeta directly and
@@ -213,23 +206,23 @@ def noise_increment(ctx: OperatorContext, v: SpectralVelocity, dbeta: np.ndarray
         raise ValueError(f"expected {ctx.noise.k_modes} increments, got shape {dbeta.shape}")
     eps = ctx.epsilon
     if eps == 0.0:
-        return SpectralVelocity(v.grid, np.zeros_like(v.coeffs))
+        return np.zeros_like(v)
     grid = ctx.grid
     a_phi, b_phi_us = ctx.additive_noise_parts
     xi = ctx.noise_field(dbeta)
-    b_xi_v = leray_project(grid, advect(grid, xi, v.coeffs))
+    b_xi_v = leray_project(grid, advect(grid, xi, v))
     out = -eps * np.tensordot(dbeta, a_phi, axes=(0, 0))
     out -= eps * b_xi_v
     out -= eps**3 * np.tensordot(dbeta, b_phi_us, axes=(0, 0))
-    return SpectralVelocity(v.grid, out)
+    return out
 
 
-def transport_quadratic_sum(ctx: OperatorContext, v: SpectralVelocity) -> float:
+def transport_quadratic_sum(ctx: OperatorContext, v: np.ndarray) -> float:
     """sum_k |(phi_k . grad) v|_H^2 (without projection), the Ito intake side
     of the energy-neutrality identity."""
     grid = ctx.grid
     m = grid.pad_size
-    gv_phys = to_physical(grid, gradient(grid, v.coeffs), m)
+    gv_phys = to_physical(grid, gradient(grid, v), m)
     total = 0.0
     for phi in ctx.phi_stack:
         phi_pad = to_physical(grid, phi, m)

@@ -37,8 +37,6 @@ import numpy as np
 from .noise import WienerPath, build_noise_model
 from .operators import OperatorContext
 from .spectral import (
-    SpectralScalar,
-    SpectralVelocity,
     TorusGrid,
     TransformBuffers,
     divergence,
@@ -79,6 +77,26 @@ def _step_count(dt: float, t_end: float) -> int:
     return int(round(n_steps))
 
 
+def _check_record_every(record_every: int) -> None:
+    """ValueError unless record_every >= 1."""
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+
+
+def _check_path(path: WienerPath | None, n_steps: int, dt: float, k_modes: int) -> None:
+    """ValueError naming the first field in which ``path`` (None fits any run)
+    does not fit a run of n_steps steps of size dt with k_modes noise modes.
+    A longer path is used from its start; dt is compared to 1e-9 relative,
+    the tolerance of ``_step_count``."""
+    if path is None:
+        return
+    for name, got, want, fits in (("n_steps", path.n_steps, n_steps, path.n_steps >= n_steps),
+                                  ("dt", path.dt, dt, abs(path.dt - dt) <= 1e-9 * dt),
+                                  ("k_modes", path.k_modes, k_modes, path.k_modes == k_modes)):
+        if not fits:
+            raise ValueError(f"path {name} {got!r} does not fit the run's {want!r}")
+
+
 @dataclass
 class SolverConfig:
     n_modes: int = 32
@@ -99,8 +117,7 @@ class SolverConfig:
         _step_count(self.dt, self.t_end)
         if self.initial_kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial condition {self.initial_kind!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
+        _check_record_every(self.record_every)
 
     @property
     def n_steps(self) -> int:
@@ -139,7 +156,7 @@ class InitialConditionError(ValueError):
     unreadable or mismatched snapshot, null random field)."""
 
 
-def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> SpectralVelocity:
+def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> np.ndarray:
     """Initial velocity: the Taylor-Green vortex, a random banded field
     normalized to a target energy, or a loaded snapshot.  Bad parameters
     raise ``InitialConditionError``."""
@@ -149,8 +166,7 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
         _no_extra(kind, params)
         ux = scale * np.cos(grid.x) * np.sin(grid.y)
         uy = -scale * np.sin(grid.x) * np.cos(grid.y)
-        coeffs = leray_project(grid, from_physical(grid, np.stack([ux, uy])))
-        return SpectralVelocity(grid, coeffs)
+        return leray_project(grid, from_physical(grid, np.stack([ux, uy])))
     if kind == "random_band":
         k_min = _finite_param(kind, params, "k_min", 1)
         k_max = _finite_param(kind, params, "k_max", grid.n_modes // 4)
@@ -165,12 +181,12 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
         _no_extra(kind, params)
         gen = np.random.Generator(np.random.Philox(key=[rng_seed % 2**64, 2**32]))
         coeffs = random_solenoidal(grid, gen, k_min, k_max)
-        e = energy(SpectralVelocity(grid, coeffs))
+        e = energy(grid, coeffs)
         if e == 0.0:
             raise InitialConditionError("initial: random_band produced a null field; "
                                         "widen the band")
         coeffs *= np.sqrt(target_energy / e)
-        return SpectralVelocity(grid, coeffs)
+        return coeffs
     if kind == "file":
         if "path" not in params:
             raise InitialConditionError("initial: kind 'file' needs 'path'")
@@ -190,7 +206,7 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> Spec
             raise InitialConditionError("initial.path: snapshot does not hold a "
                                         "2-component field")
         # the transforms read only the ky >= 0 half, so outside data is made Hermitian
-        return SpectralVelocity(grid, hermitian_symmetrize(grid, coeffs))
+        return hermitian_symmetrize(grid, coeffs)
     raise InitialConditionError(f"initial: unknown kind {kind!r}")
 
 
@@ -209,10 +225,9 @@ def _no_extra(kind: str, params: dict) -> None:
         raise InitialConditionError(f"initial: unknown {kind} parameters {sorted(params)}")
 
 
-def check_cfl(config: SolverConfig, v: SpectralVelocity) -> None:
-    grid = v.grid
+def check_cfl(config: SolverConfig, grid: TorusGrid, v: np.ndarray) -> None:
     h = 2.0 * np.pi / grid.n_modes
-    umax = float(np.max(np.abs(to_physical(grid, v.coeffs))))
+    umax = float(np.max(np.abs(to_physical(grid, v))))
     if umax > 0 and config.dt > 0.5 * h / umax:
         warnings.warn(
             f"advective CFL exceeded: dt = {config.dt:.3g} > 0.5 h / max|u| = "
@@ -274,8 +289,8 @@ def _transport(ctx: OperatorContext, work: _StepWorkspace, u: np.ndarray, f: np.
     return from_physical(grid, prod, work.forward)
 
 
-def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None,
-         dt: float) -> SpectralVelocity:
+def step(state: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
+         dt: float) -> np.ndarray:
     """One Euler-Maruyama step with integrating-factor Stokes treatment.
 
     Fused form of exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta]:
@@ -289,15 +304,14 @@ def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None
     """
     grid = ctx.grid
     n = grid.n_modes
-    v = state.coeffs
     noisy = ctx.noisy
     work = ctx.step_workspace(_StepWorkspace)
     eps = ctx.epsilon
     xi = ctx.noise_field(dbeta, out=work.xi) if noisy and dbeta is not None else None
     # w on the ky >= 0 columns only, the ones _transport reads
-    w = v[..., :n // 2] + eps**2 * ctx.us_raw[..., :n // 2] if noisy else v
-    hat = _transport(ctx, work, v, w, xi, dt)
-    rhs = v - hat[:2]
+    w = state[..., :n // 2] + eps**2 * ctx.us_raw[..., :n // 2] if noisy else state
+    hat = _transport(ctx, work, state, w, xi, dt)
+    rhs = state - hat[:2]
     factor, a_diag = work.stokes(grid, dt, ctx.reynolds)
     if noisy:  # + (eps^2 dt / 2) div(a grad w) + eps^2 dt A u_s - eps A xi
         flux = hat[2:].reshape(2, 2, n, n)
@@ -309,13 +323,13 @@ def step(state: SpectralVelocity, ctx: OperatorContext, dbeta: np.ndarray | None
             np.subtract(stokes_arg, np.multiply(eps, xi, out=flux[1]), out=stokes_arg)
         np.add(div, np.multiply(a_diag, stokes_arg, out=stokes_arg), out=div)
         rhs += div
-    return SpectralVelocity(grid, leray_project(grid, np.multiply(factor, rhs, out=rhs), out=rhs))
+    return leray_project(grid, np.multiply(factor, rhs, out=rhs), out=rhs)
 
 
-def _record(field: SpectralVelocity) -> tuple:
-    hn = h_norm(field.grid, field.coeffs)
-    vn = v_norm(field.grid, field.coeffs)
-    return (0.5 * hn**2, 0.5 * vn**2, hn, vn, max_divergence(field.grid, field.coeffs))
+def _record(grid: TorusGrid, v: np.ndarray) -> tuple:
+    hn = h_norm(grid, v)
+    vn = v_norm(grid, v)
+    return (0.5 * hn**2, 0.5 * vn**2, hn, vn, max_divergence(grid, v))
 
 
 def member_path(config: SolverConfig, ctx: OperatorContext, member: int = 0) -> WienerPath | None:
@@ -344,7 +358,7 @@ def _integrate(state, advance, path: WienerPath | None, n_steps: int, dt: float,
     for i in range(n_steps):
         state = advance(state, None if path is None else path.increments[i])
         t = (i + 1) * dt
-        if not np.isfinite(state.coeffs).all():
+        if not np.isfinite(state).all():
             raise BlowUpError(i + 1, t)
         if (i + 1) % record_every == 0 or i + 1 == n_steps:
             times.append(t)
@@ -355,14 +369,15 @@ def _integrate(state, advance, path: WienerPath | None, n_steps: int, dt: float,
 @_quiet_overflow
 def run(config: SolverConfig, member_index: int = 0, *,
         ctx: OperatorContext | None = None, path: WienerPath | None = None,
-        v0: SpectralVelocity | None = None, observe=None,
+        v0: np.ndarray | None = None, observe=None,
         warn_cfl: bool = True) -> TrajectoryRecord:
     """Integrate the stochastic system from t = 0 to t_end.
 
     The member's Brownian path is derived from (config.seed, member_index)
     unless an explicit ``path`` (e.g. a refined/coarsened one) is supplied.
     Bit-reproducible for a fixed config and member index.  A given ``ctx``
-    must match the config in eps, Re, N and K, or ``ValueError`` names the field.
+    must match the config in eps, Re, N and K, and a given ``path`` must fit
+    its steps, dt and K, or ``ValueError`` names the field.
     ``observe(t, state)``, when given, sees each recorded state (``v0`` itself
     at t = 0) and may keep it; the record holds only the diagnostics.
     """
@@ -375,14 +390,15 @@ def run(config: SolverConfig, member_index: int = 0, *,
             raise ValueError(f"context {name} {got!r} disagrees with config {want!r}")
     if path is None:
         path = member_path(config, ctx, member_index)
+    _check_path(path, config.n_steps, config.dt, config.k_modes)
     state = v0 if v0 is not None else make_initial(
         config.initial_kind, ctx.grid, config.initial_params)
     if warn_cfl:
-        check_cfl(config, state)
+        check_cfl(config, ctx.grid, state)
     rows = []
 
     def record(t, state):
-        rows.append(_record(state))
+        rows.append(_record(ctx.grid, state))
         if observe is not None:
             observe(t, state)
 
@@ -395,7 +411,7 @@ def run(config: SolverConfig, member_index: int = 0, *,
 
 
 @_quiet_overflow
-def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
+def run_scalar_transport(q0: np.ndarray, velocity: np.ndarray,
                          ctx: OperatorContext, dt: float, t_end: float,
                          path: WienerPath | None, record_every: int = 1) -> dict:
     """Euler-Maruyama integration of the stochastic tracer equation
@@ -406,28 +422,31 @@ def run_scalar_transport(q0: SpectralScalar, velocity: SpectralVelocity,
     in a steady velocity u: q+ = q - (c.grad) q + (eps^2 dt / 2) div(a grad q),
     c = dt (u - eps^2 u_s) + eps xi, by ``_transport`` through one workspace
     per call (7 real transforms with noise, 5 without).  Raises ValueError
-    unless t_end is a positive integer multiple of dt, and BlowUpError at the
-    first step whose tracer is not finite.  Returns {"times", "energies"}
+    unless t_end is a positive integer multiple of dt, record_every >= 1 and
+    a given ``path`` fits the steps, dt and K, and BlowUpError at the first
+    step whose tracer is not finite.  Returns {"times", "energies"}
     with 0.5 |q|_H^2 recorded.
     """
     grid = ctx.grid
     eps = ctx.epsilon
     n_steps = _step_count(dt, t_end)
+    _check_record_every(record_every)
     noisy = ctx.noisy
     if noisy and path is None:
         raise ValueError("a WienerPath is required when the noise is active")
-    u_adv = velocity.coeffs - (eps**2) * ctx.us
+    _check_path(path, n_steps, dt, ctx.noise.k_modes)
+    u_adv = velocity - (eps**2) * ctx.us
     work = _StepWorkspace(grid, noisy, k=1)
     energies = []
 
     def advance(q, dbeta):
         xi = ctx.noise_field(dbeta, out=work.xi) if noisy else None
-        hat = _transport(ctx, work, u_adv, q.coeffs[None], xi, dt)
-        coeffs = q.coeffs - hat[0]
+        hat = _transport(ctx, work, u_adv, q[None], xi, dt)
+        q = q - hat[0]
         if noisy:
-            coeffs += (0.5 * eps**2 * dt) * divergence(grid, hat[1:])
-        return SpectralScalar(grid, coeffs)
+            q += (0.5 * eps**2 * dt) * divergence(grid, hat[1:])
+        return q
 
     times = _integrate(q0, advance, path, n_steps, dt, record_every,
-                       lambda t, q: energies.append(0.5 * h_norm(grid, q.coeffs) ** 2))
+                       lambda t, q: energies.append(energy(grid, q)))
     return {"times": times, "energies": np.array(energies)}

@@ -1,8 +1,9 @@
 """Fourier representation of periodic fields on the 2D torus [0, 2pi)^2.
 
-Fields are stored as truncated Fourier coefficient arrays in numpy fft
-ordering, normalised so that ``u(x) = sum_k c_k exp(i k.x)`` with integer
-wavevectors k.  The Nyquist rows/columns (|k_i| = n/2) are held at zero so
+A field is its truncated Fourier coefficient array in numpy fft ordering,
+complex (2, n, n) for a velocity and (n, n) for a scalar, normalised so
+that ``u(x) = sum_k c_k exp(i k.x)`` with integer wavevectors k; its grid
+is passed alongside.  The Nyquist rows/columns (|k_i| = n/2) are held at zero so
 every retained mode has a conjugate partner and odd derivatives stay
 well defined; Hermitian symmetry then guarantees real-valued fields.
 
@@ -21,7 +22,6 @@ band-limited fields alias-free.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,22 +79,6 @@ def _pad_size(n: int) -> int:
     """Smallest even integer >= 3n/2 (alias-free quadratic products)."""
     m = (3 * n + 1) // 2
     return m + (m % 2)
-
-
-@dataclass
-class SpectralVelocity:
-    """Divergence-free 2-component velocity field in spectral form."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray  # complex128, shape (2, n, n)
-
-
-@dataclass
-class SpectralScalar:
-    """Real scalar field (tracer) in spectral form."""
-
-    grid: TorusGrid
-    coeffs: np.ndarray  # complex128, shape (n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +181,6 @@ def hermitian_symmetrize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # differential operators and projection
-
-def spectral_derivative(grid: TorusGrid, coeffs: np.ndarray, direction: int) -> np.ndarray:
-    """Multiply coefficients by i*k_direction (x: 0, y: 1)."""
-    return (grid.ikx if direction == 0 else grid.iky) * coeffs
-
 
 def gradient(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Gradient along a new leading axis: out[j] = d/dx_j coeffs."""
@@ -307,9 +286,9 @@ def sobolev_norm_sq(grid: TorusGrid, f: np.ndarray, order: int) -> float:
     return float(TWO_PI**2 * np.sum(w * np.abs(f) ** 2))
 
 
-def energy(field: SpectralVelocity) -> float:
+def energy(grid: TorusGrid, f: np.ndarray) -> float:
     """Kinetic energy 0.5 |v|_H^2."""
-    return 0.5 * h_norm(field.grid, field.coeffs) ** 2
+    return 0.5 * h_norm(grid, f) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ import pytest
 
 from lu_flow.spectral import (
     TorusGrid,
-    SpectralVelocity,
     h_norm,
     hermitian_symmetrize,
     leray_project,
@@ -66,4 +65,4 @@ def rng():
 
 @pytest.fixture
 def field32(grid32, rng):
-    return SpectralVelocity(grid32, random_div_free(grid32, rng))
+    return random_div_free(grid32, rng)

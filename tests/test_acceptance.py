@@ -38,8 +38,6 @@ from lu_flow.solver import (
     run_scalar_transport,
 )
 from lu_flow.spectral import (
-    SpectralScalar,
-    SpectralVelocity,
     TorusGrid,
     h_inner,
     h_norm,
@@ -57,7 +55,7 @@ def _report(num, name, ok, detail):
 
 def _hs_norm_G(ctx, v):
     cols = [apply_G_column(ctx, v, k) for k in range(ctx.noise.k_modes)]
-    return np.sqrt(sum(h_norm(ctx.grid, c.coeffs) ** 2 for c in cols))
+    return np.sqrt(sum(h_norm(ctx.grid, c) ** 2 for c in cols))
 
 
 def test_criterion_1_operator_identities():
@@ -70,24 +68,24 @@ def test_criterion_1_operator_identities():
     worst = {"stokes": 0.0, "bilinear": 0.0, "trilinear": 0.0,
              "leray_idem": 0.0, "leray_selfadj": 0.0}
     for _ in range(100):
-        u = SpectralVelocity(grid, random_div_free(grid, gen))
-        v = SpectralVelocity(grid, random_div_free(grid, gen))
-        w = SpectralVelocity(grid, random_div_free(grid, gen))
+        u = random_div_free(grid, gen)
+        v = random_div_free(grid, gen)
+        w = random_div_free(grid, gen)
         av = apply_A(ctx, v)
-        rhs = v_norm(grid, v.coeffs) ** 2 / cfg.reynolds
+        rhs = v_norm(grid, v) ** 2 / cfg.reynolds
         worst["stokes"] = max(worst["stokes"],
-                              abs(h_inner(grid, av.coeffs, v.coeffs) - rhs) / rhs)
+                              abs(h_inner(grid, av, v) - rhs) / rhs)
         buv = apply_B(ctx, u, v)
-        scale = h_norm(grid, buv.coeffs) * h_norm(grid, v.coeffs)
+        scale = h_norm(grid, buv) * h_norm(grid, v)
         worst["bilinear"] = max(worst["bilinear"],
-                                abs(h_inner(grid, buv.coeffs, v.coeffs)) / scale)
+                                abs(h_inner(grid, buv, v)) / scale)
         s1 = trilinear_b(ctx, u, v, w)
         s2 = trilinear_b(ctx, u, w, v)
         worst["trilinear"] = max(worst["trilinear"],
                                  abs(s1 + s2) / (abs(s1) + abs(s2)))
         # idempotence and self-adjointness on non-solenoidal inputs
-        raw1 = hermitian_symmetrize(grid, np.stack([u.coeffs[0], w.coeffs[1]]))
-        raw2 = hermitian_symmetrize(grid, np.stack([v.coeffs[1], u.coeffs[0]]))
+        raw1 = hermitian_symmetrize(grid, np.stack([u[0], w[1]]))
+        raw2 = hermitian_symmetrize(grid, np.stack([v[1], u[0]]))
         p1 = leray_project(grid, raw1)
         worst["leray_idem"] = max(
             worst["leray_idem"],
@@ -112,7 +110,7 @@ def test_criterion_2_transport_energy_neutrality():
     gen = np.random.default_rng(31)
     raw = gen.standard_normal((32, 32)) + 1j * gen.standard_normal((32, 32))
     band = (grid.k_sq >= 1) & (grid.k_sq <= 36)
-    q = SpectralScalar(grid, hermitian_symmetrize(grid, np.where(band, raw, 0.0)))
+    q = hermitian_symmetrize(grid, np.where(band, raw, 0.0))
     budget = energy_budget_transport(q, model, 0.1)
     scale = max(abs(budget["diffusion_loss"]), abs(budget["noise_intake"]))
     residual = abs(budget["residual"]) / scale
@@ -147,9 +145,9 @@ def test_criterion_3_taylor_green_oracle():
     cfg = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.0, dt=1e-3,
                        t_end=1.0, k_modes=4, record_every=1000)
     states = recorded_states(cfg.with_epsilon(0.0), warn_cfl=False)
-    grid = states[0].grid
-    exact = states[0].coeffs * np.exp(-2.0 * cfg.t_end / cfg.reynolds)
-    err = h_norm(grid, states[-1].coeffs - exact) / h_norm(grid, exact)
+    grid = TorusGrid(cfg.n_modes)
+    exact = states[0] * np.exp(-2.0 * cfg.t_end / cfg.reynolds)
+    err = h_norm(grid, states[-1] - exact) / h_norm(grid, exact)
     elapsed = time.time() - t0
     ok = err <= 1e-6 and elapsed < 30
     _report(3, "Taylor-Green decay oracle", ok,
@@ -255,8 +253,8 @@ def test_criterion_7_noise_regularity():
     bad = check_regularity(build_noise_model(grid, 16, 1.0, 1.0))
     model1 = build_noise_model(grid, 4, 3.0, 1.0, mix_shells=True)
     model2 = build_noise_model(grid, 4, 3.0, 2.0, mix_shells=True)
-    us1 = model1.ito_stokes_drift.coeffs
-    us2 = model2.ito_stokes_drift.coeffs
+    us1 = model1.ito_stokes_drift
+    us2 = model2.ito_stokes_drift
     quad_err = np.max(np.abs(us2 - 4.0 * us1)) / np.max(np.abs(us2))
     elapsed = time.time() - t0
     ok = good["passes"] and not bad["passes"] and quad_err <= 1e-12 and elapsed < 5
@@ -273,7 +271,7 @@ def test_criterion_8_operator_epsilon_scaling():
     t0 = time.time()
     grid = TorusGrid(32)
     gen = np.random.default_rng(77)
-    v = SpectralVelocity(grid, random_div_free(grid, gen))
+    v = random_div_free(grid, gen)
     eps_grid = np.array([0.2, 0.1, 0.05, 0.025])
     f_norms, g_norms = [], []
     base = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.2, dt=1e-3,
@@ -282,7 +280,7 @@ def test_criterion_8_operator_epsilon_scaling():
     for eps in eps_grid:
         ctx = OperatorContext(grid, ctx0.noise, float(eps), base.reynolds,
                               _cache=ctx0._cache)
-        f_norms.append(h_norm(grid, apply_F(ctx, v).coeffs))
+        f_norms.append(h_norm(grid, apply_F(ctx, v)))
         g_norms.append(_hs_norm_G(ctx, v))
     slope_f = float(np.polyfit(np.log(eps_grid), np.log(f_norms), 1)[0])
     slope_g = float(np.polyfit(np.log(eps_grid), np.log(g_norms), 1)[0])

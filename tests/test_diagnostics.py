@@ -13,10 +13,8 @@ from lu_flow.diagnostics import (
 from lu_flow.noise import build_noise_model
 from lu_flow.solver import SolverConfig, build_context, run
 from lu_flow.spectral import (
-    SpectralScalar,
     TorusGrid,
     from_physical,
-    spectral_derivative,
     v_norm,
 )
 
@@ -26,7 +24,7 @@ from conftest import random_div_free, synthetic_inhomogeneous_model
 def tracer(grid, fn):
     x = np.linspace(0, 2 * np.pi, grid.n_modes, endpoint=False)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    return SpectralScalar(grid, from_physical(grid, fn(X, Y)))
+    return from_physical(grid, fn(X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +43,13 @@ def test_budget_homogeneous_closed_form(grid32, rng):
     # constant a: both terms reduce to +/- (eps^2/2) sum k^T a0 k |q_k|^2
     model = build_noise_model(grid32, 4, 3.0, 1.0)  # pure modes: a constant
     a0 = model.variance_tensor[:, :, 0, 0]
-    q = SpectralScalar(grid32, random_div_free(grid32, rng, components=1))
+    q = random_div_free(grid32, rng, components=1)
     eps = 0.2
     out = energy_budget_transport(q, model, eps)
     kak = (a0[0, 0] * grid32.kx**2 + 2 * a0[0, 1] * grid32.kx * grid32.ky
            + a0[1, 1] * grid32.ky**2)
     expected = 0.5 * eps**2 * (2 * np.pi) ** 2 * float(
-        np.sum(kak * np.abs(q.coeffs) ** 2))
+        np.sum(kak * np.abs(q) ** 2))
     assert out["noise_intake"] == pytest.approx(expected, rel=1e-10)
     assert out["diffusion_loss"] == pytest.approx(-expected, rel=1e-10)
     assert abs(out["residual"]) <= 1e-10 * abs(out["noise_intake"])
@@ -60,7 +58,7 @@ def test_budget_homogeneous_closed_form(grid32, rng):
 def test_budget_residual_random_tracer(grid32, rng):
     for model in (build_noise_model(grid32, 4, 3.0, 1.0, mix_shells=True),
                   synthetic_inhomogeneous_model(grid32)):
-        q = SpectralScalar(grid32, random_div_free(grid32, rng, components=1))
+        q = random_div_free(grid32, rng, components=1)
         out = energy_budget_transport(q, model, 0.1)
         assert abs(out["residual"]) <= 1e-9 * abs(out["noise_intake"])
 

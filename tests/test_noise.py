@@ -48,7 +48,7 @@ def fd_divergence(a, n):
 def test_zero_amplitude_model(grid16):
     model = build_noise_model(grid16, 1, 3.0, 0.0)
     assert np.max(np.abs(model.variance_tensor)) == 0.0
-    assert np.max(np.abs(model.ito_stokes_drift.coeffs)) == 0.0
+    assert np.max(np.abs(model.ito_stokes_drift)) == 0.0
 
 
 def test_homogeneous_pair(grid16):
@@ -59,7 +59,7 @@ def test_homogeneous_pair(grid16):
     for i in range(2):
         for j in range(2):
             assert np.ptp(a[i, j]) < 1e-14 * max(np.max(np.abs(a[i, j])), 1.0)
-    assert h_norm(grid16, model.ito_stokes_drift.coeffs) < 1e-14
+    assert h_norm(grid16, model.ito_stokes_drift) < 1e-14
 
 
 def test_pure_family_drift_vanishes_at_any_truncation(grid16):
@@ -67,12 +67,12 @@ def test_pure_family_drift_vanishes_at_any_truncation(grid16):
     # proportional to w (w . k) = 0, so the drift is zero for every K
     for K in (1, 3, 5, 9):
         model = build_noise_model(grid16, K, 3.0, 1.0)
-        assert h_norm(grid16, model.ito_stokes_drift.coeffs) < 1e-14
+        assert h_norm(grid16, model.ito_stokes_drift) < 1e-14
 
 
 def test_mixed_family_drift_nonzero(grid16):
     model = build_noise_model(grid16, 4, 3.0, 1.0, mix_shells=True)
-    assert h_norm(grid16, model.ito_stokes_drift.coeffs) > 1e-3
+    assert h_norm(grid16, model.ito_stokes_drift) > 1e-3
 
 
 def test_modes_divergence_free_and_ordering_deterministic(grid16):
@@ -117,7 +117,7 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
     got = {"support_idx": model.phi_support[0],
            "support_values": model.phi_support[1],
            "variance_tensor": model.variance_tensor, "variance_hat": model.variance_hat,
-           "a_pad": model.a_pad, "us_raw": model.ito_stokes_drift.coeffs,
+           "a_pad": model.a_pad, "us_raw": model.ito_stokes_drift,
            "us": model.drift_projected}
     for name, arr in expected.items():
         assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
@@ -169,8 +169,8 @@ def test_variance_tensor_psd_and_trace_identity(grid16):
 def test_drift_quadratic_in_amplitude(grid16):
     base = build_noise_model(grid16, 4, 3.0, 1.0, mix_shells=True)
     scaled = build_noise_model(grid16, 4, 3.0, 3.0, mix_shells=True)
-    diff = scaled.ito_stokes_drift.coeffs - 9.0 * base.ito_stokes_drift.coeffs
-    assert np.max(np.abs(diff)) < 1e-12 * np.max(np.abs(base.ito_stokes_drift.coeffs))
+    diff = scaled.ito_stokes_drift - 9.0 * base.ito_stokes_drift
+    assert np.max(np.abs(diff)) < 1e-12 * np.max(np.abs(base.ito_stokes_drift))
 
 
 def test_drift_matches_finite_difference_oracle():
@@ -180,7 +180,7 @@ def test_drift_matches_finite_difference_oracle():
     for n in (16, 32):
         g = TorusGrid(n)
         model = build_noise_model(g, 4, 3.0, 1.0, mix_shells=True)
-        us_phys = to_physical(g, model.ito_stokes_drift.coeffs)
+        us_phys = to_physical(g, model.ito_stokes_drift)
         fd = 0.5 * fd_divergence(model.variance_tensor, n)
         errs.append(np.max(np.abs(fd - us_phys)) / np.max(np.abs(us_phys)))
     assert errs[0] < 0.2

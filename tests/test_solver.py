@@ -21,8 +21,6 @@ from lu_flow.solver import (
     step,
 )
 from lu_flow.spectral import (
-    SpectralScalar,
-    SpectralVelocity,
     TorusGrid,
     advect,
     divergence,
@@ -67,6 +65,33 @@ def test_end_time_must_be_a_multiple_of_dt(grid32, dt, t_end, message):
         SolverConfig(dt=dt, t_end=t_end)
 
 
+@pytest.mark.parametrize("dt,n_steps,k_modes,name", [
+    (4e-3, 10, 4, "dt"),
+    (1e-3, 5, 4, "n_steps"),
+    (1e-3, 10, 3, "k_modes"),
+], ids=["coarse-dt", "short", "too-few-modes"])
+def test_explicit_path_must_fit_the_run(grid32, dt, n_steps, k_modes, name):
+    # run and the tracer share one check of a given path: 10 steps of 1e-3, K = 4
+    cfg = short_config(dt=1e-3, t_end=0.01, k_modes=4)
+    ctx = build_context(cfg)
+    path = WienerPath(0, dt, n_steps, k_modes)
+    with pytest.raises(ValueError, match=f"path {name} "):
+        run(cfg, ctx=ctx, path=path, warn_cfl=False)
+    q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
+    with pytest.raises(ValueError, match=f"path {name} "):
+        run_scalar_transport(q0, u, ctx, cfg.dt, cfg.t_end, path)
+
+
+def test_record_every_must_be_positive(grid32):
+    # the tracer and SolverConfig apply one rule to record_every
+    ctx = build_context(short_config(epsilon=0.0))
+    q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        run_scalar_transport(q0, u, ctx, 1e-3, 0.01, None, record_every=0)
+    with pytest.raises(ValueError, match="record_every must be >= 1"):
+        SolverConfig(record_every=0)
+
+
 def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         SolverConfig(dt=-1e-3)
@@ -82,15 +107,15 @@ def test_config_rejects_bad_values():
 
 def test_taylor_green_divergence_free(grid32):
     u = make_initial("taylor_green", grid32)
-    assert max_divergence(grid32, u.coeffs) < 1e-15
-    assert energy(u) == pytest.approx((2 * np.pi) ** 2 / 4, rel=1e-13)
+    assert max_divergence(grid32, u) < 1e-15
+    assert energy(grid32, u) == pytest.approx((2 * np.pi) ** 2 / 4, rel=1e-13)
 
 
 def test_random_band_energy_normalized(grid32):
     u = make_initial("random_band", grid32, {"k_min": 1, "k_max": 6,
                                              "energy": 1.0, "seed": 3})
-    assert energy(u) == pytest.approx(1.0, abs=1e-12)
-    assert max_divergence(grid32, u.coeffs) < 1e-12
+    assert energy(grid32, u) == pytest.approx(1.0, abs=1e-12)
+    assert max_divergence(grid32, u) < 1e-12
 
 
 def test_initial_from_file(tmp_path, grid16, rng):
@@ -98,7 +123,7 @@ def test_initial_from_file(tmp_path, grid16, rng):
     path = tmp_path / "ic.lufs"
     save_snapshot(path, grid16, c)
     u = make_initial("file", grid16, {"path": str(path)})
-    assert np.array_equal(u.coeffs, c)
+    assert np.array_equal(u, c)
 
 
 def test_unknown_initial_kind(grid16):
@@ -116,28 +141,28 @@ def test_step_exact_heat_decay_single_mode(grid32):
     from lu_flow.noise import _real_mode_coeffs
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
-    v = SpectralVelocity(grid32, _real_mode_coeffs(grid32, (1, 2), "cos"))
+    v = _real_mode_coeffs(grid32, (1, 2), "cos")
     out = step(v, ctx, None, cfg.dt)
     factor = np.exp(-cfg.dt * 5.0 / cfg.reynolds)
-    assert np.max(np.abs(out.coeffs - factor * v.coeffs)) < 1e-15
+    assert np.max(np.abs(out - factor * v)) < 1e-15
 
 
 def test_step_matches_deterministic_path(grid32, rng):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
-    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    v = random_div_free(grid32, rng)
     a = step(v, ctx, None, cfg.dt)
     b = step(v, ctx, np.zeros(cfg.k_modes), cfg.dt)
-    assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a, b)
 
 
 def _reference_step(ctx, v, dbeta, dt):
     """exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta] from the
     per-operator functions."""
     grid = ctx.grid
-    new = v.coeffs - dt * (apply_B(ctx, v, v).coeffs + apply_F(ctx, v).coeffs)
+    new = v - dt * (apply_B(ctx, v, v) + apply_F(ctx, v))
     if dbeta is not None:
-        new = new + noise_increment(ctx, v, dbeta).coeffs
+        new = new + noise_increment(ctx, v, dbeta)
     return np.exp(-dt * grid.k_sq / ctx.reynolds) * leray_project(grid, new)
 
 
@@ -147,8 +172,8 @@ def _reference_tracer(q0, velocity, ctx, dt, t_end, path):
     u - eps^2 u_s, the flux from tensor_flux and advect by xi."""
     grid = ctx.grid
     eps = ctx.epsilon
-    u_adv = velocity.coeffs - (eps**2) * ctx.us
-    q = q0.coeffs
+    u_adv = velocity - (eps**2) * ctx.us
+    q = q0
     energies = [0.5 * h_norm(grid, q) ** 2]
     for i in range(int(round(t_end / dt))):
         incr = -dt * advect(grid, u_adv, q)
@@ -171,18 +196,18 @@ def test_fused_step_matches_operator_reference(grid32, rng, model, epsilon, with
         base = OperatorContext(grid32, synthetic_inhomogeneous_model(grid32), 0.1, 100.0)
     ctx = OperatorContext(grid32, base.noise, epsilon, 100.0)
     assert np.max(np.abs(ctx.us_raw)) > 0  # the drift terms are exercised
-    v = SpectralVelocity(grid32, 2.0 * random_div_free(grid32, rng))
+    v = 2.0 * random_div_free(grid32, rng)
     dt = 1e-3
     dbeta = (np.sqrt(dt) * rng.standard_normal(ctx.noise.k_modes) if with_noise else None)
-    got = step(v, ctx, dbeta, dt).coeffs
+    got = step(v, ctx, dbeta, dt)
     ref = _reference_step(ctx, v, dbeta, dt)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_step_output_is_hermitian(grid32, rng):
     ctx = build_context(short_config(k_modes=8))
-    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
-    out = step(v, ctx, 0.03 * np.ones(8), 1e-3).coeffs
+    v = random_div_free(grid32, rng)
+    out = step(v, ctx, 0.03 * np.ones(8), 1e-3)
     neg = (-np.arange(32)) % 32
     assert np.array_equal(out, np.conj(out[:, neg[:, None], neg[None, :]]))
 
@@ -218,7 +243,7 @@ def _real_passes(counts: dict) -> int:
 @pytest.mark.parametrize("epsilon,real", [(0.1, 12), (0.0, 8)])
 def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
     ctx = build_context(short_config(epsilon=epsilon, k_modes=8))
-    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    v = random_div_free(grid32, rng)
     dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
     step(v, ctx, dbeta, 1e-3)  # fills the context caches
     assert _real_passes(_count_transforms(monkeypatch, lambda: step(v, ctx, dbeta, 1e-3))) == real
@@ -238,17 +263,17 @@ def test_warm_step_allocates_little(n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * v.coeffs.nbytes
+    assert peak <= 10 * v.nbytes
 
 
 def test_step_result_survives_next_step(grid32, rng):
     ctx = build_context(short_config(k_modes=8))
-    v = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    v = random_div_free(grid32, rng)
     first = step(v, ctx, 0.03 * np.ones(8), 1e-3)
-    kept = first.coeffs.copy()
+    kept = first.copy()
     step(first, ctx, -0.02 * np.ones(8), 1e-3)
     step(v, ctx, None, 2e-3)
-    assert np.array_equal(first.coeffs, kept)
+    assert np.array_equal(first, kept)
 
 
 def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
@@ -258,7 +283,7 @@ def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
     cfg = short_config(k_modes=8)
     base = build_context(cfg)
     shared = {eps: replace(base, epsilon=eps) for eps in (0.2, 0.1, 0.0)}
-    v0 = SpectralVelocity(grid32, random_div_free(grid32, rng))
+    v0 = random_div_free(grid32, rng)
     dbetas = [0.03 * rng.standard_normal(8) for _ in range(4)]
     a = {eps: v0 for eps in shared}
     b = dict(a)
@@ -267,7 +292,7 @@ def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
             dbeta = dbetas[i] if eps > 0 else None
             a[eps] = step(a[eps], shared[eps], dbeta, dt)
             b[eps] = step(b[eps], build_context(cfg.with_epsilon(eps)), dbeta, dt)
-            assert a[eps].coeffs.tobytes() == b[eps].coeffs.tobytes()
+            assert a[eps].tobytes() == b[eps].tobytes()
 
 
 def test_step_self_convergence_under_path_refinement():
@@ -289,7 +314,7 @@ def test_step_self_convergence_under_path_refinement():
             coarse = fine.coarsen(int(round(dt / dt_ref)))
             states = recorded_states(cfg.__class__(**{**cfg.__dict__, "dt": dt}), m, ctx=ctx,
                                      path=coarse, warn_cfl=False)
-            errors[i, m] = h_norm(grid, states[-1].coeffs - ref[-1].coeffs)
+            errors[i, m] = h_norm(grid, states[-1] - ref[-1])
     rms = np.sqrt((errors**2).mean(axis=1))
     assert rms[0] > rms[1] > rms[2]  # monotone over the dyadic sweep
     assert rms[0] / rms[1] >= 1.3
@@ -308,7 +333,7 @@ def test_zero_noise_reduction_bitwise():
         dict(epsilon=0.1, amplitude=0.0),
         dict(epsilon=0.0, k_modes=1),
     )]
-    snaps = [[s.coeffs.tobytes() for s in states] for states in runs]
+    snaps = [[s.tobytes() for s in states] for states in runs]
     assert snaps[0] == snaps[1] == snaps[2]
 
 
@@ -374,7 +399,7 @@ def test_recorded_states_divergence_free():
     states = recorded_states(short_config())
     grid = TorusGrid(32)
     for snap in states:
-        assert max_divergence(grid, snap.coeffs) <= 1e-10 * h_norm(grid, snap.coeffs)
+        assert max_divergence(grid, snap) <= 1e-10 * h_norm(grid, snap)
 
 
 def test_run_n96_mixed_noise():
@@ -387,7 +412,7 @@ def test_run_n96_mixed_noise():
     assert len(rec.times) == 4
     grid = TorusGrid(96)
     for snap in states:
-        assert max_divergence(grid, snap.coeffs) <= 1e-12 * h_norm(grid, snap.coeffs)
+        assert max_divergence(grid, snap) <= 1e-12 * h_norm(grid, snap)
 
 
 def test_convergence_study_matches_fresh_contexts():
@@ -406,8 +431,8 @@ def test_convergence_study_matches_fresh_contexts():
         int_v = []
         for m in range(2):
             states = recorded_states(eps_cfg, m, ctx=ctx, warn_cfl=False)
-            dh = [h_norm(grid, a.coeffs - b.coeffs) ** 2 for a, b in zip(states, det_states)]
-            dv = [v_norm(grid, a.coeffs - b.coeffs) ** 2 for a, b in zip(states, det_states)]
+            dh = [h_norm(grid, a - b) ** 2 for a, b in zip(states, det_states)]
+            dv = [v_norm(grid, a - b) ** 2 for a, b in zip(states, det_states)]
             assert report.per_member_h[j, m] == np.sqrt(max(dh))
             int_v.append(np.trapezoid(dv, det.times))
         assert report.errors_v_sq[j] == np.sqrt((np.array(int_v) ** 2).mean())
@@ -424,17 +449,16 @@ def test_deterministic_energy_monotone():
 def test_zero_initial_stays_zero(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
-    v0 = SpectralVelocity(grid32, np.zeros((2, 32, 32), dtype=complex))
+    v0 = np.zeros((2, 32, 32), dtype=complex)
     states = recorded_states(cfg, ctx=ctx, v0=v0, warn_cfl=False)
-    assert all(np.all(s.coeffs == 0.0) for s in states)
+    assert all(np.all(s == 0.0) for s in states)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blow_up_detected(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
-    v0 = SpectralVelocity(grid32, 1e200 * random_div_free(grid32,
-                                                          np.random.default_rng(0)))
+    v0 = 1e200 * random_div_free(grid32, np.random.default_rng(0))
     with pytest.raises(BlowUpError) as err:
         run(cfg, ctx=ctx, v0=v0, warn_cfl=False)
     assert err.value.step >= 1
@@ -462,15 +486,14 @@ def test_mean_energy_increment_bounded_by_noise_term():
 def make_tracer(grid):
     x = np.linspace(0, 2 * np.pi, grid.n_modes, endpoint=False)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    return SpectralScalar(grid, from_physical(
-        grid, np.sin(X) * np.sin(2 * Y) + 0.5 * np.cos(2 * X)))
+    return from_physical(grid, np.sin(X) * np.sin(2 * Y) + 0.5 * np.cos(2 * X))
 
 
 def test_tracer_constant_without_forcing(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
     q0 = make_tracer(grid32)
-    zero_u = SpectralVelocity(grid32, np.zeros((2, 32, 32), dtype=complex))
+    zero_u = np.zeros((2, 32, 32), dtype=complex)
     out = run_scalar_transport(q0, zero_u, ctx, 1e-3, 0.05, None)
     assert np.max(np.abs(np.diff(out["energies"]))) == 0.0
 

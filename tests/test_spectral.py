@@ -7,12 +7,12 @@ from lu_flow.noise import build_noise_model
 from lu_flow.operators import OperatorContext
 from lu_flow.spectral import (
     GridMismatchError,
-    SpectralVelocity,
     TorusGrid,
     TransformBuffers,
     dealiased_product,
     divergence,
     from_physical,
+    gradient,
     h_inner,
     h_norm,
     hermitian_symmetrize,
@@ -21,7 +21,6 @@ from lu_flow.spectral import (
     max_divergence,
     random_solenoidal,
     save_snapshot,
-    spectral_derivative,
     tensor_flux,
     to_physical,
     v_norm,
@@ -152,21 +151,21 @@ def test_nyquist_modes_zeroed(grid16, rng):
 def test_derivative_sin_x(grid16):
     X, Y = physical_grid(16)
     c = from_physical(grid16, np.sin(X))
-    d = spectral_derivative(grid16, c, 0)
+    d = gradient(grid16, c)[0]
     assert np.max(np.abs(to_physical(grid16, d) - np.cos(X))) < 1e-13
 
 
 def test_derivative_constant_is_zero(grid16):
     c = from_physical(grid16, np.full((16, 16), 3.7))
     for direction in (0, 1):
-        assert np.max(np.abs(spectral_derivative(grid16, c, direction))) == 0.0
+        assert np.max(np.abs(gradient(grid16, c)[direction])) == 0.0
 
 
 def test_derivative_against_symbolic_oracle(grid16):
     # d/dy [sin(2x) cos(3y)] = -3 sin(2x) sin(3y)
     X, Y = physical_grid(16)
     c = from_physical(grid16, np.sin(2 * X) * np.cos(3 * Y))
-    d = to_physical(grid16, spectral_derivative(grid16, c, 1))
+    d = to_physical(grid16, gradient(grid16, c)[1])
     assert np.max(np.abs(d - (-3.0) * np.sin(2 * X) * np.sin(3 * Y))) < 1e-12
 
 
@@ -181,8 +180,7 @@ def test_leray_identity_on_div_free(grid32, rng):
 
 def test_leray_kills_gradients(grid16, rng):
     phi = random_div_free(grid16, rng, components=1)
-    grad = np.stack([spectral_derivative(grid16, phi, 0),
-                     spectral_derivative(grid16, phi, 1)])
+    grad = gradient(grid16, phi)
     assert np.max(np.abs(leray_project(grid16, grad))) < 1e-14
 
 
@@ -316,7 +314,7 @@ def test_random_solenoidal_hermitian_div_free_banded(grid16):
 
 def test_v_norm_matches_gradient_quadrature(grid32, rng):
     c = random_div_free(grid32, rng)
-    grads = np.stack([spectral_derivative(grid32, c, d) for d in range(2)])
+    grads = gradient(grid32, c)
     phys = to_physical(grid32, grads.reshape(4, 32, 32))
     quad = np.sqrt((2.0 * np.pi) ** 2 * np.mean(np.sum(phys**2, axis=0)))
     assert abs(v_norm(grid32, c) - quad) < 1e-12 * quad
