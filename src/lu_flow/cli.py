@@ -1,9 +1,9 @@
 """lu-flow command line: simulate | ensemble | converge | transport | validate.
 
-Exit codes: 0 success, 1 config error, 2 blow-up, 3 validation failure.
-All numeric outputs are byte-identical across repeated invocations with the
-same config on the same platform; wall-clock timestamps live only in the
-manifest.
+Exit codes: 0 success, 1 config error (usage errors too), 2 blow-up,
+3 validation failure.  All numeric outputs are byte-identical across
+repeated invocations with the same config on the same platform; wall-clock
+timestamps live only in the manifest.
 """
 
 from __future__ import annotations
@@ -18,18 +18,16 @@ import numpy as np
 from . import diagnostics as diag
 from .config import ConfigError, make_manifest, parse_config
 from .solver import (
+    RECORD_NAMES,
     BlowUpError,
     InitialConditionError,
     SolverConfig,
     build_context,
     make_initial,
-    member_path,
     run,
     run_scalar_transport,
 )
 from .spectral import TorusGrid, from_physical
-
-TRAJECTORY_COLUMNS = ("time", "energy", "enstrophy", "h_norm", "v_norm", "max_div")
 
 
 def _fmt(x) -> str:
@@ -44,7 +42,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _trajectory_rows(record):
-    columns = [record.times, *(record.diagnostics[name] for name in TRAJECTORY_COLUMNS[1:])]
+    columns = [record.times, *(record.diagnostics[name] for name in RECORD_NAMES)]
     for row in zip(*columns):
         yield tuple(map(float, row))
 
@@ -74,14 +72,14 @@ def _plot(path: Path, xs, curves: dict, xlabel: str, ylabel: str, loglog=False) 
 
 def cmd_simulate(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
     record = run(config, member_index=0)
-    _write_csv(out / "trajectory.csv", TRAJECTORY_COLUMNS, _trajectory_rows(record))
+    _write_csv(out / "trajectory.csv", ("time", *RECORD_NAMES), _trajectory_rows(record))
     outputs = ["trajectory.csv", "manifest.json"]
     make_manifest(config, None, outputs).write(out / "manifest.json")
     print(f"simulate: {len(record.times)} records -> {out / 'trajectory.csv'}")
     return 0
 
 
-_worker_context = None  # a pool worker's one OperatorContext, set by _init_worker
+_worker_context = None  # the process's one OperatorContext, set by _init_worker
 
 
 def _init_worker(config: SolverConfig) -> None:
@@ -89,9 +87,9 @@ def _init_worker(config: SolverConfig) -> None:
     _worker_context = build_context(config)
 
 
-def _member_job(config: SolverConfig, member: int, ctx=None):
+def _member_job(config: SolverConfig, member: int):
     # run once per member: the benchmark counts member-steps per run call
-    return run(config, member_index=member, ctx=ctx or _worker_context)
+    return run(config, member_index=member, ctx=_worker_context)
 
 
 def cmd_ensemble(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
@@ -99,16 +97,18 @@ def cmd_ensemble(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
     if len(members) < 2:
         raise ConfigError("field 'study.ensemble_size' must be >= 2 for ensemble "
                           f"(std_energy is a sample standard deviation), got {len(members)}")
-    # one context (noise model, padded caches, step workspace) per process
+    # one context (noise model, padded caches, step workspace) per process;
+    # a pool starts all its workers, so it gets no more than there are members
+    configs = [config] * len(members)
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker,
-                                 initargs=(config,)) as pool:
-            records = list(pool.map(_member_job, [config] * len(members), members))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(members)),
+                                 initializer=_init_worker, initargs=(config,)) as pool:
+            records = list(pool.map(_member_job, configs, members))
     else:
-        ctx = build_context(config)
-        records = [_member_job(config, m, ctx) for m in members]
+        _init_worker(config)
+        records = list(map(_member_job, configs, members))
     rows = [(m, *row) for m, record in zip(members, records) for row in _trajectory_rows(record)]
-    _write_csv(out / "members.csv", ("member", *TRAJECTORY_COLUMNS), rows)
+    _write_csv(out / "members.csv", ("member", "time", *RECORD_NAMES), rows)
 
     times = records[0].times
     energies = np.stack([r.diagnostics["energy"] for r in records])
@@ -149,9 +149,7 @@ def cmd_transport(config: SolverConfig, study: dict, out: Path, jobs: int) -> in
     q0 = from_physical(grid, np.sin(grid.x) * np.sin(2 * grid.y) + 0.5 * np.cos(2 * grid.x))
     budget = diag.energy_budget_transport(q0, ctx.noise, config.epsilon)
     velocity = make_initial(config.initial_kind, grid, config.initial_params)
-    result = run_scalar_transport(q0, velocity, ctx, config.dt, config.t_end,
-                                  member_path(config, ctx),
-                                  record_every=config.record_every)
+    result = run_scalar_transport(config, q0, velocity, ctx=ctx)
     _write_csv(out / "transport.csv", ("time", "tracer_energy"),
                list(zip(result["times"].tolist(), result["energies"].tolist())))
     with open(out / "summary.txt", "w") as fh:
@@ -193,29 +191,23 @@ COMMANDS = {
 }
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a config error: exit 2 means blow-up
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="lu-flow")
+    parser = _ArgumentParser(prog="lu-flow")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, help="ensemble fan-out bound")
-    args = parser.parse_args(argv)
-
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        config, study = parse_config(text)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-
-    out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:  # e.g. --out names an existing file
+        args = parser.parse_args(argv)
+        config, study = parse_config(Path(args.config).read_text())
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)  # fails when --out names a file
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:

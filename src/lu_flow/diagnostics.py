@@ -13,7 +13,7 @@ from functools import partial
 import numpy as np
 
 from .noise import NoiseModel
-from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, member_path, run
+from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, run
 from .spectral import (
     TorusGrid,
     divergence,
@@ -172,13 +172,11 @@ def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
     ctx = build_context(config)
     grid = ctx.grid
     v0 = make_initial(config.initial_kind, grid, config.initial_params)
-    path = member_path(config, ctx)
     states1 = []
-    rec1 = run(config, ctx=ctx, path=path, v0=v0, observe=lambda t, s: states1.append(s),
-               warn_cfl=False)
+    rec1 = run(config, ctx=ctx, v0=v0, observe=lambda t, s: states1.append(s), warn_cfl=False)
     pert = perturbation_field(grid, delta) if delta > 0 else np.zeros_like(v0)
     sq = []
-    run(config, ctx=ctx, path=path, v0=v0 + pert,
+    run(config, ctx=ctx, v0=v0 + pert,
         observe=partial(_distances_to, grid, iter(states1), sq), warn_cfl=False)
 
     times = rec1.times
@@ -240,13 +238,13 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     ctx = build_context(base_config)  # the noisy runs share its model and cache
     det_states = []
-    times = run(base_config.with_epsilon(0.0), ctx=replace(ctx, epsilon=0.0, _cache={}),
+    times = run(replace(base_config, epsilon=0.0), ctx=replace(ctx, epsilon=0.0, _cache={}),
                 observe=lambda t, s: det_states.append(s), warn_cfl=False).times
 
     sup_h = np.zeros((len(epsilons), ensemble_size))
     int_v = np.zeros((len(epsilons), ensemble_size))
     for j, eps in enumerate(epsilons):
-        cfg = base_config.with_epsilon(float(eps))
+        cfg = replace(base_config, epsilon=float(eps))
         eps_ctx = replace(ctx, epsilon=float(eps))
         for m in range(ensemble_size):
             member = m if shared_path else m + 1000 * (j + 1)

@@ -53,8 +53,8 @@ class OperatorContext:
     The eps-independent noise fields are the noise model's; the properties
     here read them.  ``us_pad``, ``div_a_grad_us`` and
     ``additive_noise_parts``, which only the reference operators read, are
-    computed on each use.  ``_cache`` holds the step workspaces of
-    ``step_workspace``, made on first use.  None of it depends on eps, so
+    computed on each use.  ``_cache`` holds the solver's step workspaces,
+    made on first use by ``solver._workspace``.  None of it depends on eps, so
     ``dataclasses.replace(ctx, epsilon=...)`` gives a context that shares the
     model and the cache.
     """
@@ -89,17 +89,13 @@ class OperatorContext:
     def us(self) -> np.ndarray:
         """Leray-projected Ito-Stokes drift coefficients (the advected part).
 
-        The drift terms inside F and G use the raw field ``us_raw``; the
-        effective tracer advection u - eps^2 u_s uses this projection.
+        The drift terms inside F and G use the raw (unprojected) drift
+        0.5 div a, ``noise.ito_stokes_drift``; the effective tracer advection
+        u - eps^2 u_s uses this projection.  For degenerate-shell mode mixing
+        the solenoidal part cancels exactly, so the raw field may be a pure
+        gradient even when it is nonzero.
         """
         return self.noise.drift_projected
-
-    @property
-    def us_raw(self) -> np.ndarray:
-        """Raw (unprojected) drift 0.5 div a.  For degenerate-shell mode
-        mixing the solenoidal part cancels exactly, so the raw field may be
-        a pure gradient even when it is nonzero."""
-        return self.noise.ito_stokes_drift
 
     @property
     def us_pad(self) -> np.ndarray:
@@ -107,7 +103,7 @@ class OperatorContext:
 
     @property
     def div_a_grad_us(self) -> np.ndarray:
-        return _div_a_grad(self, self.us_raw)
+        return _div_a_grad(self, self.noise.ito_stokes_drift)
 
     @property
     def phi_stack(self) -> np.ndarray:
@@ -124,14 +120,6 @@ class OperatorContext:
         out.put(idx, np.einsum("k,ks->s", dbeta, values).view(complex))
         return out
 
-    def step_workspace(self, make):
-        """The solver's step workspace for this context's ``noisy``, made by
-        ``make(grid, noisy)`` on first use and kept in ``_cache``."""
-        key = ("step", self.noisy)
-        if key not in self._cache:
-            self._cache[key] = make(self.grid, self.noisy)
-        return self._cache[key]
-
     @property
     def additive_noise_parts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-mode state-independent G parts: (A phi_k, P(phi_k . grad u_s)),
@@ -139,7 +127,8 @@ class OperatorContext:
         grid = self.grid
         a_phi = (grid.k_sq / self.reynolds) * self.phi_stack
         b_phi_us = np.stack([
-            leray_project(grid, advect(grid, phi, self.us_raw)) for phi in self.phi_stack
+            leray_project(grid, advect(grid, phi, self.noise.ito_stokes_drift))
+            for phi in self.phi_stack
         ])
         return a_phi, b_phi_us
 
@@ -178,10 +167,11 @@ def apply_F(ctx: OperatorContext, v: np.ndarray) -> np.ndarray:
     eps2 = ctx.epsilon**2
     if eps2 == 0.0:
         return np.zeros_like(v)
-    out = eps2 * apply_B(ctx, v, ctx.us_raw)
+    us = ctx.noise.ito_stokes_drift
+    out = eps2 * apply_B(ctx, v, us)
     out -= 0.5 * eps2 * _div_a_grad(ctx, v)
     out -= 0.5 * eps2**2 * ctx.div_a_grad_us
-    out -= eps2 * leray_project(grid, (grid.k_sq / ctx.reynolds) * ctx.us_raw)
+    out -= eps2 * leray_project(grid, (grid.k_sq / ctx.reynolds) * us)
     # + eps^2 P d/dt u_s: identically zero for time-independent noise
     return out
 

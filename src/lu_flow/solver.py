@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,6 +54,8 @@ from .spectral import (
 )
 
 INITIAL_KINDS = ("taylor_green", "random_band", "file")
+# the diagnostics of each record, in the order of ``_record``
+RECORD_NAMES = ("energy", "enstrophy", "h_norm", "v_norm", "max_div")
 
 
 class BlowUpError(RuntimeError):
@@ -77,26 +79,6 @@ def _step_count(dt: float, t_end: float) -> int:
     return int(round(n_steps))
 
 
-def _check_record_every(record_every: int) -> None:
-    """ValueError unless record_every >= 1."""
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
-
-
-def _check_path(path: WienerPath | None, n_steps: int, dt: float, k_modes: int) -> None:
-    """ValueError naming the first field in which ``path`` (None fits any run)
-    does not fit a run of n_steps steps of size dt with k_modes noise modes.
-    A longer path is used from its start; dt is compared to 1e-9 relative,
-    the tolerance of ``_step_count``."""
-    if path is None:
-        return
-    for name, got, want, fits in (("n_steps", path.n_steps, n_steps, path.n_steps >= n_steps),
-                                  ("dt", path.dt, dt, abs(path.dt - dt) <= 1e-9 * dt),
-                                  ("k_modes", path.k_modes, k_modes, path.k_modes == k_modes)):
-        if not fits:
-            raise ValueError(f"path {name} {got!r} does not fit the run's {want!r}")
-
-
 @dataclass
 class SolverConfig:
     n_modes: int = 32
@@ -117,20 +99,18 @@ class SolverConfig:
         _step_count(self.dt, self.t_end)
         if self.initial_kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial condition {self.initial_kind!r}")
-        _check_record_every(self.record_every)
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
 
     @property
     def n_steps(self) -> int:
         return _step_count(self.dt, self.t_end)
 
-    def with_epsilon(self, epsilon: float) -> "SolverConfig":
-        return replace(self, epsilon=epsilon)
-
 
 @dataclass
 class TrajectoryRecord:
     times: np.ndarray
-    diagnostics: dict  # arrays: energy, enstrophy, h_norm, v_norm, max_div
+    diagnostics: dict  # one array per name of RECORD_NAMES
     # never set by run (states go to its observer); read by perfbench/hook.py
     snapshots: list | None = None
 
@@ -241,7 +221,7 @@ class _StepWorkspace:
     large), the padded product batch, xi (zero off the noise support) and
     the Stokes multipliers of ``step`` for the last (dt, Re)."""
 
-    def __init__(self, grid: TorusGrid, noisy: bool, k: int = 2):
+    def __init__(self, grid: TorusGrid, noisy: bool, k: int):
         m = grid.pad_size
         n_in, n_out = 2 + 2 * k, 3 * k if noisy else k
         self.spec = np.empty((n_in, grid.n_modes, grid.n_modes // 2), dtype=complex)
@@ -259,6 +239,15 @@ class _StepWorkspace:
             self.a_diag = (grid.k_sq / reynolds).astype(complex)
             self.key = (dt, reynolds)
         return self.factor, self.a_diag
+
+
+def _workspace(ctx: OperatorContext, k: int = 2) -> _StepWorkspace:
+    """The workspace of ``ctx`` for f of k components, made on first use and
+    kept in ``ctx._cache`` under (noisy, k)."""
+    key = (ctx.noisy, k)
+    if key not in ctx._cache:
+        ctx._cache[key] = _StepWorkspace(ctx.grid, ctx.noisy, k)
+    return ctx._cache[key]
 
 
 def _transport(ctx: OperatorContext, work: _StepWorkspace, u: np.ndarray, f: np.ndarray,
@@ -295,21 +284,22 @@ def step(state: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
 
     Fused form of exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta]:
     ``_transport`` of w = v + eps^2 u_s by c = dt v + eps xi, 12 real
-    transforms on the padded grid with noise, 8 without.  Its workspace is
-    kept in the context's cache (shared by contexts made with
-    ``dataclasses.replace``), so a warm step allocates only its grid-sized
-    result and small temporaries.  The workspace makes ``step`` not
+    transforms on the padded grid with noise, 8 without.  Its workspace,
+    ``_workspace(ctx)``, is kept in the context's cache (shared by contexts
+    made with ``dataclasses.replace``), so a warm step allocates only its
+    grid-sized result and small temporaries.  The workspace makes ``step`` not
     reentrant: contexts that share a cache must not step in two threads at
     once.  The returned state never aliases the workspace.
     """
     grid = ctx.grid
     n = grid.n_modes
     noisy = ctx.noisy
-    work = ctx.step_workspace(_StepWorkspace)
+    work = _workspace(ctx)
     eps = ctx.epsilon
+    us = ctx.noise.ito_stokes_drift
     xi = ctx.noise_field(dbeta, out=work.xi) if noisy and dbeta is not None else None
     # w on the ky >= 0 columns only, the ones _transport reads
-    w = state[..., :n // 2] + eps**2 * ctx.us_raw[..., :n // 2] if noisy else state
+    w = state[..., :n // 2] + eps**2 * us[..., :n // 2] if noisy else state
     hat = _transport(ctx, work, state, w, xi, dt)
     rhs = state - hat[:2]
     factor, a_diag = work.stokes(grid, dt, ctx.reynolds)
@@ -318,7 +308,7 @@ def step(state: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
         div = np.multiply(grid.ikx, flux[0], out=flux[0])
         np.add(div, np.multiply(grid.iky, flux[1], out=flux[1]), out=div)
         np.multiply(0.5 * eps**2 * dt, div, out=div)
-        stokes_arg = np.multiply(eps**2 * dt, ctx.us_raw, out=hat[:2])
+        stokes_arg = np.multiply(eps**2 * dt, us, out=hat[:2])
         if xi is not None:
             np.subtract(stokes_arg, np.multiply(eps, xi, out=flux[1]), out=stokes_arg)
         np.add(div, np.multiply(a_diag, stokes_arg, out=stokes_arg), out=div)
@@ -332,12 +322,32 @@ def _record(grid: TorusGrid, v: np.ndarray) -> tuple:
     return (0.5 * hn**2, 0.5 * vn**2, hn, vn, max_divergence(grid, v))
 
 
-def member_path(config: SolverConfig, ctx: OperatorContext, member: int = 0) -> WienerPath | None:
-    """The Brownian path of ``member`` derived from (config.seed, member), or
-    None when the noise of ``ctx`` is off."""
-    if not ctx.noisy:
-        return None
-    return WienerPath(config.seed, config.dt, config.n_steps, config.k_modes, member=member)
+def _setup(config: SolverConfig, ctx: OperatorContext | None, path: WienerPath | None,
+           member: int = 0) -> tuple:
+    """(ctx, path) of a trajectory of ``config``: each is derived from the
+    config when None, else checked against it, or ValueError names the field.
+    The derived path is member's, from (config.seed, member), and None when
+    the noise of ctx is off.  A longer path is used from its start; its dt
+    must match to 1e-9 relative, the tolerance of ``_step_count``."""
+    ctx = ctx or build_context(config)
+    for name, got, want in (("epsilon", ctx.epsilon, config.epsilon),
+                            ("reynolds", ctx.reynolds, config.reynolds),
+                            ("n_modes", ctx.grid.n_modes, config.n_modes),
+                            ("k_modes", ctx.noise.k_modes, config.k_modes)):
+        if got != want:
+            raise ValueError(f"context {name} {got!r} disagrees with config {want!r}")
+    if path is None:
+        if ctx.noisy:
+            path = WienerPath(config.seed, config.dt, config.n_steps, config.k_modes,
+                              member=member)
+        return ctx, path
+    for name, got, want, fits in (
+            ("n_steps", path.n_steps, config.n_steps, path.n_steps >= config.n_steps),
+            ("dt", path.dt, config.dt, abs(path.dt - config.dt) <= 1e-9 * config.dt),
+            ("k_modes", path.k_modes, config.k_modes, path.k_modes == config.k_modes)):
+        if not fits:
+            raise ValueError(f"path {name} {got!r} does not fit the run's {want!r}")
+    return ctx, path
 
 
 # A diverging (or non-finite initial) state overflows before the loop raises
@@ -381,16 +391,7 @@ def run(config: SolverConfig, member_index: int = 0, *,
     ``observe(t, state)``, when given, sees each recorded state (``v0`` itself
     at t = 0) and may keep it; the record holds only the diagnostics.
     """
-    ctx = ctx or build_context(config)
-    for name, got, want in (("epsilon", ctx.epsilon, config.epsilon),
-                            ("reynolds", ctx.reynolds, config.reynolds),
-                            ("n_modes", ctx.grid.n_modes, config.n_modes),
-                            ("k_modes", ctx.noise.k_modes, config.k_modes)):
-        if got != want:
-            raise ValueError(f"context {name} {got!r} disagrees with config {want!r}")
-    if path is None:
-        path = member_path(config, ctx, member_index)
-    _check_path(path, config.n_steps, config.dt, config.k_modes)
+    ctx, path = _setup(config, ctx, path, member_index)
     state = v0 if v0 is not None else make_initial(
         config.initial_kind, ctx.grid, config.initial_params)
     if warn_cfl:
@@ -405,38 +406,34 @@ def run(config: SolverConfig, member_index: int = 0, *,
     # step is looked up at each call: perfbench/hook.py's one-shot timer rebinds it
     times = _integrate(state, lambda v, dbeta: step(v, ctx, dbeta, config.dt), path,
                        config.n_steps, config.dt, config.record_every, record)
-    names = ("energy", "enstrophy", "h_norm", "v_norm", "max_div")
-    diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(names)}
+    diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(RECORD_NAMES)}
     return TrajectoryRecord(times, diags)
 
 
 @_quiet_overflow
-def run_scalar_transport(q0: np.ndarray, velocity: np.ndarray,
-                         ctx: OperatorContext, dt: float, t_end: float,
-                         path: WienerPath | None, record_every: int = 1) -> dict:
+def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndarray, *,
+                         ctx: OperatorContext | None = None,
+                         path: WienerPath | None = None) -> dict:
     """Euler-Maruyama integration of the stochastic tracer equation
 
         d q = -(u - eps^2 u_s).grad q dt - eps (sigma dW).grad q
               + (eps^2/2) div(a grad q) dt
 
     in a steady velocity u: q+ = q - (c.grad) q + (eps^2 dt / 2) div(a grad q),
-    c = dt (u - eps^2 u_s) + eps xi, by ``_transport`` through one workspace
-    per call (7 real transforms with noise, 5 without).  Raises ValueError
-    unless t_end is a positive integer multiple of dt, record_every >= 1 and
-    a given ``path`` fits the steps, dt and K, and BlowUpError at the first
-    step whose tracer is not finite.  Returns {"times", "energies"}
+    c = dt (u - eps^2 u_s) + eps xi, by ``_transport`` through the context's
+    one-component workspace (7 real transforms with noise, 5 without).
+    The steps, dt and record cadence are the config's; ``ctx`` and ``path``
+    (member 0's by default) are set up as in ``run``.  Raises BlowUpError at
+    the first step whose tracer is not finite.  Returns {"times", "energies"}
     with 0.5 |q|_H^2 recorded.
     """
+    ctx, path = _setup(config, ctx, path)
     grid = ctx.grid
     eps = ctx.epsilon
-    n_steps = _step_count(dt, t_end)
-    _check_record_every(record_every)
+    dt = config.dt
     noisy = ctx.noisy
-    if noisy and path is None:
-        raise ValueError("a WienerPath is required when the noise is active")
-    _check_path(path, n_steps, dt, ctx.noise.k_modes)
     u_adv = velocity - (eps**2) * ctx.us
-    work = _StepWorkspace(grid, noisy, k=1)
+    work = _workspace(ctx, k=1)
     energies = []
 
     def advance(q, dbeta):
@@ -447,6 +444,6 @@ def run_scalar_transport(q0: np.ndarray, velocity: np.ndarray,
             q += (0.5 * eps**2 * dt) * divergence(grid, hat[1:])
         return q
 
-    times = _integrate(q0, advance, path, n_steps, dt, record_every,
+    times = _integrate(q0, advance, path, config.n_steps, dt, config.record_every,
                        lambda t, q: energies.append(energy(grid, q)))
     return {"times": times, "energies": np.array(energies)}

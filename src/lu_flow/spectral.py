@@ -296,11 +296,15 @@ def energy(grid: TorusGrid, f: np.ndarray) -> float:
 # n_modes u32, n_components u32} + interleaved complex64, row-major k-order
 
 def save_snapshot(path, grid: TorusGrid, coeffs: np.ndarray) -> None:
-    """Raises ValueError, before the file is opened, if a coefficient is not
-    finite in complex64 (a real or imaginary part above 3.4e38)."""
+    """Raises ValueError, before the file is opened, if the coefficients are
+    not one or more (n, n) components of the grid, or if one is not finite
+    in complex64 (a real or imaginary part above 3.4e38)."""
     arr = np.asarray(coeffs, dtype=np.complex128)
     if arr.ndim == 2:
         arr = arr[None]
+    if arr.ndim != 3 or arr.shape[1:] != (grid.n_modes, grid.n_modes):
+        raise ValueError(f"snapshot coefficients of shape {np.shape(coeffs)} do not fit "
+                         f"the grid N={grid.n_modes}")
     n_comp = arr.shape[0]
     with np.errstate(over="ignore"):  # an overflow is caught by the check below
         interleaved = np.ascontiguousarray(arr.transpose(1, 2, 0).astype(np.complex64))

@@ -11,6 +11,7 @@ inline next to each assertion.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,8 +127,8 @@ def test_criterion_2_transport_energy_neutrality():
         fine = WienerPath(11, dt_fine, int(round(t_end / dt_fine)), 4, member=m)
         for j, factor in enumerate((4, 2)):  # dt = 4e-3 and dt/2 = 2e-3
             path = fine.coarsen(factor)
-            res = run_scalar_transport(q, velocity, ctx, path.dt, t_end, path,
-                                       record_every=10**9)
+            res = run_scalar_transport(replace(cfg, dt=path.dt, record_every=10**9), q,
+                                       velocity, ctx=ctx, path=path)
             drifts[j, m] = abs(res["energies"][-1] - res["energies"][0]) / res["energies"][0]
     ratio = drifts[0].mean() / drifts[1].mean()
     elapsed = time.time() - t0
@@ -144,7 +145,7 @@ def test_criterion_3_taylor_green_oracle():
     t0 = time.time()
     cfg = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.0, dt=1e-3,
                        t_end=1.0, k_modes=4, record_every=1000)
-    states = recorded_states(cfg.with_epsilon(0.0), warn_cfl=False)
+    states = recorded_states(replace(cfg, epsilon=0.0), warn_cfl=False)
     grid = TorusGrid(cfg.n_modes)
     exact = states[0] * np.exp(-2.0 * cfg.t_end / cfg.reynolds)
     err = h_norm(grid, states[-1] - exact) / h_norm(grid, exact)
@@ -186,7 +187,7 @@ def test_criterion_5_pathwise_contraction():
     cs = []
     bound_ok = True
     for eps in (0.05, 0.1, 0.2):
-        rep = contraction_test(base.with_epsilon(eps), delta=1e-3)
+        rep = contraction_test(replace(base, epsilon=eps), delta=1e-3)
         cs.append(rep.fitted_C)
         bound_ok &= bool(np.all(rep.weighted_diffs
                                 <= rep.bound_curve * (1 + 1e-9) + 1e-300))
@@ -213,11 +214,11 @@ def test_criterion_6_energy_estimate():
     base = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.1, dt=2e-3,
                         t_end=1.0, k_modes=4, record_every=25, seed=0,
                         noise_mixing=True)
-    det = run(base.with_epsilon(0.0), warn_cfl=False)
+    det = run(replace(base, epsilon=0.0), warn_cfl=False)
     excesses = []
     checks = []
     for eps in (0.1, 0.2, 0.4):
-        cfg = base.with_epsilon(eps)
+        cfg = replace(base, epsilon=eps)
         ctx = build_context(cfg)
         records = [run(cfg, m, ctx=ctx, warn_cfl=False) for m in range(members)]
         chk = energy_estimate_check(records, p=2, det_record=det, epsilon=eps)

@@ -187,6 +187,36 @@ def test_cli_ensemble_jobs_agree_bytewise(tmp_path):
         assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
+def test_cli_ensemble_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):
+    # a pool starts all its workers, so --jobs 64 for 3 members must ask for 3;
+    # the fake pool maps in this process and starts none
+    import lu_flow.cli as cli
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+    cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": 3}))
+    for jobs in ("64", "1"):
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / jobs),
+                     "--jobs", jobs]) == 0
+    assert sizes == [3]
+    for name in ("members.csv", "aggregate.csv"):
+        assert (tmp_path / "64" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
 def test_cli_converge(tmp_path):
     doc = dict(SMALL, T=0.02, study={"epsilons": [0.2, 0.1, 0.05],
                                      "ensemble_size": 4})
@@ -232,6 +262,26 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["simulate"], 1),
+    (["simulate", "--config", "config.json", "--jobs", "two"], 1),
+    (["evolve", "--config", "config.json"], 1),
+    (["--help"], 0),
+], ids=["missing-config", "non-integer-jobs", "unknown-command", "help"])
+def test_cli_usage_errors_are_config_errors(capsys, argv, code):
+    # exit code 2 is a blow-up, so argparse's usage errors must not use it
+    try:
+        got = main(argv)
+    except SystemExit as exc:  # --help prints the usage and exits
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    if code:
+        assert captured.err.startswith("config error: ")
+    else:
+        assert captured.out.startswith("usage: lu-flow") and captured.err == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

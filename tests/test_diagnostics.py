@@ -1,5 +1,7 @@
 """Energy budgets, moment estimates, contraction, vanishing-noise sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def ensemble(cfg, n):
 def test_energy_estimate_requires_ensemble():
     cfg = SolverConfig(t_end=0.01, dt=1e-3, epsilon=0.1)
     recs = ensemble(cfg, 4)
-    det = run(cfg.with_epsilon(0.0), warn_cfl=False)
+    det = run(replace(cfg, epsilon=0.0), warn_cfl=False)
     with pytest.raises(ValueError):
         energy_estimate_check(recs, det_record=det, epsilon=0.1)
     with pytest.raises(ValueError):
@@ -84,7 +86,7 @@ def test_energy_estimate_requires_ensemble():
 
 def test_energy_estimate_eps_zero_ratio_one():
     cfg = SolverConfig(t_end=0.05, dt=1e-3, epsilon=0.0)
-    det = run(cfg.with_epsilon(0.0), warn_cfl=False)
+    det = run(replace(cfg, epsilon=0.0), warn_cfl=False)
     recs = [run(cfg, m, warn_cfl=False) for m in range(32)]
     rep = energy_estimate_check(recs, det_record=det, epsilon=0.0)
     assert rep["ratio_sup"] == pytest.approx(1.0, abs=1e-14)
@@ -95,7 +97,7 @@ def test_energy_estimate_eps_zero_ratio_one():
 def test_energy_estimate_moments_jensen():
     cfg = SolverConfig(t_end=0.05, dt=1e-3, epsilon=0.2, noise_mixing=True)
     recs = ensemble(cfg, 32)
-    det = run(cfg.with_epsilon(0.0), warn_cfl=False)
+    det = run(replace(cfg, epsilon=0.0), warn_cfl=False)
     rep2 = energy_estimate_check(recs, p=2, det_record=det, epsilon=0.2)
     rep4 = energy_estimate_check(recs, p=4, det_record=det, epsilon=0.2)
     assert np.isfinite(rep2["mean_sup_hp"]) and np.isfinite(rep4["mean_sup_hp"])

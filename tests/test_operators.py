@@ -234,7 +234,7 @@ def test_contexts_share_the_model_fields(grid32):
     others = [replace(ctx, epsilon=0.3), replace(ctx, epsilon=0.0),
               OperatorContext(grid32, ctx.noise, 0.05, 50.0)]
     for other in others:
-        for name in ("a_pad", "us", "us_raw", "phi_stack"):
+        for name in ("a_pad", "us", "phi_stack"):
             assert getattr(other, name) is getattr(ctx, name), name
     assert ctx.a_pad is ctx.noise.a_pad and ctx.us is ctx.noise.drift_projected
     assert ctx.phi_stack is ctx.noise.phi

@@ -15,7 +15,6 @@ from lu_flow.solver import (
     SolverConfig,
     build_context,
     make_initial,
-    member_path,
     run,
     run_scalar_transport,
     step,
@@ -55,12 +54,9 @@ def short_config(**kw):
     (0.0, 0.05, "dt must be positive"),
     (float("nan"), 0.05, "dt must be positive"),
 ], ids=["off-grid", "below-dt", "zero-end", "zero-dt", "nan-dt"])
-def test_end_time_must_be_a_multiple_of_dt(grid32, dt, t_end, message):
-    # the tracer and SolverConfig apply one rule to (dt, t_end)
-    ctx = build_context(short_config(epsilon=0.0))
-    q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
-    with pytest.raises(ValueError, match=message):
-        run_scalar_transport(q0, u, ctx, dt, t_end, None)
+def test_end_time_must_be_a_multiple_of_dt(dt, t_end, message):
+    # the rule on (dt, t_end) has one owner: the SolverConfig that both the
+    # velocity and the tracer run from
     with pytest.raises(ValueError, match=message):
         SolverConfig(dt=dt, t_end=t_end)
 
@@ -79,15 +75,12 @@ def test_explicit_path_must_fit_the_run(grid32, dt, n_steps, k_modes, name):
         run(cfg, ctx=ctx, path=path, warn_cfl=False)
     q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
     with pytest.raises(ValueError, match=f"path {name} "):
-        run_scalar_transport(q0, u, ctx, cfg.dt, cfg.t_end, path)
+        run_scalar_transport(cfg, q0, u, ctx=ctx, path=path)
 
 
-def test_record_every_must_be_positive(grid32):
-    # the tracer and SolverConfig apply one rule to record_every
-    ctx = build_context(short_config(epsilon=0.0))
-    q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
-    with pytest.raises(ValueError, match="record_every must be >= 1"):
-        run_scalar_transport(q0, u, ctx, 1e-3, 0.01, None, record_every=0)
+def test_record_every_must_be_positive():
+    # the rule on record_every has one owner: the SolverConfig that both the
+    # velocity and the tracer run from
     with pytest.raises(ValueError, match="record_every must be >= 1"):
         SolverConfig(record_every=0)
 
@@ -195,7 +188,7 @@ def test_fused_step_matches_operator_reference(grid32, rng, model, epsilon, with
     else:
         base = OperatorContext(grid32, synthetic_inhomogeneous_model(grid32), 0.1, 100.0)
     ctx = OperatorContext(grid32, base.noise, epsilon, 100.0)
-    assert np.max(np.abs(ctx.us_raw)) > 0  # the drift terms are exercised
+    assert np.max(np.abs(ctx.noise.ito_stokes_drift)) > 0  # the drift terms are exercised
     v = 2.0 * random_div_free(grid32, rng)
     dt = 1e-3
     dbeta = (np.sqrt(dt) * rng.standard_normal(ctx.noise.k_modes) if with_noise else None)
@@ -291,7 +284,7 @@ def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
         for eps in shared:
             dbeta = dbetas[i] if eps > 0 else None
             a[eps] = step(a[eps], shared[eps], dbeta, dt)
-            b[eps] = step(b[eps], build_context(cfg.with_epsilon(eps)), dbeta, dt)
+            b[eps] = step(b[eps], build_context(replace(cfg, epsilon=eps)), dbeta, dt)
             assert a[eps].tobytes() == b[eps].tobytes()
 
 
@@ -356,10 +349,8 @@ def test_record_cadence(grid32, monkeypatch, trajectory):
     if trajectory == "velocity":
         times = run(cfg, warn_cfl=False).times
     else:
-        ctx = build_context(cfg)
-        times = run_scalar_transport(make_tracer(grid32), make_initial("taylor_green", grid32),
-                                     ctx, cfg.dt, cfg.t_end, member_path(cfg, ctx),
-                                     record_every=cfg.record_every)["times"]
+        times = run_scalar_transport(cfg, make_tracer(grid32),
+                                     make_initial("taylor_green", grid32))["times"]
     assert seen == [0.0, 0.02, 0.04, 0.05] == times.tolist()
 
 
@@ -381,11 +372,14 @@ def test_step_is_looked_up_at_every_step(monkeypatch):
 
 @pytest.mark.parametrize("field,ctx_value", [("epsilon", 0.2), ("reynolds", 50.0),
                                               ("n_modes", 16), ("k_modes", 8)])
-def test_run_rejects_context_of_another_config(field, ctx_value):
+def test_run_rejects_context_of_another_config(grid32, field, ctx_value):
     cfg = short_config(t_end=2e-3)
     ctx = build_context(replace(cfg, **{field: ctx_value}))
     with pytest.raises(ValueError, match=f"context {field} "):
         run(cfg, ctx=ctx)
+    q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
+    with pytest.raises(ValueError, match=f"context {field} "):
+        run_scalar_transport(cfg, q0, u, ctx=ctx)
 
 
 def test_run_bitwise_reproducible():
@@ -422,11 +416,11 @@ def test_convergence_study_matches_fresh_contexts():
     epsilons = [0.2, 0.1]
     report = epsilon_convergence_study(cfg, epsilons, 2)
     det_states = []
-    det = run(cfg.with_epsilon(0.0), observe=lambda t, state: det_states.append(state),
+    det = run(replace(cfg, epsilon=0.0), observe=lambda t, state: det_states.append(state),
               warn_cfl=False)
     grid = TorusGrid(16)
     for j, eps in enumerate(epsilons):
-        eps_cfg = cfg.with_epsilon(eps)
+        eps_cfg = replace(cfg, epsilon=eps)
         ctx = build_context(eps_cfg)
         int_v = []
         for m in range(2):
@@ -490,11 +484,10 @@ def make_tracer(grid):
 
 
 def test_tracer_constant_without_forcing(grid32):
-    cfg = short_config(epsilon=0.0)
-    ctx = build_context(cfg)
+    cfg = short_config(epsilon=0.0, t_end=0.05, record_every=1)
     q0 = make_tracer(grid32)
     zero_u = np.zeros((2, 32, 32), dtype=complex)
-    out = run_scalar_transport(q0, zero_u, ctx, 1e-3, 0.05, None)
+    out = run_scalar_transport(cfg, q0, zero_u)
     assert np.max(np.abs(np.diff(out["energies"]))) == 0.0
 
 
@@ -505,7 +498,7 @@ def test_tracer_advection_conserves_energy_to_first_order(grid32):
     u = make_initial("taylor_green", grid32)
     drift = {}
     for dt in (2e-3, 1e-3):
-        out = run_scalar_transport(q0, u, ctx, dt, 0.1, None)
+        out = run_scalar_transport(replace(cfg, dt=dt, record_every=1), q0, u, ctx=ctx)
         drift[dt] = abs(out["energies"][-1] - out["energies"][0]) / out["energies"][0]
     assert drift[1e-3] < 5e-3                      # O(dt) per unit time
     assert 1.6 < drift[2e-3] / drift[1e-3] < 2.4   # first-order in dt
@@ -523,7 +516,9 @@ def test_fused_tracer_matches_per_call_reference(grid32, model, epsilon):
     u = make_initial("random_band", grid32, {"k_max": 8, "seed": 2})
     dt, t_end = 1e-3, 0.04
     path = WienerPath(3, dt, 40, noise.k_modes) if ctx.noisy else None
-    got = run_scalar_transport(q0, u, ctx, dt, t_end, path)["energies"]
+    cfg = short_config(epsilon=epsilon, dt=dt, t_end=t_end, record_every=1,
+                       k_modes=noise.k_modes)
+    got = run_scalar_transport(cfg, q0, u, ctx=ctx, path=path)["energies"]
     ref = _reference_tracer(q0, u, ctx, dt, t_end, path)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -536,9 +531,8 @@ def test_tracer_null_amplitude_is_noise_free(grid32):
     u = make_initial("taylor_green", grid32)
     energies = []
     for kw in (dict(epsilon=0.1, amplitude=0.0), dict(epsilon=0.0)):
-        cfg = short_config(k_modes=8, **kw)
-        ctx = build_context(cfg)
-        out = run_scalar_transport(q0, u, ctx, cfg.dt, 0.05, member_path(cfg, ctx))
+        out = run_scalar_transport(short_config(k_modes=8, t_end=0.05, record_every=1, **kw),
+                                   q0, u)
         energies.append(out["energies"].tobytes())
     assert energies[0] == energies[1]
 
@@ -550,7 +544,27 @@ def test_transform_count_per_tracer_step(grid32, monkeypatch, epsilon, real):
     ctx = build_context(cfg)
     q0 = make_tracer(grid32)
     u = make_initial("taylor_green", grid32)
-    path = member_path(cfg, ctx)
     one, two = (_real_passes(_count_transforms(monkeypatch, lambda t=t: run_scalar_transport(
-        q0, u, ctx, cfg.dt, t * cfg.dt, path))) for t in (1, 2))
+        replace(cfg, t_end=t * cfg.dt), q0, u, ctx=ctx))) for t in (1, 2))
     assert two - one == real
+
+
+def test_tracer_reuses_the_context_workspace(grid32, monkeypatch):
+    # the tracer's one-component workspace is the context's, made once: a
+    # second run on the same context constructs no new one
+    cfg = short_config(k_modes=8, t_end=2e-3)
+    ctx = build_context(cfg)
+    q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
+    made = []
+
+    class CountingWorkspace(solver._StepWorkspace):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_StepWorkspace", CountingWorkspace)
+    first = run_scalar_transport(cfg, q0, u, ctx=ctx)["energies"]
+    assert len(made) == 1
+    second = run_scalar_transport(cfg, q0, u, ctx=ctx)["energies"]
+    assert len(made) == 1
+    assert first.tobytes() == second.tobytes()

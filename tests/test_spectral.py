@@ -348,6 +348,15 @@ def test_snapshot_beyond_complex64_raises_and_writes_nothing(tmp_path, grid16, v
     assert not path.exists()
 
 
+@pytest.mark.parametrize("shape", [(2, 32, 32), (32, 32), (2, 16, 8), (16,), (1, 2, 16, 16)])
+def test_snapshot_of_another_shape_raises_and_writes_nothing(tmp_path, grid16, shape):
+    # a payload that load_snapshot would reject as truncated is never written
+    path = tmp_path / "wrong.lufs"
+    with pytest.raises(ValueError, match="grid N=16"):
+        save_snapshot(path, grid16, np.zeros(shape, complex))
+    assert not path.exists()
+
+
 def test_snapshot_rejects_garbage(tmp_path):
     path = tmp_path / "bad.lufs"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
