@@ -5,7 +5,6 @@ __version__ = "0.1.0"  # before the imports: config reads it while the package l
 
 from .spectral import (
     TorusGrid,
-    dealiased_product,
     energy,
     h_norm,
     leray_project,

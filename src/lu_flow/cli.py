@@ -42,7 +42,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _trajectory_rows(record):
-    columns = [record.times, *(record.diagnostics[name] for name in RECORD_NAMES)]
+    columns = [record.times, *record.diagnostics.values()]
     for row in zip(*columns):
         yield tuple(map(float, row))
 
@@ -149,13 +149,13 @@ def cmd_transport(config: SolverConfig, study: dict, out: Path, jobs: int) -> in
     q0 = from_physical(grid, np.sin(grid.x) * np.sin(2 * grid.y) + 0.5 * np.cos(2 * grid.x))
     budget = diag.energy_budget_transport(q0, ctx.noise, config.epsilon)
     velocity = make_initial(config.initial_kind, grid, config.initial_params)
-    result = run_scalar_transport(config, q0, velocity, ctx=ctx)
-    _write_csv(out / "transport.csv", ("time", "tracer_energy"),
-               list(zip(result["times"].tolist(), result["energies"].tolist())))
+    record = run_scalar_transport(config, q0, velocity, ctx=ctx)
+    _write_csv(out / "transport.csv", ("time", "tracer_energy"), _trajectory_rows(record))
     with open(out / "summary.txt", "w") as fh:
         for key in ("diffusion_loss", "noise_intake", "residual"):
             fh.write(f"{key} {budget[key]!r}\n")
-        drift = abs(result["energies"][-1] - result["energies"][0]) / result["energies"][0]
+        energies = record.diagnostics["energy"]
+        drift = abs(energies[-1] - energies[0]) / energies[0]
         fh.write(f"relative_energy_drift {float(drift)!r}\n")
     outputs = ["transport.csv", "summary.txt", "manifest.json"]
     make_manifest(config, study, outputs).write(out / "manifest.json")
@@ -201,17 +201,19 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="ensemble fan-out bound")
+    parser.add_argument("--jobs", type=int, default=1, help="ensemble fan-out bound, >= 1")
     try:
         args = parser.parse_args(argv)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         config, study = parse_config(Path(args.config).read_text())
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)  # fails when --out names a file
-    except (OSError, ConfigError) as exc:
+    except (OSError, UnicodeDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
-        return COMMANDS[args.command](config, study, out, max(1, args.jobs))
+        return COMMANDS[args.command](config, study, out, args.jobs)
     except (ConfigError, InitialConditionError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -34,7 +34,6 @@ import numpy as np
 
 from .noise import NoiseModel
 from .spectral import (
-    GridMismatchError,
     TorusGrid,
     advect,
     divergence,
@@ -48,10 +47,10 @@ from .spectral import (
 
 @dataclass
 class OperatorContext:
-    """Immutable bundle of grid, noise model and physical parameters.
+    """Immutable bundle of a noise model and the physical parameters.
 
-    The eps-independent noise fields are the noise model's; the properties
-    here read them.  ``us_pad``, ``div_a_grad_us`` and
+    The grid and the eps-independent noise fields are the noise model's; the
+    properties here read them.  ``us_pad``, ``div_a_grad_us`` and
     ``additive_noise_parts``, which only the reference operators read, are
     computed on each use.  ``_cache`` holds the solver's step workspaces,
     made on first use by ``solver._workspace``.  None of it depends on eps, so
@@ -59,7 +58,6 @@ class OperatorContext:
     model and the cache.
     """
 
-    grid: TorusGrid
     noise: NoiseModel
     epsilon: float
     reynolds: float
@@ -70,8 +68,10 @@ class OperatorContext:
             raise ValueError("reynolds must be positive")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
-        if self.noise.grid != self.grid:
-            raise GridMismatchError("noise model grid differs from context grid")
+
+    @property
+    def grid(self) -> TorusGrid:
+        return self.noise.grid
 
     @property
     def noisy(self) -> bool:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -110,7 +111,7 @@ class SolverConfig:
 @dataclass
 class TrajectoryRecord:
     times: np.ndarray
-    diagnostics: dict  # one array per name of RECORD_NAMES
+    diagnostics: dict  # one array per diagnostic name, in record order
     # never set by run (states go to its observer); read by perfbench/hook.py
     snapshots: list | None = None
 
@@ -128,7 +129,7 @@ def build_context(config: SolverConfig) -> OperatorContext:
     # factor of the Stokes spectrum would only rescale the overall amplitude
     model = build_noise_model(grid, config.k_modes, config.spectrum_exponent,
                               config.amplitude, mix_shells=config.noise_mixing)
-    return OperatorContext(grid, model, config.epsilon, config.reynolds)
+    return OperatorContext(model, config.epsilon, config.reynolds)
 
 
 class InitialConditionError(ValueError):
@@ -356,24 +357,33 @@ def _setup(config: SolverConfig, ctx: OperatorContext | None, path: WienerPath |
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-def _integrate(state, advance, path: WienerPath | None, n_steps: int, dt: float,
-               record_every: int, observe) -> np.ndarray:
-    """Step ``state`` n_steps times by ``advance(state, dbeta)``, which returns
-    a new state, with the increments of ``path`` (None without a path), and
-    call ``observe(t, state)`` at t = 0, every ``record_every`` steps and at
-    the last; return those times.  Raises BlowUpError at the first state
-    that is not finite."""
-    times = [0.0]
-    observe(0.0, state)
+def _integrate(state, advance, path: WienerPath | None, config: SolverConfig,
+               names: tuple, measure, observe=None) -> TrajectoryRecord:
+    """Step ``state`` config.n_steps times by ``advance(state, dbeta)``, which
+    returns a new state, with the increments of ``path`` (None without a
+    path).  At t = 0, every config.record_every steps and at the last, append
+    ``measure(state)``, one value per name of ``names``, and call
+    ``observe(t, state)`` when given; return the record of those times and
+    values.  Raises BlowUpError at the first state that is not finite."""
+    n_steps, dt = config.n_steps, config.dt
+    times, rows = [], []
+
+    def record(t, state):
+        times.append(t)
+        rows.append(measure(state))
+        if observe is not None:
+            observe(t, state)
+
+    record(0.0, state)
     for i in range(n_steps):
         state = advance(state, None if path is None else path.increments[i])
         t = (i + 1) * dt
         if not np.isfinite(state).all():
             raise BlowUpError(i + 1, t)
-        if (i + 1) % record_every == 0 or i + 1 == n_steps:
-            times.append(t)
-            observe(t, state)
-    return np.array(times)
+        if (i + 1) % config.record_every == 0 or i + 1 == n_steps:
+            record(t, state)
+    diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(names)}
+    return TrajectoryRecord(np.array(times), diags)
 
 
 @_quiet_overflow
@@ -396,24 +406,15 @@ def run(config: SolverConfig, member_index: int = 0, *,
         config.initial_kind, ctx.grid, config.initial_params)
     if warn_cfl:
         check_cfl(config, ctx.grid, state)
-    rows = []
-
-    def record(t, state):
-        rows.append(_record(ctx.grid, state))
-        if observe is not None:
-            observe(t, state)
-
     # step is looked up at each call: perfbench/hook.py's one-shot timer rebinds it
-    times = _integrate(state, lambda v, dbeta: step(v, ctx, dbeta, config.dt), path,
-                       config.n_steps, config.dt, config.record_every, record)
-    diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(RECORD_NAMES)}
-    return TrajectoryRecord(times, diags)
+    return _integrate(state, lambda v, dbeta: step(v, ctx, dbeta, config.dt), path, config,
+                      RECORD_NAMES, partial(_record, ctx.grid), observe)
 
 
 @_quiet_overflow
 def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndarray, *,
                          ctx: OperatorContext | None = None,
-                         path: WienerPath | None = None) -> dict:
+                         path: WienerPath | None = None) -> TrajectoryRecord:
     """Euler-Maruyama integration of the stochastic tracer equation
 
         d q = -(u - eps^2 u_s).grad q dt - eps (sigma dW).grad q
@@ -424,8 +425,8 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
     one-component workspace (7 real transforms with noise, 5 without).
     The steps, dt and record cadence are the config's; ``ctx`` and ``path``
     (member 0's by default) are set up as in ``run``.  Raises BlowUpError at
-    the first step whose tracer is not finite.  Returns {"times", "energies"}
-    with 0.5 |q|_H^2 recorded.
+    the first step whose tracer is not finite.  Returns the record of the
+    diagnostic "energy", 0.5 |q|_H^2.
     """
     ctx, path = _setup(config, ctx, path)
     grid = ctx.grid
@@ -434,7 +435,6 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
     noisy = ctx.noisy
     u_adv = velocity - (eps**2) * ctx.us
     work = _workspace(ctx, k=1)
-    energies = []
 
     def advance(q, dbeta):
         xi = ctx.noise_field(dbeta, out=work.xi) if noisy else None
@@ -444,6 +444,4 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
             q += (0.5 * eps**2 * dt) * divergence(grid, hat[1:])
         return q
 
-    times = _integrate(q0, advance, path, config.n_steps, dt, config.record_every,
-                       lambda t, q: energies.append(energy(grid, q)))
-    return {"times": times, "energies": np.array(energies)}
+    return _integrate(q0, advance, path, config, ("energy",), lambda q: (energy(grid, q),))

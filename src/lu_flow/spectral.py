@@ -31,10 +31,6 @@ SNAPSHOT_MAGIC = b"LUFS"
 SNAPSHOT_VERSION = 1
 
 
-class GridMismatchError(ValueError):
-    """Two fields that must share a grid do not."""
-
-
 class TorusGrid:
     """Wavenumber bookkeeping for an N x N truncation of the periodic torus.
 
@@ -228,18 +224,6 @@ def random_solenoidal(grid: TorusGrid, gen: np.random.Generator, k_min: float,
 
 # ---------------------------------------------------------------------------
 # dealiased products
-
-def dealiased_product(grid: TorusGrid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Pointwise product of two spectral fields via zero-padded transforms.
-
-    Both inputs are broadcast elementwise over leading axes.  Exact
-    (alias-free) whenever the combined bandwidth fits the retained lattice.
-    """
-    m = grid.pad_size
-    fp = to_physical(grid, f, m)
-    gp = to_physical(grid, g, m)
-    return from_physical(grid, fp * gp)
-
 
 def advect(grid: TorusGrid, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     """(u . grad) f with dealiasing.  f may be scalar (n,n) or vector (2,n,n)."""

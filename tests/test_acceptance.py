@@ -129,7 +129,8 @@ def test_criterion_2_transport_energy_neutrality():
             path = fine.coarsen(factor)
             res = run_scalar_transport(replace(cfg, dt=path.dt, record_every=10**9), q,
                                        velocity, ctx=ctx, path=path)
-            drifts[j, m] = abs(res["energies"][-1] - res["energies"][0]) / res["energies"][0]
+            energies = res.diagnostics["energy"]
+            drifts[j, m] = abs(energies[-1] - energies[0]) / energies[0]
     ratio = drifts[0].mean() / drifts[1].mean()
     elapsed = time.time() - t0
     ok = residual <= 1e-9 and 1.6 <= ratio <= 2.4 and elapsed < 300
@@ -279,8 +280,7 @@ def test_criterion_8_operator_epsilon_scaling():
                         t_end=1e-3, k_modes=4, noise_mixing=True)
     ctx0 = build_context(base)
     for eps in eps_grid:
-        ctx = OperatorContext(grid, ctx0.noise, float(eps), base.reynolds,
-                              _cache=ctx0._cache)
+        ctx = OperatorContext(ctx0.noise, float(eps), base.reynolds, _cache=ctx0._cache)
         f_norms.append(h_norm(grid, apply_F(ctx, v)))
         g_norms.append(_hs_norm_G(ctx, v))
     slope_f = float(np.polyfit(np.log(eps_grid), np.log(f_norms), 1)[0])

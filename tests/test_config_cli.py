@@ -284,6 +284,28 @@ def test_cli_usage_errors_are_config_errors(capsys, argv, code):
         assert captured.out.startswith("usage: lu-flow") and captured.err == ""
 
 
+def test_cli_non_utf8_config_is_config_error(tmp_path):
+    # in a subprocess, so that an uncaught decode error shows as a traceback
+    cfg = tmp_path / "config.json"
+    cfg.write_bytes(bytes([0xFF, 0xFE, 0x00, 0x7B]))
+    proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", "simulate", "--config",
+                           str(cfg), "--out", str(tmp_path / "o")], env=_src_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_cli_jobs_below_one_is_config_error(tmp_path, capsys, monkeypatch, jobs):
+    # rejected before any command runs, so no pool is started
+    monkeypatch.setattr("lu_flow.cli.ProcessPoolExecutor", None)
+    cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": 2}))
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--jobs", jobs]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_blow_up_exit_code(tmp_path, capsys):
     # save_snapshot refuses a field complex64 cannot hold, so the snapshot is
@@ -454,19 +476,28 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("command", ["simulate", "converge"])
-def test_benchmark_trace_hook_runs(tmp_path, command):
-    # perfbench/hook.py patches lu_flow functions and OperatorContext
-    # properties by name, so a rename must fail here, not only in a traced benchmark run
+@pytest.mark.parametrize("argv,spans,builds", [
+    (["simulate"], {"solver.run", "solver.step", "operators.OperatorContext.a_pad"}, 1),
+    (["converge"], {"solver.step", "operators.OperatorContext.a_pad"}, 1),
+    (["transport"], {"solver.run_scalar_transport", "operators.OperatorContext.a_pad",
+                     "operators.OperatorContext.us"}, 1),
+    # the pool is the one patched into cli.ProcessPoolExecutor; its forked
+    # workers untrace themselves, so their contexts and runs record no span
+    (["ensemble", "--jobs", "2"], {"cli.pool"}, 0),
+], ids=["simulate", "converge", "transport", "ensemble-jobs2"])
+def test_benchmark_trace_hook_runs(tmp_path, argv, spans, builds):
+    # perfbench/hook.py patches lu_flow functions, OperatorContext properties
+    # and the CLI's process pool by name, so a rename must fail here, not only
+    # in a traced benchmark run
     cfg = _write_config(tmp_path, {"N": 16, "T": 0.01, "dt": 1e-3,
                                    "noise": {"K": 4, "mix": True},
                                    "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}})
     opdir = tmp_path / "op"
     opdir.mkdir()
     proc = subprocess.run([sys.executable, "perfbench/hook.py", "trace", str(opdir),
-                           command, "--config", cfg, "--out", str(tmp_path / "o")],
+                           argv[0], "--config", cfg, "--out", str(tmp_path / "o"), *argv[1:]],
                           cwd=ROOT, env=_src_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     names = [span[0] for span in json.loads((opdir / "spans.json").read_text())["spans"]]
-    assert {"solver.step", "operators.OperatorContext.a_pad"} <= set(names)
-    assert names.count("solver.build_context") == 1
+    assert spans <= set(names)
+    assert names.count("solver.build_context") == builds

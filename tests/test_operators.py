@@ -33,7 +33,7 @@ from conftest import random_div_free, synthetic_inhomogeneous_model
 
 def make_ctx(grid, epsilon=0.1, reynolds=100.0, k_modes=4, mix=True, amp=1.0):
     model = build_noise_model(grid, k_modes, 3.0, amp, mix_shells=mix)
-    return OperatorContext(grid, model, epsilon, reynolds)
+    return OperatorContext(model, epsilon, reynolds)
 
 
 def vprime_norm(grid, coeffs):
@@ -148,8 +148,8 @@ def test_f_quartic_term_isolated(grid32, rng):
     v = random_div_free(grid32, rng)
     resid = {}
     for e in (0.1, 0.2):
-        f2 = apply_F(OperatorContext(grid32, model, 2 * e, 100.0), v)
-        f1 = apply_F(OperatorContext(grid32, model, e, 100.0), v)
+        f2 = apply_F(OperatorContext(model, 2 * e, 100.0), v)
+        f1 = apply_F(OperatorContext(model, e, 100.0), v)
         resid[e] = h_norm(grid32, f2 - 4.0 * f1)
     assert resid[0.1] > 1e-10  # the term is genuinely present
     assert resid[0.2] / resid[0.1] == pytest.approx(16.0, rel=1e-9)
@@ -232,7 +232,7 @@ def test_contexts_share_the_model_fields(grid32):
     # replace or from ctx.noise reads the very same arrays
     ctx = make_ctx(grid32)
     others = [replace(ctx, epsilon=0.3), replace(ctx, epsilon=0.0),
-              OperatorContext(grid32, ctx.noise, 0.05, 50.0)]
+              OperatorContext(ctx.noise, 0.05, 50.0)]
     for other in others:
         for name in ("a_pad", "us", "phi_stack"):
             assert getattr(other, name) is getattr(ctx, name), name
@@ -248,7 +248,7 @@ def test_noise_field_matches_tensordot_bitwise(grid32, rng, model):
         noise = synthetic_inhomogeneous_model(grid32)
     else:
         noise = build_noise_model(grid32, 8, 3.0, 1.0, mix_shells=model == "mix")
-    ctx = OperatorContext(grid32, noise, 0.1, 100.0)
+    ctx = OperatorContext(noise, 0.1, 100.0)
     out = np.zeros((2, 32, 32), dtype=complex)
     for _ in range(20):
         dbeta = 0.03 * rng.standard_normal(noise.k_modes)

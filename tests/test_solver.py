@@ -13,6 +13,7 @@ from lu_flow.operators import OperatorContext, apply_B, apply_F, noise_increment
 from lu_flow.solver import (
     BlowUpError,
     SolverConfig,
+    TrajectoryRecord,
     build_context,
     make_initial,
     run,
@@ -186,8 +187,8 @@ def test_fused_step_matches_operator_reference(grid32, rng, model, epsilon, with
     if model == "mix":
         base = build_context(short_config(k_modes=8))
     else:
-        base = OperatorContext(grid32, synthetic_inhomogeneous_model(grid32), 0.1, 100.0)
-    ctx = OperatorContext(grid32, base.noise, epsilon, 100.0)
+        base = OperatorContext(synthetic_inhomogeneous_model(grid32), 0.1, 100.0)
+    ctx = OperatorContext(base.noise, epsilon, 100.0)
     assert np.max(np.abs(ctx.noise.ito_stokes_drift)) > 0  # the drift terms are exercised
     v = 2.0 * random_div_free(grid32, rng)
     dt = 1e-3
@@ -336,13 +337,12 @@ def test_record_cadence(grid32, monkeypatch, trajectory):
     seen = []
     integrate = solver._integrate
 
-    def spy(*args):
-        *loop, observe = args
-
+    def spy(state, advance, path, config, names, measure, observe=None):
         def observe_and_log(t, state):
             seen.append(t)
-            observe(t, state)
-        return integrate(*loop, observe_and_log)
+            if observe is not None:
+                observe(t, state)
+        return integrate(state, advance, path, config, names, measure, observe_and_log)
 
     monkeypatch.setattr(solver, "_integrate", spy)
     cfg = short_config(dt=0.01, t_end=0.05, record_every=2)
@@ -350,8 +350,23 @@ def test_record_cadence(grid32, monkeypatch, trajectory):
         times = run(cfg, warn_cfl=False).times
     else:
         times = run_scalar_transport(cfg, make_tracer(grid32),
-                                     make_initial("taylor_green", grid32))["times"]
+                                     make_initial("taylor_green", grid32)).times
     assert seen == [0.0, 0.02, 0.04, 0.05] == times.tolist()
+
+
+@pytest.mark.parametrize("trajectory,names", [("velocity", solver.RECORD_NAMES),
+                                               ("tracer", ("energy",))])
+def test_both_drivers_return_a_trajectory_record(grid32, trajectory, names):
+    # one record type for both trajectories, built by _integrate with its checks
+    cfg = short_config(dt=0.01, t_end=0.05, record_every=2)
+    if trajectory == "velocity":
+        record = run(cfg, warn_cfl=False)
+    else:
+        record = run_scalar_transport(cfg, make_tracer(grid32),
+                                      make_initial("taylor_green", grid32))
+    assert isinstance(record, TrajectoryRecord)
+    assert tuple(record.diagnostics) == names
+    assert all(len(arr) == len(record.times) == 4 for arr in record.diagnostics.values())
 
 
 def test_step_is_looked_up_at_every_step(monkeypatch):
@@ -488,7 +503,7 @@ def test_tracer_constant_without_forcing(grid32):
     q0 = make_tracer(grid32)
     zero_u = np.zeros((2, 32, 32), dtype=complex)
     out = run_scalar_transport(cfg, q0, zero_u)
-    assert np.max(np.abs(np.diff(out["energies"]))) == 0.0
+    assert np.max(np.abs(np.diff(out.diagnostics["energy"]))) == 0.0
 
 
 def test_tracer_advection_conserves_energy_to_first_order(grid32):
@@ -499,7 +514,8 @@ def test_tracer_advection_conserves_energy_to_first_order(grid32):
     drift = {}
     for dt in (2e-3, 1e-3):
         out = run_scalar_transport(replace(cfg, dt=dt, record_every=1), q0, u, ctx=ctx)
-        drift[dt] = abs(out["energies"][-1] - out["energies"][0]) / out["energies"][0]
+        energies = out.diagnostics["energy"]
+        drift[dt] = abs(energies[-1] - energies[0]) / energies[0]
     assert drift[1e-3] < 5e-3                      # O(dt) per unit time
     assert 1.6 < drift[2e-3] / drift[1e-3] < 2.4   # first-order in dt
 
@@ -511,14 +527,14 @@ def test_fused_tracer_matches_per_call_reference(grid32, model, epsilon):
         noise = synthetic_inhomogeneous_model(grid32)
     else:
         noise = build_context(short_config(k_modes=8, noise_mixing=model == "mix")).noise
-    ctx = OperatorContext(grid32, noise, epsilon, 100.0)
+    ctx = OperatorContext(noise, epsilon, 100.0)
     q0 = make_tracer(grid32)
     u = make_initial("random_band", grid32, {"k_max": 8, "seed": 2})
     dt, t_end = 1e-3, 0.04
     path = WienerPath(3, dt, 40, noise.k_modes) if ctx.noisy else None
     cfg = short_config(epsilon=epsilon, dt=dt, t_end=t_end, record_every=1,
                        k_modes=noise.k_modes)
-    got = run_scalar_transport(cfg, q0, u, ctx=ctx, path=path)["energies"]
+    got = run_scalar_transport(cfg, q0, u, ctx=ctx, path=path).diagnostics["energy"]
     ref = _reference_tracer(q0, u, ctx, dt, t_end, path)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -533,7 +549,7 @@ def test_tracer_null_amplitude_is_noise_free(grid32):
     for kw in (dict(epsilon=0.1, amplitude=0.0), dict(epsilon=0.0)):
         out = run_scalar_transport(short_config(k_modes=8, t_end=0.05, record_every=1, **kw),
                                    q0, u)
-        energies.append(out["energies"].tobytes())
+        energies.append(out.diagnostics["energy"].tobytes())
     assert energies[0] == energies[1]
 
 
@@ -563,8 +579,8 @@ def test_tracer_reuses_the_context_workspace(grid32, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_StepWorkspace", CountingWorkspace)
-    first = run_scalar_transport(cfg, q0, u, ctx=ctx)["energies"]
+    first = run_scalar_transport(cfg, q0, u, ctx=ctx).diagnostics["energy"]
     assert len(made) == 1
-    second = run_scalar_transport(cfg, q0, u, ctx=ctx)["energies"]
+    second = run_scalar_transport(cfg, q0, u, ctx=ctx).diagnostics["energy"]
     assert len(made) == 1
     assert first.tobytes() == second.tobytes()
