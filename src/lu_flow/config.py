@@ -1,4 +1,4 @@
-"""Run configuration parsing, canonical hashing and run manifests.
+"""Run parameters with their rules, config parsing, canonical hashing and manifests.
 
 The config file is JSON.  Schema (defaults in parentheses):
 
@@ -38,46 +38,16 @@ import numpy as np
 
 from . import __version__
 from .noise import max_modes
-from .solver import SolverConfig
+
+INITIAL_KINDS = ("taylor_green", "random_band", "file")
+_STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
 
 
 class ConfigError(ValueError):
     """Schema or physical-validity violation, with the offending field."""
 
 
-# the SolverConfig field of each top-level ("") and "noise" key; the defaults,
-# and the type a value is cast to, are SolverConfig's
-_FIELDS = {
-    "": {"N": "n_modes", "Re": "reynolds", "eps": "epsilon", "dt": "dt", "T": "t_end",
-         "record_every": "record_every"},
-    "noise": {"K": "k_modes", "r": "spectrum_exponent", "amp": "amplitude", "seed": "seed",
-              "mix": "noise_mixing"},
-}
-_STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
-
-
-def _section(body: dict, name: str) -> dict:
-    """The JSON object under ``name`` (empty when absent), taken out of ``body``."""
-    value = body.pop(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"field {name!r} must be a JSON object, got {value!r}")
-    return value
-
-
-def _defaults(section: str) -> dict:
-    return {key: getattr(SolverConfig, name) for key, name in _FIELDS[section].items()}
-
-
-def _take(section: dict, defaults: dict, where: str) -> dict:
-    out = dict(defaults)
-    for key, value in section.items():
-        if key not in defaults:
-            raise ConfigError(f"unknown key '{where}{key}'")
-        out[key] = value
-    return out
-
-
-def _require_number(value, name, *, positive=False, integer=False, minimum=None):
+def _check_number(value, name, *, positive=False, integer=False, minimum=None):
     if integer and not isinstance(value, int):
         raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -89,7 +59,94 @@ def _require_number(value, name, *, positive=False, integer=False, minimum=None)
         raise ConfigError(f"field {name!r} must be positive, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"field {name!r} must be >= {minimum}, got {value!r}")
+
+
+def _step_count(dt: float, t_end: float) -> int:
+    """Steps of size dt > 0 to t_end; ConfigError unless t_end = n dt, n >= 1."""
+    if not t_end >= dt:
+        raise ConfigError("t_end must be at least dt")
+    n_steps = t_end / dt
+    if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
+        raise ConfigError("t_end must be an integer multiple of dt")
+    return int(round(n_steps))
+
+
+def _param(default, key: str, **rule):
+    """A numeric field with its config key ("noise.K": K of "noise") and rule."""
+    return field(default=default, metadata={"key": key, "rule": rule})
+
+
+@dataclass
+class SolverConfig:
+    """A run's parameters; ``__post_init__`` checks each, naming its config key."""
+
+    n_modes: int = _param(32, "N", integer=True, minimum=8)
+    reynolds: float = _param(100.0, "Re", positive=True)
+    epsilon: float = _param(0.1, "eps", minimum=0.0)
+    dt: float = _param(1e-3, "dt", positive=True)
+    t_end: float = _param(1.0, "T", positive=True)
+    k_modes: int = _param(4, "noise.K", integer=True, minimum=1)
+    spectrum_exponent: float = _param(3.0, "noise.r", positive=True)
+    amplitude: float = _param(1.0, "noise.amp", minimum=0.0)
+    seed: int = _param(0, "noise.seed", integer=True, minimum=0)
+    record_every: int = _param(10, "record_every", integer=True, minimum=1)
+    initial_kind: str = "taylor_green"
+    initial_params: dict = field(default_factory=dict)
+    noise_mixing: bool = field(default=False, metadata={"key": "noise.mix"})
+
+    def __post_init__(self):
+        keyed = [f for f in dataclasses.fields(self) if "key" in f.metadata]
+        for f in keyed:
+            if "rule" in f.metadata:
+                _check_number(getattr(self, f.name), f.metadata["key"], **f.metadata["rule"])
+        n, mix = self.n_modes, self.noise_mixing
+        if n % 2 != 0:
+            raise ConfigError(f"field 'N' must be even, got {n}")
+        if self.t_end / self.dt > sys.float_info.max:
+            raise ConfigError(f"fields 'T' and 'dt' give more steps than a float holds: "
+                              f"T = {self.t_end!r}, dt = {self.dt!r}")
+        if self.epsilon > 1.0:
+            raise ConfigError(f"field 'eps' must lie in [0, 1], got {self.epsilon}")
+        if not isinstance(mix, bool):
+            raise ConfigError(f"field 'noise.mix' must be a boolean, got {mix!r}")
+        limit = max_modes(n, mix)
+        if self.k_modes > limit:
+            raise ConfigError(f"field 'noise.K' must be <= {limit} at N={n}"
+                              f"{' with mix: true' if mix else ''}, got {self.k_modes}")
+        # cast to the defaults' types only now: the messages above quote the input
+        for f in keyed:
+            setattr(self, f.name, type(f.default)(getattr(self, f.name)))
+        _step_count(self.dt, self.t_end)
+        if self.initial_kind not in INITIAL_KINDS:
+            raise ConfigError(f"unknown initial condition {self.initial_kind!r}")
+
+    @property
+    def n_steps(self) -> int:
+        return _step_count(self.dt, self.t_end)
+
+
+# {section: {key: SolverConfig field}} of the config file, "" the top level
+_KEYS = {"": {}, "noise": {}}
+for _f in dataclasses.fields(SolverConfig):
+    if "key" in _f.metadata:
+        _where, _, _key = _f.metadata["key"].rpartition(".")
+        _KEYS[_where][_key] = _f.name
+
+
+def _section(body: dict, name: str) -> dict:
+    """The JSON object under ``name`` (empty when absent), taken out of ``body``."""
+    value = body.pop(name, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"field {name!r} must be a JSON object, got {value!r}")
     return value
+
+
+def _take(section: dict, known, where: str) -> dict:
+    """``section``, once each of its keys is one of ``known``."""
+    for key in section:
+        if key not in known:
+            raise ConfigError(f"unknown key '{where}{key}'")
+    return section
 
 
 def _check_epsilons(value) -> None:
@@ -120,62 +177,33 @@ def _env_seed(default: int) -> int:
 
 
 def parse_config(text: str) -> tuple[SolverConfig, dict]:
-    """Validate a JSON config and return (SolverConfig, study parameters)."""
+    """Read a JSON config and return (SolverConfig, study parameters)."""
     try:
-        raw = json.loads(text)
+        body = json.loads(text)  # a fresh dict, which the sections are taken out of
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
+    if not isinstance(body, dict):
         raise ConfigError("top-level config must be a JSON object")
 
-    body = dict(raw)
-    noise = _take(_section(body, "noise"), _defaults("noise"), "noise.")
+    noise = _take(_section(body, "noise"), _KEYS["noise"], "noise.")
     initial = dict(_section(body, "initial"))
     kind = initial.pop("kind", SolverConfig.initial_kind)
-    study = _take(_section(body, "study"), _STUDY_DEFAULTS, "study.")
-    top = _take(body, _defaults(""), "")
+    study = {**_STUDY_DEFAULTS, **_take(_section(body, "study"), _STUDY_DEFAULTS, "study.")}
+    _take(body, _KEYS[""], "")
 
-    n = _require_number(top["N"], "N", integer=True, minimum=8)
-    if n % 2 != 0:
-        raise ConfigError(f"field 'N' must be even, got {n}")
-    _require_number(top["Re"], "Re", positive=True)
-    _require_number(top["dt"], "dt", positive=True)
-    _require_number(top["T"], "T", positive=True)
-    if top["T"] / top["dt"] > sys.float_info.max:
-        raise ConfigError(f"fields 'T' and 'dt' give more steps than a float holds: "
-                          f"T = {top['T']!r}, dt = {top['dt']!r}")
-    eps = _require_number(top["eps"], "eps", minimum=0.0)
-    if eps > 1.0:
-        raise ConfigError(f"field 'eps' must lie in [0, 1], got {eps}")
-    _require_number(top["record_every"], "record_every", integer=True, minimum=1)
-    _require_number(noise["K"], "noise.K", integer=True, minimum=1)
-    _require_number(noise["r"], "noise.r", positive=True)
-    _require_number(noise["amp"], "noise.amp", minimum=0.0)
-    _require_number(noise["seed"], "noise.seed", integer=True, minimum=0)
-    if not isinstance(noise["mix"], bool):
-        raise ConfigError(f"field 'noise.mix' must be a boolean, got {noise['mix']!r}")
-    limit = max_modes(n, noise["mix"])
-    if noise["K"] > limit:
-        raise ConfigError(f"field 'noise.K' must be <= {limit} at N={n}"
-                          f"{' with mix: true' if noise['mix'] else ''}, got {noise['K']}")
-    _require_number(study["ensemble_size"], "study.ensemble_size", integer=True, minimum=1)
+    values = {_KEYS[section][key]: value for section, given in (("", body), ("noise", noise))
+              for key, value in given.items()}
+    config = SolverConfig(**values, initial_kind=kind, initial_params=initial)
+    _check_number(study["ensemble_size"], "study.ensemble_size", integer=True, minimum=1)
     _check_epsilons(study["epsilons"])
-    noise["seed"] = _env_seed(noise["seed"])
-
-    values = {name: type(getattr(SolverConfig, name))(given[key])
-              for section, given in (("", top), ("noise", noise))
-              for key, name in _FIELDS[section].items()}
-    try:
-        config = SolverConfig(**values, initial_kind=kind, initial_params=initial)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    config.seed = _env_seed(config.seed)  # checked there, after the file's own seed
     return config, study
 
 
 def canonical_dict(config: SolverConfig, study: dict | None = None) -> dict:
-    doc = {key: getattr(config, name) for key, name in _FIELDS[""].items()}
+    doc = {key: getattr(config, name) for key, name in _KEYS[""].items()}
     doc["initial"] = {"kind": config.initial_kind, **config.initial_params}
-    doc["noise"] = {key: getattr(config, name) for key, name in _FIELDS["noise"].items()}
+    doc["noise"] = {key: getattr(config, name) for key, name in _KEYS["noise"].items()}
     if study is not None:
         doc["study"] = dict(sorted(study.items()))
     return doc
@@ -219,10 +247,7 @@ def make_manifest(config: SolverConfig, study: dict | None, outputs: list[str]) 
 
 
 def software_environment() -> dict:
-    """Interpreter, numpy and scipy versions and the platform, for the manifest."""
-    import scipy  # here, not at module level: the import would cost every command's start
-
+    """Interpreter and numpy versions and the platform, for the manifest."""
     uname = platform.uname()  # platform.platform() would also scan the interpreter for libc
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "platform": f"{uname.system}-{uname.release}-{uname.machine}"}

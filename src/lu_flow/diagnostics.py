@@ -105,18 +105,13 @@ def energy_estimate_check(records: list[TrajectoryRecord], p: int = 2, *,
     mean_h_sq = (h**2).mean(axis=0)
     cs = _gronwall_c(float(h[0, 0] ** 2), mean_h_sq, times, epsilon)
     return {
-        "p": p,
         "ensemble_size": len(records),
         "mean_sup_hp": float(sup_hp.mean()),
-        "se_sup_hp": float(sup_hp.std(ddof=1) / np.sqrt(len(records))),
         "mean_int_vsq": float(int_vsq.mean()),
-        "det_sup_hp": det_sup_hp,
-        "det_int_vsq": det_int_vsq,
         "ratio_sup": float(sup_hp.mean() / det_sup_hp) if det_sup_hp > 0 else np.inf,
         "ratio_int": float(int_vsq.mean() / det_int_vsq) if det_int_vsq > 0 else np.inf,
         "mean_h_sq": mean_h_sq,
         "times": times,
-        "gronwall_c_per_time": cs,
         "gronwall_c": float(cs.max()),
     }
 
@@ -138,8 +133,6 @@ class ContractionReport:
     weighted_diffs: np.ndarray      # e(t) |V~(t)|_H^2 at the reported alpha
     bound_curve: np.ndarray         # |V~(0)|^2 exp(C eps^2 t)
     fitted_C: float
-    alphas_swept: np.ndarray
-    fitted_C_per_alpha: np.ndarray
     bitwise_identical: bool         # delta = 0 witness
 
 
@@ -188,8 +181,7 @@ def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
 
     if bitwise or diff_sq[0] == 0.0:
         zero = np.zeros_like(times)
-        return ContractionReport(float(alphas[0]), times, zero, zero, 0.0,
-                                 alphas, np.zeros_like(alphas), bitwise)
+        return ContractionReport(float(alphas[0]), times, zero, zero, 0.0, bitwise)
 
     log_diff = np.log(np.maximum(diff_sq, 1e-300))
     fitted = np.array([
@@ -203,8 +195,7 @@ def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
     weighted = np.exp(log_w)
     eps_sq = config.epsilon**2 if config.epsilon > 0 else 1.0
     bound = diff_sq[0] * np.exp(fitted[pick] * eps_sq * times)
-    return ContractionReport(alpha, times, weighted, bound, float(fitted[pick]),
-                             alphas, fitted, bitwise)
+    return ContractionReport(alpha, times, weighted, bound, float(fitted[pick]), bitwise)
 
 
 # ---------------------------------------------------------------------------

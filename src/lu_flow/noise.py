@@ -89,13 +89,15 @@ class NoiseModel:
     values) of their joint support; ``variance_tensor`` is a(x) on the
     physical grid, (2, 2, n, n), ``variance_hat`` its coefficients and
     ``a_pad`` a on the padded grid; ``ito_stokes_drift`` is the raw field
-    0.5 div a and ``drift_projected`` its Leray projection.
+    0.5 div a and ``drift_projected`` its Leray projection.  ``mix_shells``
+    records whether ``build_noise_model`` paired modes of different shells.
     """
 
     grid: TorusGrid
     phi: np.ndarray
     spectrum_exponent: float
     amplitude: float
+    mix_shells: bool = False
     phi_support: tuple = field(init=False)
     variance_tensor: np.ndarray = field(init=False)
     variance_hat: np.ndarray = field(init=False)
@@ -169,7 +171,7 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
             pair = [reps[j]] + ([reps[j + half]] if j + half < len(reps) else [])
             weight = np.sqrt(np.prod([weight_of(kv) for kv in pair]))
             emit(pair, weight)
-    return NoiseModel(grid, np.stack(modes), spectrum_exponent, amplitude)
+    return NoiseModel(grid, np.stack(modes), spectrum_exponent, amplitude, mix_shells)
 
 
 def check_regularity(model: NoiseModel) -> dict:

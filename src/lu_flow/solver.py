@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
+from .config import SolverConfig
 from .noise import WienerPath, build_noise_model
 from .operators import OperatorContext
 from .spectral import (
@@ -54,7 +55,6 @@ from .spectral import (
     v_norm,
 )
 
-INITIAL_KINDS = ("taylor_green", "random_band", "file")
 # the diagnostics of each record, in the order of ``_record``
 RECORD_NAMES = ("energy", "enstrophy", "h_norm", "v_norm", "max_div")
 
@@ -66,46 +66,6 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up at step {step} (t = {time:.6g})")
         self.step = step
         self.time = time
-
-
-def _step_count(dt: float, t_end: float) -> int:
-    """Steps of size dt to t_end; ValueError unless t_end = n dt, n >= 1."""
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    if not t_end >= dt:
-        raise ValueError("t_end must be at least dt")
-    n_steps = t_end / dt
-    if abs(n_steps - round(n_steps)) > 1e-9 * max(1.0, n_steps):
-        raise ValueError("t_end must be an integer multiple of dt")
-    return int(round(n_steps))
-
-
-@dataclass
-class SolverConfig:
-    n_modes: int = 32
-    reynolds: float = 100.0
-    epsilon: float = 0.1
-    dt: float = 1e-3
-    t_end: float = 1.0
-    k_modes: int = 4
-    spectrum_exponent: float = 3.0
-    amplitude: float = 1.0
-    seed: int = 0
-    record_every: int = 10
-    initial_kind: str = "taylor_green"
-    initial_params: dict = field(default_factory=dict)
-    noise_mixing: bool = False
-
-    def __post_init__(self):
-        _step_count(self.dt, self.t_end)
-        if self.initial_kind not in INITIAL_KINDS:
-            raise ValueError(f"unknown initial condition {self.initial_kind!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-
-    @property
-    def n_steps(self) -> int:
-        return _step_count(self.dt, self.t_end)
 
 
 @dataclass
@@ -329,12 +289,17 @@ def _setup(config: SolverConfig, ctx: OperatorContext | None, path: WienerPath |
     config when None, else checked against it, or ValueError names the field.
     The derived path is member's, from (config.seed, member), and None when
     the noise of ctx is off.  A longer path is used from its start; its dt
-    must match to 1e-9 relative, the tolerance of ``_step_count``."""
+    must match to 1e-9 relative, the tolerance of ``config._step_count``."""
     ctx = ctx or build_context(config)
+    noise = ctx.noise
     for name, got, want in (("epsilon", ctx.epsilon, config.epsilon),
                             ("reynolds", ctx.reynolds, config.reynolds),
                             ("n_modes", ctx.grid.n_modes, config.n_modes),
-                            ("k_modes", ctx.noise.k_modes, config.k_modes)):
+                            ("k_modes", noise.k_modes, config.k_modes),
+                            ("spectrum_exponent", noise.spectrum_exponent,
+                             config.spectrum_exponent),
+                            ("amplitude", noise.amplitude, config.amplitude),
+                            ("noise_mixing", noise.mix_shells, config.noise_mixing)):
         if got != want:
             raise ValueError(f"context {name} {got!r} disagrees with config {want!r}")
     if path is None:
@@ -396,8 +361,9 @@ def run(config: SolverConfig, member_index: int = 0, *,
     The member's Brownian path is derived from (config.seed, member_index)
     unless an explicit ``path`` (e.g. a refined/coarsened one) is supplied.
     Bit-reproducible for a fixed config and member index.  A given ``ctx``
-    must match the config in eps, Re, N and K, and a given ``path`` must fit
-    its steps, dt and K, or ``ValueError`` names the field.
+    must match the config in eps, Re, N and every noise parameter, and a
+    given ``path`` must fit its steps, dt and K, or ``ValueError`` names the
+    field.
     ``observe(t, state)``, when given, sees each recorded state (``v0`` itself
     at t = 0) and may keep it; the record holds only the diagnostics.
     """

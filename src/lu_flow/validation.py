@@ -61,9 +61,9 @@ def run_validation_suite(config: SolverConfig) -> list[tuple]:
     results.append(("trilinear_antisymmetry", worst_skew < 1e-10, f"max rel dev {worst_skew:.2e}"))
     results.append(("leray_idempotence", worst_leray < 1e-12, f"max rel dev {worst_leray:.2e}"))
 
-    tg_cfg = SolverConfig(n_modes=config.n_modes, reynolds=100.0, epsilon=0.0,
-                          dt=1e-3, t_end=0.1, k_modes=config.k_modes,
-                          initial_kind="taylor_green")
+    # the noise parameters stay config's: the context below is built from them
+    tg_cfg = replace(config, reynolds=100.0, epsilon=0.0, dt=1e-3, t_end=0.1,
+                     initial_kind="taylor_green", initial_params={})
     states = []
     run(tg_cfg, ctx=replace(ctx, epsilon=0.0, reynolds=100.0),
         observe=lambda t, s: states.append(s), warn_cfl=False)

@@ -51,9 +51,9 @@ def short_config(**kw):
 @pytest.mark.parametrize("dt,t_end,message", [
     (0.03, 0.05, "integer multiple"),
     (0.03, 0.01, "at least dt"),
-    (0.01, 0.0, "at least dt"),
-    (0.0, 0.05, "dt must be positive"),
-    (float("nan"), 0.05, "dt must be positive"),
+    (0.01, 0.0, "field 'T' must be positive"),
+    (0.0, 0.05, "field 'dt' must be positive"),
+    (float("nan"), 0.05, "field 'dt' must be a finite number"),
 ], ids=["off-grid", "below-dt", "zero-end", "zero-dt", "nan-dt"])
 def test_end_time_must_be_a_multiple_of_dt(dt, t_end, message):
     # the rule on (dt, t_end) has one owner: the SolverConfig that both the
@@ -82,7 +82,7 @@ def test_explicit_path_must_fit_the_run(grid32, dt, n_steps, k_modes, name):
 def test_record_every_must_be_positive():
     # the rule on record_every has one owner: the SolverConfig that both the
     # velocity and the tracer run from
-    with pytest.raises(ValueError, match="record_every must be >= 1"):
+    with pytest.raises(ValueError, match="field 'record_every' must be >= 1"):
         SolverConfig(record_every=0)
 
 
@@ -93,6 +93,13 @@ def test_config_rejects_bad_values():
         SolverConfig(dt=0.2, t_end=0.1)
     with pytest.raises(ValueError):
         SolverConfig(dt=3e-3, t_end=1.0)  # not an integer multiple
+    # a config built in code is held to the rules of a parsed one, and one that
+    # no run could take fails here, not when its run starts
+    for bad in (dict(amplitude=-1.0), dict(spectrum_exponent=-1.0), dict(noise_mixing=1),
+                dict(record_every=2.5), dict(seed=-1), dict(n_modes=7), dict(epsilon=2.0),
+                dict(k_modes=10**6)):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +393,9 @@ def test_step_is_looked_up_at_every_step(monkeypatch):
 
 
 @pytest.mark.parametrize("field,ctx_value", [("epsilon", 0.2), ("reynolds", 50.0),
-                                              ("n_modes", 16), ("k_modes", 8)])
+                                              ("n_modes", 16), ("k_modes", 8),
+                                              ("spectrum_exponent", 1.0), ("amplitude", 0.5),
+                                              ("noise_mixing", False)])
 def test_run_rejects_context_of_another_config(grid32, field, ctx_value):
     cfg = short_config(t_end=2e-3)
     ctx = build_context(replace(cfg, **{field: ctx_value}))
@@ -533,7 +542,7 @@ def test_fused_tracer_matches_per_call_reference(grid32, model, epsilon):
     dt, t_end = 1e-3, 0.04
     path = WienerPath(3, dt, 40, noise.k_modes) if ctx.noisy else None
     cfg = short_config(epsilon=epsilon, dt=dt, t_end=t_end, record_every=1,
-                       k_modes=noise.k_modes)
+                       k_modes=noise.k_modes, noise_mixing=noise.mix_shells)
     got = run_scalar_transport(cfg, q0, u, ctx=ctx, path=path).diagnostics["energy"]
     ref = _reference_tracer(q0, u, ctx, dt, t_end, path)
     assert got.shape == ref.shape
