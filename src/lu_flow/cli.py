@@ -20,7 +20,6 @@ from .config import ConfigError, make_manifest, parse_config
 from .solver import (
     RECORD_NAMES,
     BlowUpError,
-    InitialConditionError,
     SolverConfig,
     build_context,
     make_initial,
@@ -166,7 +165,7 @@ def cmd_transport(config: SolverConfig, study: dict, out: Path, jobs: int) -> in
 def cmd_validate(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
     from .validation import run_validation_suite
 
-    # the suite uses no initial field, but a bad `initial` is a config error here too
+    # the suite uses no initial field, but an unusable snapshot is a config error here too
     make_initial(config.initial_kind, TorusGrid(config.n_modes), config.initial_params)
     results = run_validation_suite(config)
     failed = 0
@@ -214,7 +213,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return COMMANDS[args.command](config, study, out, args.jobs)
-    except (ConfigError, InitialConditionError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except BlowUpError as exc:

@@ -9,7 +9,10 @@ The config file is JSON.  Schema (defaults in parentheses):
       "dt": float (1e-3),
       "T": float (1.0),
       "record_every": int (10),
-      "initial": {"kind": "taylor_green" | "random_band" | "file", ...},
+      "initial": {"kind": "taylor_green", "scale": float (1.0)}
+               | {"kind": "random_band", "k_min": float (1), "k_max": float (N // 4),
+                  "energy": float > 0 (1.0), "seed": int >= 0 (0)}
+               | {"kind": "file", "path": str},     # path required; default taylor_green
       "noise": {"K": int (4), "r": float (3.0), "amp": float (1.0),
                 "seed": int (0), "mix": bool (false)},
       "study": {"epsilons": [float, ...] ([0.2, 0.1, 0.05]),
@@ -18,7 +21,8 @@ The config file is JSON.  Schema (defaults in parentheses):
 
 ``study.epsilons`` holds at least two distinct numbers in (0, 1];
 ``study.ensemble_size`` is an integer >= 1 (>= 2 for ``ensemble``).
-Unknown keys are rejected; every number must be finite.
+Unknown keys are rejected; every number must be finite.  All of it, ``initial``
+too, is checked when the config is read, apart from the snapshot file itself.
 The LU_FLOW_SEED environment variable, when set, overrides the noise seed
 (recorded in the manifest); it must be an integer >= 0.
 """
@@ -39,7 +43,14 @@ import numpy as np
 from . import __version__
 from .noise import max_modes
 
-INITIAL_KINDS = ("taylor_green", "random_band", "file")
+# {kind: {key: rule}} of ``initial``: the keywords of ``_check_number`` for a
+# number that may be left out, or ``str`` for a string that must be given
+_INITIAL = {
+    "taylor_green": {"scale": {}},
+    "random_band": {"k_min": {}, "k_max": {}, "energy": {"positive": True},
+                    "seed": {"integer": True, "minimum": 0}},
+    "file": {"path": str},
+}
 _STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
 
 
@@ -76,9 +87,9 @@ def _param(default, key: str, **rule):
     return field(default=default, metadata={"key": key, "rule": rule})
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """A run's parameters; ``__post_init__`` checks each, naming its config key."""
+    """A run's frozen parameters; ``__post_init__`` checks each, naming its key."""
 
     n_modes: int = _param(32, "N", integer=True, minimum=8)
     reynolds: float = _param(100.0, "Re", positive=True)
@@ -115,10 +126,23 @@ class SolverConfig:
                               f"{' with mix: true' if mix else ''}, got {self.k_modes}")
         # cast to the defaults' types only now: the messages above quote the input
         for f in keyed:
-            setattr(self, f.name, type(f.default)(getattr(self, f.name)))
+            object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
         _step_count(self.dt, self.t_end)
-        if self.initial_kind not in INITIAL_KINDS:
-            raise ConfigError(f"unknown initial condition {self.initial_kind!r}")
+        kind, params = self.initial_kind, self.initial_params
+        rules = _INITIAL.get(kind) if isinstance(kind, str) else None
+        if rules is None:
+            raise ConfigError(f"unknown initial condition {kind!r}")
+        if not isinstance(params, dict):
+            raise ConfigError(f"field 'initial' must be a JSON object, got {params!r}")
+        _take(params, rules, "initial.")
+        for key, rule in rules.items():
+            if rule is not str:
+                if key in params:
+                    _check_number(params[key], f"initial.{key}", **rule)
+            elif key not in params:
+                raise ConfigError(f"field 'initial.{key}' is required for kind {kind!r}")
+            elif not isinstance(params[key], str):  # an int would be opened as a file descriptor
+                raise ConfigError(f"field 'initial.{key}' must be a string, got {params[key]!r}")
 
     @property
     def n_steps(self) -> int:
@@ -196,8 +220,8 @@ def parse_config(text: str) -> tuple[SolverConfig, dict]:
     config = SolverConfig(**values, initial_kind=kind, initial_params=initial)
     _check_number(study["ensemble_size"], "study.ensemble_size", integer=True, minimum=1)
     _check_epsilons(study["epsilons"])
-    config.seed = _env_seed(config.seed)  # checked there, after the file's own seed
-    return config, study
+    # the override is checked there, after the file's own seed
+    return dataclasses.replace(config, seed=_env_seed(config.seed)), study
 
 
 def canonical_dict(config: SolverConfig, study: dict | None = None) -> dict:

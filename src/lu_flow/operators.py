@@ -45,7 +45,7 @@ from .spectral import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorContext:
     """Immutable bundle of a noise model and the physical parameters.
 

@@ -84,6 +84,11 @@ BAD_VALUES = [
     ({"N": 16, "noise": {"K": 500}}, "noise.K", "field 'noise.K' must be <= 224 at N=16, got 500"),
     ({"T": 0.05, "dt": 0.03}, "T", "t_end must be an integer multiple of dt"),
     ({"T": 0.01, "dt": 0.03}, "T", "t_end must be at least dt"),
+    ({"initial": {"kind": ["x"]}}, "initial.kind", "unknown initial condition ['x']"),
+    ({"initial": {"kind": "random_band", "energy": -1}}, "initial.energy",
+     "field 'initial.energy' must be positive, got -1"),
+    ({"initial": {"kind": "file"}}, "initial.path",
+     "field 'initial.path' is required for kind 'file'"),
 ]
 
 
@@ -349,17 +354,21 @@ _BAD_INITIAL = {
     "energy_inf": ({"kind": "random_band", "energy": float("inf")}, "energy"),
     "seed": ({"kind": "random_band", "seed": 1.5}, "seed"),
     "seed_negative": ({"kind": "random_band", "seed": -1}, "seed"),
+    "file_no_path": ({"kind": "file"}, "initial.path"),
 }
 
 
 @pytest.mark.parametrize("command,initial,key", [
     pytest.param(command, initial, key, id=name if command == "simulate" else f"{command}-{name}")
-    for command in ("simulate", "validate") for name, (initial, key) in _BAD_INITIAL.items()])
+    for command in ("simulate", "validate", "converge")
+    for name, (initial, key) in _BAD_INITIAL.items()])
 def test_cli_unknown_random_band_key_is_config_error(tmp_path, capsys, command, initial, key):
     cfg = _write_config(tmp_path, dict(SMALL, initial=initial))
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "Traceback" not in err
+    assert not out.exists()  # the config is refused before any output is made
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])

@@ -1,7 +1,7 @@
 """Time stepping: validation, closed forms, reduction, self-convergence."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -97,9 +97,23 @@ def test_config_rejects_bad_values():
     # no run could take fails here, not when its run starts
     for bad in (dict(amplitude=-1.0), dict(spectrum_exponent=-1.0), dict(noise_mixing=1),
                 dict(record_every=2.5), dict(seed=-1), dict(n_modes=7), dict(epsilon=2.0),
-                dict(k_modes=10**6)):
+                dict(k_modes=10**6), dict(initial_params=[1]),
+                *(dict(initial_kind="random_band", initial_params=params)
+                  for params in ({"bogus": 1}, {"energy": -1}, {"seed": -1}, {"k_min": "a"})),
+                dict(initial_kind="file"), dict(initial_kind="file", initial_params={"path": 2})):
         with pytest.raises(ValueError):
             SolverConfig(**bad)
+
+
+def test_run_descriptions_are_frozen():
+    # a checked config or context cannot be moved past its checks afterwards
+    config = SolverConfig()
+    with pytest.raises(FrozenInstanceError):
+        config.dt = -1e-3
+    ctx = build_context(config)
+    with pytest.raises(FrozenInstanceError):
+        ctx.epsilon = 5.0
+    assert config.n_steps == 1000 and ctx.epsilon == 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +334,45 @@ def test_step_self_convergence_under_path_refinement():
     assert rms[0] > rms[1] > rms[2]  # monotone over the dyadic sweep
     assert rms[0] / rms[1] >= 1.3
     assert rms[1] / rms[2] >= 1.3
+
+
+def _band_limited_velocity(grid):
+    # psi = 0.15 [2 sin(x) cos(2y) + 0.5 cos(3x + y)] on two shells (|k|^2 = 5
+    # and 10), so the flow is no steady Euler state; u = (d_y psi, -d_x psi)
+    x, y = grid.x, grid.y
+    ux = 0.15 * (-2 * np.sin(x) * np.sin(2 * y) - 0.5 * np.sin(3 * x + y))
+    uy = 0.15 * (-np.cos(x) * np.cos(2 * y) + 1.5 * np.sin(3 * x + y))
+    return leray_project(grid, from_physical(grid, np.stack([ux, uy])))
+
+
+def _modes_below(v, n):
+    """The modes |k1|, |k2| < n/2 of a full-layout field, (2, n - 1, n - 1)."""
+    size = v.shape[-1]
+    idx = np.r_[0:n // 2, size - n // 2 + 1:size]
+    return v[:, idx][:, :, idx]
+
+
+# eps = 0 skips the noise, so its mix cases would be the same run twice
+@pytest.mark.parametrize("mix,epsilon", [(False, 0.0), (False, 0.3), (True, 0.3)],
+                         ids=["eps0", "eps0.3", "eps0.3-mix"])
+def test_cross_resolution_consistency(mix, epsilon):
+    # the same run on one path (seed 3, K = 8) at N and at 128 agrees on the
+    # modes of N = 16 to spectral accuracy: the noise modes and the path do not
+    # depend on N.  Measured relative errors: about 3e-7 at N = 16, 5e-12 at 24
+    # and 4e-16 from N = 32 on.
+    path = WienerPath(3, 1e-3, 200, 8)
+
+    def final(n):
+        cfg = SolverConfig(n_modes=n, epsilon=epsilon, dt=1e-3, t_end=0.2, k_modes=8,
+                           noise_mixing=mix, record_every=200)
+        v0 = _band_limited_velocity(TorusGrid(n))
+        return _modes_below(recorded_states(cfg, path=path, v0=v0, warn_cfl=False)[-1], 16)
+
+    ref = final(128)
+    errs = {n: np.linalg.norm(final(n) - ref) / np.linalg.norm(ref) for n in (16, 24, 32, 64)}
+    assert errs[16] > errs[24] > errs[32]
+    assert errs[16] > 1e-9  # the truncation at N = 16 shows
+    assert max(errs[32], errs[64]) < 1e-14
 
 
 # ---------------------------------------------------------------------------
