@@ -26,7 +26,7 @@ from .solver import (
     run,
     run_scalar_transport,
 )
-from .spectral import TorusGrid, from_physical
+from .spectral import TorusGrid, expand, from_physical
 
 
 def _fmt(x) -> str:
@@ -145,7 +145,8 @@ def cmd_converge(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
 def cmd_transport(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
     ctx = build_context(config)
     grid = ctx.grid
-    q0 = from_physical(grid, np.sin(grid.x) * np.sin(2 * grid.y) + 0.5 * np.cos(2 * grid.x))
+    q0 = expand(grid, from_physical(
+        grid, np.sin(grid.x) * np.sin(2 * grid.y) + 0.5 * np.cos(2 * grid.x)))
     budget = diag.energy_budget_transport(q0, ctx.noise, config.epsilon)
     velocity = make_initial(config.initial_kind, grid, config.initial_params)
     record = run_scalar_transport(config, q0, velocity, ctx=ctx)

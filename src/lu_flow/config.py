@@ -22,7 +22,8 @@ The config file is JSON.  Schema (defaults in parentheses):
 ``study.epsilons`` holds at least two distinct numbers in (0, 1];
 ``study.ensemble_size`` is an integer >= 1 (>= 2 for ``ensemble``).
 Unknown keys are rejected; every number must be finite.  All of it, ``initial``
-too, is checked when the config is read, apart from the snapshot file itself.
+too, is checked when the config is read, apart from the snapshot file itself;
+a ``random_band`` band must hold a nonzero, non-Nyquist mode of the grid.
 The LU_FLOW_SEED environment variable, when set, overrides the noise seed
 (recorded in the manifest); it must be an integer >= 0.
 """
@@ -42,6 +43,7 @@ import numpy as np
 
 from . import __version__
 from .noise import max_modes
+from .spectral import band_mask
 
 # {kind: {key: rule}} of ``initial``: the keywords of ``_check_number`` for a
 # number that may be left out, or ``str`` for a string that must be given
@@ -56,6 +58,22 @@ _STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
 
 class ConfigError(ValueError):
     """Schema or physical-validity violation, with the offending field."""
+
+
+class _FrozenParams(dict):
+    """The ``initial`` parameters of a checked config: a dict that cannot be
+    changed, so the checks hold, and that pickles as one (``ensemble --jobs``
+    sends the config to its workers)."""
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a config's initial_params cannot be changed; "
+                        "dataclasses.replace makes a new config")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def _check_number(value, name, *, positive=False, integer=False, minimum=None):
@@ -143,6 +161,14 @@ class SolverConfig:
                 raise ConfigError(f"field 'initial.{key}' is required for kind {kind!r}")
             elif not isinstance(params[key], str):  # an int would be opened as a file descriptor
                 raise ConfigError(f"field 'initial.{key}' must be a string, got {params[key]!r}")
+        if kind == "random_band":
+            k_min, k_max = params.get("k_min", 1), params.get("k_max", n // 4)
+            k = np.arange(1 - n // 2, n // 2)  # the retained wavenumbers, Nyquist left out
+            k_sq = k[:, None] ** 2 + k[None, :] ** 2
+            if not band_mask(k_sq[k_sq > 0], k_min, k_max).any():  # the mean mode is projected out
+                raise ConfigError(f"fields 'initial.k_min' and 'initial.k_max' give a band "
+                                  f"[{k_min!r}, {k_max!r}] that holds no mode at N={n}")
+        object.__setattr__(self, "initial_params", _FrozenParams(params))
 
     @property
     def n_steps(self) -> int:

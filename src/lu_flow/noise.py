@@ -27,6 +27,7 @@ from .spectral import (
     TWO_PI,
     TorusGrid,
     divergence,
+    expand,
     from_physical,
     leray_project,
     sobolev_norm_sq,
@@ -115,7 +116,7 @@ class NoiseModel:
             phys = to_physical(grid, coeffs)
             a += phys[:, None] * phys[None, :]
         self.variance_tensor = a
-        self.variance_hat = from_physical(grid, a)
+        self.variance_hat = expand(grid, from_physical(grid, a))
         self.a_pad = to_physical(grid, self.variance_hat, grid.pad_size)
         us = np.stack([0.5 * divergence(grid, self.variance_hat[i]) for i in range(2)])
         self.ito_stokes_drift = us

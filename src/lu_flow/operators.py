@@ -109,14 +109,12 @@ class OperatorContext:
     def phi_stack(self) -> np.ndarray:
         return self.noise.phi
 
-    def noise_field(self, dbeta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def noise_field(self, dbeta: np.ndarray) -> np.ndarray:
         """xi = sum_k dbeta_k phi_k, (2, n, n), summed only on the joint
         support of the phi_k (a few dozen coefficients) instead of through
-        BLAS.  ``out`` receives the support values; it must be zero off the
-        support, as any earlier result of this method is."""
+        BLAS."""
         idx, values = self.noise.phi_support
-        if out is None:
-            out = np.zeros(self.phi_stack.shape[1:], dtype=complex)
+        out = np.zeros(self.phi_stack.shape[1:], dtype=complex)
         out.put(idx, np.einsum("k,ks->s", dbeta, values).view(complex))
         return out
 

@@ -9,17 +9,30 @@ Every eps-term of F and G is linear in w = v + eps^2 u_s (u_s the raw
 Ito-Stokes drift) and the projections commute with the integrating factor,
 so ``step`` evaluates the bracket as one fused expression,
 
-    v+ = P exp(-dt |k|^2 / Re) [v - (c.grad) w + (eps^2 dt / 2) div(a grad w)
-                                + eps^2 dt A u_s - eps A xi],
+    v+ = E P [v - (c.grad) w + (eps^2 dt / 2) div(a grad w)
+              + eps^2 dt A u_s - eps A xi],
 
-with c = dt v + eps xi and xi = sum_k phi_k dbeta_k: one batched inverse
-real FFT of c and grad w on the padded grid, one batched forward real FFT
-of (c.grad) w and the flux a grad w, and one Leray projection.  The kernel
-of the transforms, ``_transport``, also steps the tracer.  The state stays
-Hermitian because the transforms produce Hermitian coefficients.
-The per-operator functions of ``operators`` are the reference this step is
-tested against.  The integrating factor removes the stiff linear stability
-constraint; only an advective CFL condition remains and is warned about.
+with c = dt v + eps xi, xi = sum_k phi_k dbeta_k and E = exp(-dt A): one
+batched inverse real FFT of c and grad w on the padded grid, one batched
+forward real FFT of (c.grad) w and the flux a grad w.  The multipliers that
+depend only on (dt, Re, eps) are made once and kept with the step's
+workspace: E P as one symmetric 2 x 2 multiplier, applied by
+``spectral.leray_project`` in place of a separate projection, eps^2 u_s,
+the constant eps^2 dt A u_s, and (eps^2 dt / 2) i k for the divergence.
+xi enters c and -eps A xi only on its support, a few dozen coefficients.
+The kernel of the transforms, ``_transport``, also steps the tracer.
+
+Both drivers keep their state in the half layout of ``spectral``, which
+``step`` and ``_transport`` take and return: the retained ky >= 0 columns
+with the kx rows at their padded-grid positions, so the inverse input is one
+multiply per field and the forward result is read in place.  The state stays
+real because only the ky = 0 column holds conjugate pairs, which
+``from_physical`` writes exactly and the even multipliers keep.  The full
+(2, n, n) layout is met only at the edges: the initial field, the records,
+``observe`` and ``check_cfl``.  The per-operator functions of ``operators``
+are the reference this step is tested against.  The integrating factor
+removes the stiff linear stability constraint; only an advective CFL
+condition remains and is warned about.
 
 A run with eps = 0 takes exactly the same code path as the deterministic
 solver (noise and drift-correction branches are skipped, not multiplied by
@@ -40,11 +53,13 @@ from .operators import OperatorContext
 from .spectral import (
     TorusGrid,
     TransformBuffers,
-    divergence,
+    compress,
     energy,
+    expand,
     from_physical,
     h_norm,
     hermitian_symmetrize,
+    leray_multiplier,
     leray_project,
     load_snapshot,
     max_divergence,
@@ -94,23 +109,20 @@ def build_context(config: SolverConfig) -> OperatorContext:
 def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> np.ndarray:
     """Initial velocity: the Taylor-Green vortex, a random banded field
     normalized to a target energy, or a loaded snapshot, from parameters that
-    ``SolverConfig`` has checked.  ConfigError here is what only the grid or
-    the disk can show: a snapshot with no field on ``grid``, a null field."""
+    ``SolverConfig`` has checked.  ConfigError here is what only the disk
+    can show: a snapshot with no field on ``grid``."""
     params = params or {}
     if kind == "taylor_green":
         scale = params.get("scale", 1.0)
         ux = scale * np.cos(grid.x) * np.sin(grid.y)
         uy = -scale * np.sin(grid.x) * np.cos(grid.y)
-        return leray_project(grid, from_physical(grid, np.stack([ux, uy])))
+        return leray_project(grid, expand(grid, from_physical(grid, np.stack([ux, uy]))))
     if kind == "random_band":
         rng_seed = params.get("seed", 0)
         gen = np.random.Generator(np.random.Philox(key=[rng_seed % 2**64, 2**32]))
         coeffs = random_solenoidal(grid, gen, params.get("k_min", 1),
                                    params.get("k_max", grid.n_modes // 4))
-        e = energy(grid, coeffs)
-        if e == 0.0:
-            raise ConfigError("initial: random_band produced a null field; widen the band")
-        coeffs *= np.sqrt(params.get("energy", 1.0) / e)
+        coeffs *= np.sqrt(params.get("energy", 1.0) / energy(grid, coeffs))
         return coeffs
     if kind == "file":
         path = params["path"]
@@ -139,29 +151,56 @@ def check_cfl(config: SolverConfig, grid: TorusGrid, v: np.ndarray) -> None:
 
 class _StepWorkspace:
     """What ``_transport`` keeps between calls for f of k components (2 for
-    the velocity, 1 for a tracer): the ky >= 0 columns of c and grad f, their
-    transform buffers (shared by the forward pass when its batch is as
-    large), the padded product batch, xi (zero off the noise support) and
-    the Stokes multipliers of ``step`` for the last (dt, Re)."""
+    the velocity, 1 for a tracer), all in the half layout: c and grad f,
+    their transform buffers (shared by the forward pass when its batch is as
+    large), the padded product batch, w = v + eps^2 u_s, the flat indices of
+    xi's support and the multipliers of the last (dt, Re, eps).  The support
+    is taken from the model when the workspace is made: contexts that share
+    a cache share their model."""
 
-    def __init__(self, grid: TorusGrid, noisy: bool, k: int):
-        m = grid.pad_size
-        n_in, n_out = 2 + 2 * k, 3 * k if noisy else k
-        self.spec = np.empty((n_in, grid.n_modes, grid.n_modes // 2), dtype=complex)
+    def __init__(self, ctx: OperatorContext, k: int):
+        grid = ctx.grid
+        n, m, h = grid.n_modes, grid.pad_size, grid.n_modes // 2
+        n_in, n_out = 2 + 2 * k, 3 * k if ctx.noisy else k
+        self.spec = np.empty((n_in, m, h), dtype=complex)
         self.inverse = TransformBuffers(grid, (n_in,), m)
         self.forward = self.inverse if n_out == n_in else TransformBuffers(grid, (n_out,), m)
         self.prod = np.empty((n_out, m, m))
-        self.xi = np.zeros((2, grid.n_modes, grid.n_modes), dtype=complex)
-        self.key = self.factor = self.a_diag = None
+        self.ikx, self.iky = 1j * grid.half_kx, 1j * grid.half_ky
+        self.key = None
+        if ctx.noisy:
+            self.w = np.empty((2, m, h), dtype=complex)
+            # the ky >= 0 part of the joint support of the phi_k, as flat
+            # indices of the half layout and the (K, 2S) real view of its values
+            idx, values = ctx.noise.phi_support
+            comp, row, col = np.unravel_index(idx, (2, n, n))
+            kept = col < h
+            row = np.where(row < h, row, row - n + m)[kept]
+            self.xi_idx = np.ravel_multi_index((comp[kept], row, col[kept]), (2, m, h))
+            self.xi_values = np.ascontiguousarray(values.view(complex)[:, kept]).view(float)
 
-    def stokes(self, grid: TorusGrid, dt: float, reynolds: float) -> tuple:
-        """(exp(-dt |k|^2 / Re), |k|^2 / Re), stored complex so that their
-        products with complex fields need no cast buffer."""
-        if self.key != (dt, reynolds):
-            self.factor = np.exp(-dt * grid.k_sq / reynolds).astype(complex)
-            self.a_diag = (grid.k_sq / reynolds).astype(complex)
-            self.key = (dt, reynolds)
-        return self.factor, self.a_diag
+    def noise_values(self, dbeta: np.ndarray) -> np.ndarray:
+        """xi = sum_k dbeta_k phi_k on the ``xi_idx`` coefficients."""
+        return np.dot(dbeta, self.xi_values).view(complex)
+
+    def multipliers(self, ctx: OperatorContext, dt: float) -> "_StepWorkspace":
+        """Make the multipliers of (dt, Re, eps) unless they are the last
+        ones: ``proj`` = E P for ``leray_project``; with noise ``us2`` =
+        eps^2 u_s, ``drift`` = eps^2 dt A u_s, ``div`` = (eps^2 dt / 2) i k
+        and ``a_xi`` = eps A on the support of xi."""
+        key = (dt, ctx.reynolds, ctx.epsilon)
+        if self.key != key:
+            grid = ctx.grid
+            a_diag = grid.half_k_sq / ctx.reynolds
+            self.proj = leray_multiplier(grid, np.exp(-dt * a_diag))
+            if ctx.noisy:
+                eps = ctx.epsilon
+                self.us2 = eps**2 * compress(grid, ctx.noise.ito_stokes_drift)
+                self.drift = (dt * a_diag) * self.us2
+                self.div = (0.5 * eps**2 * dt) * self.ikx, (0.5 * eps**2 * dt) * self.iky
+                self.a_xi = eps * np.broadcast_to(a_diag, self.w.shape).reshape(-1)[self.xi_idx]
+            self.key = key
+        return self
 
 
 def _workspace(ctx: OperatorContext, k: int = 2) -> _StepWorkspace:
@@ -169,74 +208,65 @@ def _workspace(ctx: OperatorContext, k: int = 2) -> _StepWorkspace:
     kept in ``ctx._cache`` under (noisy, k)."""
     key = (ctx.noisy, k)
     if key not in ctx._cache:
-        ctx._cache[key] = _StepWorkspace(ctx.grid, ctx.noisy, k)
+        ctx._cache[key] = _StepWorkspace(ctx, k)
     return ctx._cache[key]
 
 
 def _transport(ctx: OperatorContext, work: _StepWorkspace, u: np.ndarray, f: np.ndarray,
                xi: np.ndarray | None, dt: float) -> np.ndarray:
-    """(c.grad) f for c = dt u + eps xi and f of k components, (k, n, n),
-    then with noise the flux a grad f as (2k, n, n), from one batched inverse
-    and one forward real FFT through ``work`` (a view of it, overwritten by
-    the next call).  Only the ky >= 0 columns of u, f and xi are read."""
+    """(c.grad) f for c = dt u + eps xi and f of k components, (k, m, n/2),
+    then with noise the flux a grad f as (2k, m, n/2), from one batched
+    inverse and one forward real FFT through ``work`` (a view of it,
+    overwritten by the next call).  u and f are in the half layout, xi is
+    given by its values on ``work.xi_idx``."""
     grid = ctx.grid
     m = grid.pad_size
-    h = grid.n_modes // 2
     k = f.shape[0]
-    # c and grad f, gf[l, i] = d_l f_i, on the ky >= 0 columns to_physical reads
-    spec = work.spec
-    c = np.multiply(dt, u[..., :h], out=spec[:2])
+    spec = work.spec  # c and grad f, gf[l, i] = d_l f_i
+    c = np.multiply(dt, u, out=spec[:2])
     if xi is not None:
-        np.add(c, ctx.epsilon * xi[..., :h], out=c)
-    gf = spec[2:].reshape(2, k, grid.n_modes, h)
-    np.multiply(grid.ikx, f[..., :h], out=gf[0])
-    np.multiply(grid.iky[:, :h], f[..., :h], out=gf[1])
+        c.reshape(-1)[work.xi_idx] += ctx.epsilon * xi
+    gf = spec[2:].reshape(2, k, m, grid.n_modes // 2)
+    np.multiply(work.ikx, f, out=gf[0])
+    np.multiply(work.iky, f, out=gf[1])
     phys = to_physical(grid, spec, m, work.inverse)
     cp, gf = phys[:2], phys[2:].reshape(2, k, m, m)
     prod = work.prod
-    if ctx.noisy:  # (a grad f)_{j i}, before gf[1] is overwritten
+    np.einsum("l...,li...->i...", cp, gf, out=prod[:k])        # (c.grad) f
+    if ctx.noisy:                                               # (a grad f)_{j i}
         tensor_flux_physical(ctx.a_pad, gf, out=prod[k:].reshape(2, k, m, m))
-    np.multiply(cp[0], gf[0], out=prod[:k])                     # (c.grad) f
-    np.add(prod[:k], np.multiply(cp[1], gf[1], out=gf[1]), out=prod[:k])
     return from_physical(grid, prod, work.forward)
 
 
 def step(state: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
          dt: float) -> np.ndarray:
-    """One Euler-Maruyama step with integrating-factor Stokes treatment.
+    """One Euler-Maruyama step with integrating-factor Stokes treatment, on
+    a state in the half layout of ``spectral`` ((2, m, n/2), see ``compress``).
 
     Fused form of exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta]:
     ``_transport`` of w = v + eps^2 u_s by c = dt v + eps xi, 12 real
-    transforms on the padded grid with noise, 8 without.  Its workspace,
+    transforms on the padded grid with noise, 8 without, then one
+    ``leray_project`` with E P as its multiplier.  Its workspace,
     ``_workspace(ctx)``, is kept in the context's cache (shared by contexts
     made with ``dataclasses.replace``), so a warm step allocates only its
-    grid-sized result and small temporaries.  The workspace makes ``step`` not
+    result and small temporaries.  The workspace makes ``step`` not
     reentrant: contexts that share a cache must not step in two threads at
     once.  The returned state never aliases the workspace.
     """
-    grid = ctx.grid
-    n = grid.n_modes
     noisy = ctx.noisy
-    work = _workspace(ctx)
-    eps = ctx.epsilon
-    us = ctx.noise.ito_stokes_drift
-    xi = ctx.noise_field(dbeta, out=work.xi) if noisy and dbeta is not None else None
-    # w on the ky >= 0 columns only, the ones _transport reads
-    w = state[..., :n // 2] + eps**2 * us[..., :n // 2] if noisy else state
-    hat = _transport(ctx, work, state, w, xi, dt)
-    rhs = state - hat[:2]
-    factor, a_diag = work.stokes(grid, dt, ctx.reynolds)
+    work = _workspace(ctx).multipliers(ctx, dt)
+    xi = work.noise_values(dbeta) if noisy and dbeta is not None else None
+    f = np.add(state, work.us2, out=work.w) if noisy else state
+    hat = _transport(ctx, work, state, f, xi, dt)
+    rhs = np.subtract(state, hat[:2], out=hat[:2])
     if noisy:  # + (eps^2 dt / 2) div(a grad w) + eps^2 dt A u_s - eps A xi
-        flux = hat[2:].reshape(2, 2, n, n)
-        div = np.multiply(grid.ikx, flux[0], out=flux[0])
-        np.add(div, np.multiply(grid.iky, flux[1], out=flux[1]), out=div)
-        np.multiply(0.5 * eps**2 * dt, div, out=div)
-        stokes_arg = np.multiply(eps**2 * dt, us, out=hat[:2])
+        flux = hat[2:].reshape((2,) + rhs.shape)
+        for d, flux_d in zip(work.div, flux):
+            rhs += np.multiply(d, flux_d, out=flux_d)
+        rhs += work.drift
         if xi is not None:
-            np.subtract(stokes_arg, np.multiply(eps, xi, out=flux[1]), out=stokes_arg)
-        np.add(div, np.multiply(a_diag, stokes_arg, out=stokes_arg), out=div)
-        rhs += div
-    return leray_project(grid, np.multiply(factor, rhs, out=rhs), out=rhs)
+            rhs.reshape(-1)[work.xi_idx] -= work.a_xi * xi
+    return leray_project(ctx.grid, rhs, np.empty_like(rhs), work.proj)
 
 
 def _record(grid: TorusGrid, v: np.ndarray) -> tuple:
@@ -284,11 +314,12 @@ def _setup(config: SolverConfig, ctx: OperatorContext | None, path: WienerPath |
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
-def _integrate(state, advance, path: WienerPath | None, config: SolverConfig,
-               names: tuple, measure, observe=None) -> TrajectoryRecord:
-    """Step ``state`` config.n_steps times by ``advance(state, dbeta)``, which
-    returns a new state, with the increments of ``path`` (None without a
-    path).  At t = 0, every config.record_every steps and at the last, append
+def _integrate(grid: TorusGrid, state, advance, path: WienerPath | None,
+               config: SolverConfig, names: tuple, measure, observe=None) -> TrajectoryRecord:
+    """Step ``state``, a field in the full layout of ``grid``, config.n_steps
+    times by ``advance(state, dbeta)``, which takes and returns the half
+    layout, with the increments of ``path`` (None without a path).  At t = 0,
+    every config.record_every steps and at the last, expand the state, append
     ``measure(state)``, one value per name of ``names``, and call
     ``observe(t, state)`` when given; return the record of those times and
     values.  Raises BlowUpError at the first state that is not finite."""
@@ -296,11 +327,13 @@ def _integrate(state, advance, path: WienerPath | None, config: SolverConfig,
     times, rows = [], []
 
     def record(t, state):
+        full = expand(grid, state)
         times.append(t)
-        rows.append(measure(state))
+        rows.append(measure(full))
         if observe is not None:
-            observe(t, state)
+            observe(t, full)
 
+    state = compress(grid, state)
     record(0.0, state)
     for i in range(n_steps):
         state = advance(state, None if path is None else path.increments[i])
@@ -326,8 +359,9 @@ def run(config: SolverConfig, member_index: int = 0, *,
     must match the config in eps, Re, N and every noise parameter, and a
     given ``path`` must fit its steps, dt and K, or ``ValueError`` names the
     field.
-    ``observe(t, state)``, when given, sees each recorded state (``v0`` itself
-    at t = 0) and may keep it; the record holds only the diagnostics.
+    ``observe(t, state)``, when given, sees each recorded state, a fresh
+    array in the full layout, and may keep it; the record holds only the
+    diagnostics.
     """
     ctx, path = _setup(config, ctx, path, member_index)
     state = v0 if v0 is not None else make_initial(
@@ -335,8 +369,8 @@ def run(config: SolverConfig, member_index: int = 0, *,
     if warn_cfl:
         check_cfl(config, ctx.grid, state)
     # step is looked up at each call: perfbench/hook.py's one-shot timer rebinds it
-    return _integrate(state, lambda v, dbeta: step(v, ctx, dbeta, config.dt), path, config,
-                      RECORD_NAMES, partial(_record, ctx.grid), observe)
+    return _integrate(ctx.grid, state, lambda v, dbeta: step(v, ctx, dbeta, config.dt), path,
+                      config, RECORD_NAMES, partial(_record, ctx.grid), observe)
 
 
 @_quiet_overflow
@@ -350,7 +384,8 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
 
     in a steady velocity u: q+ = q - (c.grad) q + (eps^2 dt / 2) div(a grad q),
     c = dt (u - eps^2 u_s) + eps xi, by ``_transport`` through the context's
-    one-component workspace (7 real transforms with noise, 5 without).
+    one-component workspace (7 real transforms with noise, 5 without), on the
+    half layout; ``q0`` and ``velocity`` are full coefficient arrays.
     The steps, dt and record cadence are the config's; ``ctx`` and ``path``
     (member 0's by default) are set up as in ``run``.  Raises BlowUpError at
     the first step whose tracer is not finite.  Returns the record of the
@@ -358,18 +393,17 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
     """
     ctx, path = _setup(config, ctx, path)
     grid = ctx.grid
-    eps = ctx.epsilon
-    dt = config.dt
     noisy = ctx.noisy
-    u_adv = velocity - (eps**2) * ctx.us
-    work = _workspace(ctx, k=1)
+    u_adv = compress(grid, velocity - ctx.epsilon**2 * ctx.us)
+    work = _workspace(ctx, k=1).multipliers(ctx, config.dt)
 
     def advance(q, dbeta):
-        xi = ctx.noise_field(dbeta, out=work.xi) if noisy else None
-        hat = _transport(ctx, work, u_adv, q[None], xi, dt)
+        xi = work.noise_values(dbeta) if noisy else None
+        hat = _transport(ctx, work, u_adv, q[None], xi, config.dt)
         q = q - hat[0]
         if noisy:
-            q += (0.5 * eps**2 * dt) * divergence(grid, hat[1:])
+            for d, flux_d in zip(work.div, hat[1:]):
+                q += d * flux_d
         return q
 
-    return _integrate(q0, advance, path, config, ("energy",), lambda q: (energy(grid, q),))
+    return _integrate(grid, q0, advance, path, config, ("energy",), lambda q: (energy(grid, q),))

@@ -7,12 +7,14 @@ is passed alongside.  The Nyquist rows/columns (|k_i| = n/2) are held at zero so
 every retained mode has a conjugate partner and odd derivatives stay
 well defined; Hermitian symmetry then guarantees real-valued fields.
 
-The transforms are real FFTs.  ``to_physical`` reads only the ky >= 0 half
-of its input, so it requires Hermitian coefficients (c_{-k} = conj c_k);
-for other input it does not return the real part of the full inverse
-transform.  ``from_physical`` fills the ky < 0 half by conjugate mirroring,
-so its output is Hermitian by construction and stays so under the real,
-even Fourier multipliers and the odd multipliers i k used here.
+The solver keeps its states in the half layout instead, (..., m, n/2) with
+m = ``grid.pad_size``: the retained ky >= 0 columns, with each kx row at its
+row of the padded grid (kx = 0 .. n/2-1 at the top, kx = -n/2+1 .. -1 at the
+bottom) and zero rows between.  Hermitian symmetry is then the data layout:
+the ky < 0 half is not stored, and only the ky = 0 column holds conjugate
+pairs, which ``from_physical`` writes exactly.  ``compress`` and ``expand``
+convert between the layouts; ``to_physical`` takes either and
+``from_physical`` returns the half layout.
 
 Quadratic terms are evaluated pseudo-spectrally after zero-padding to at
 least 3N/2 points per dimension (the 2/3 rule), which makes products of
@@ -50,13 +52,20 @@ class TorusGrid:
         self.ky = k1d[None, :]
         self.k_sq = self.kx**2 + self.ky**2
         self.ikx, self.iky = 1j * self.kx, 1j * self.ky  # derivative multipliers
-        self.k_sq_safe = np.where(self.k_sq == 0, 1.0, self.k_sq)  # Leray denominator
         half = n // 2
         self.nyquist_mask = (np.abs(k1d[:, None]) == half) | (np.abs(k1d[None, :]) == half)
         # index of mode -k for each mode k (valid away from Nyquist)
         idx = np.arange(n)
         self._neg = (-idx) % n
-        self.pad_size = _pad_size(n)
+        self.pad_size = m = _pad_size(n)
+        # wavenumbers of the half layout; kx is 0 on the zero rows between
+        rows = np.zeros(m)
+        rows[:half], rows[m - half + 1:] = k1d[:half], k1d[half + 1:]
+        self.half_kx, self.half_ky = np.broadcast_arrays(rows[:, None], k1d[None, :half])
+        self.half_k_sq = self.half_kx**2 + self.half_ky**2
+        self.half_retained = np.ones((m, 1), dtype=bool)
+        self.half_retained[half:m - half + 1] = False
+        self.projector = _projection(self.kx, self.ky, 1.0)  # P on the full layout
         x1d = np.arange(n) * (TWO_PI / n)
         self.x = x1d[:, None] + 0.0 * x1d[None, :]
         self.y = 0.0 * x1d[:, None] + x1d[None, :]
@@ -84,38 +93,66 @@ class TransformBuffers:
     """The arrays ``to_physical``/``from_physical`` write into, for a batch of
     fields with leading shape ``batch`` on the m x m grid.
 
-    ``half`` is the zero-padded ky >= 0 half spectrum, (*batch, m, n/2); only
-    its row ``blocks`` (pairs of half-spectrum rows and the coefficient rows
-    of the retained kx >= 0 and kx < 0 modes) are written, so its other rows
-    stay zero.  ``cols`` holds the x-pass of either direction, ``phys`` the
-    physical values of the inverse, ``rows`` the y-pass of the forward
-    transform and ``out`` its Hermitian coefficients.  A call returns a view
-    of these arrays, which the next call through the same buffers overwrites.
+    ``cols`` holds the x-pass of either direction and the half-layout result
+    of the forward transform, ``phys`` the physical values of the inverse and
+    ``rows`` the y-pass of the forward transform.  A call returns a view of
+    these arrays, which the next call through the same buffers overwrites.
     """
 
     def __init__(self, grid: TorusGrid, batch: tuple, m: int):
-        n = grid.n_modes
-        h = n // 2
-        self.half = np.zeros(batch + (m, h), dtype=complex)
+        h = grid.n_modes // 2
         self.cols = np.empty(batch + (m, h), dtype=complex)
         self.phys = np.empty(batch + (m, m))
         self.rows = np.empty(batch + (m, m // 2 + 1), dtype=complex)
-        self.out = np.empty(batch + (n, n), dtype=complex)
-        self.blocks = ((slice(0, h), slice(0, h)), (slice(m - h, m), slice(h, n)))
+
+
+def compress(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None) -> np.ndarray:
+    """The half layout, (..., m, n/2), of the retained modes of ``coeffs``
+    (m defaults to ``grid.pad_size``).  Only the ky >= 0 columns of
+    ``coeffs`` are read, so it may hold just those n/2 columns; the Nyquist
+    row is left out."""
+    n = grid.n_modes
+    h = n // 2
+    m = grid.pad_size if m is None else m
+    out = np.zeros(coeffs.shape[:-2] + (m, h), dtype=complex)
+    out[..., :h, :] = coeffs[..., :h, :h]
+    out[..., m - h + 1:, :] = coeffs[..., h + 1:, :h]
+    return out
+
+
+def expand(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """The full (..., n, n) coefficients of a half-layout field: its retained
+    modes, the ky < 0 half as their conjugate mirrors and zero Nyquist
+    modes, so the result is exactly Hermitian if the ky = 0 column is."""
+    n = grid.n_modes
+    h = n // 2
+    m = half.shape[-2]
+    out = np.empty(half.shape[:-2] + (n, n), dtype=complex)
+    out[..., :h, :h] = half[..., :h, :]
+    out[..., h + 1:, :h] = half[..., m - h + 1:, :]
+    out[..., h, :] = 0.0
+    out[..., :, h] = 0.0
+    # c(kx, -ky) = conj c(-kx, ky); row 0 is its own mirror, rows r and n-r
+    # swap, and the Nyquist row h mirrors itself: conj(0) = 0 - 0j
+    np.conjugate(half[..., 0, h - 1:0:-1], out=out[..., 0, h + 1:])
+    np.conjugate(half[..., m - 1:m - h:-1, h - 1:0:-1], out=out[..., 1:h, h + 1:])
+    out[..., h, h + 1:] = np.conj(0j)
+    np.conjugate(half[..., h - 1:0:-1, h - 1:0:-1], out=out[..., h + 1:, h + 1:])
+    return out
 
 
 def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None,
                 buffers: TransformBuffers | None = None) -> np.ndarray:
     """Evaluate Hermitian coefficients on an m x m physical grid (default n x n).
 
-    Batched over leading axes.  Only the retained ky >= 0 columns
-    ky = 0 .. n/2-1 of ``coeffs`` are read, so it may hold just those n/2
-    columns.  They are placed in an m-row half spectrum and inverted with one
-    2D real FFT, run as its two 1D passes so that the x-pass skips the
-    all-zero columns ky >= n/2 (the result is bitwise that of
-    ``numpy.fft.irfft2`` on the full half spectrum).  The passes write into
-    ``buffers`` (built for this batch and m; fresh ones when None) and the
-    result is ``buffers.phys``.
+    Batched over leading axes.  ``coeffs`` is the half layout for this m,
+    (..., m, n/2), or else full coefficients, which are compressed first (of
+    these only the retained ky >= 0 columns are read, so just those n/2
+    columns will do).  The half spectrum is inverted with one 2D real FFT,
+    run as its two 1D passes so that the x-pass skips the all-zero columns
+    ky >= n/2 (the result is bitwise that of ``numpy.fft.irfft2`` on the full
+    half spectrum).  The passes write into ``buffers`` (built for this batch
+    and m; fresh ones when None) and the result is ``buffers.phys``.
     """
     n = grid.n_modes
     m = n if m is None else m
@@ -125,44 +162,35 @@ def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None,
         buffers = TransformBuffers(grid, coeffs.shape[:-2], m)
     elif buffers.phys.shape[-1] != m:
         raise ValueError(f"buffers are for m = {buffers.phys.shape[-1]}, not {m}")
-    for dst, src in buffers.blocks:
-        buffers.half[..., dst, :] = coeffs[..., src, :n // 2]
-    cols = np.fft.ifft(buffers.half, axis=-2, norm="forward", out=buffers.cols)
+    if coeffs.shape[-2:] != (m, n // 2):
+        coeffs = compress(grid, coeffs, m)
+    cols = np.fft.ifft(coeffs, axis=-2, norm="forward", out=buffers.cols)
     return np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=buffers.phys)
 
 
 def from_physical(grid: TorusGrid, values: np.ndarray,
                   buffers: TransformBuffers | None = None) -> np.ndarray:
-    """Project real values on an m x m grid back onto the retained modes.
+    """Project real values on an m x m grid back onto the retained modes, in
+    the half layout (..., m, n/2).
 
     Batched over leading axes.  One 2D real FFT gives the ky >= 0 half; its
     x-pass runs only on the retained columns ky = 0 .. n/2-1 (bitwise the
-    corresponding part of ``numpy.fft.rfft2``).  The ky < 0 half and the
-    kx < 0 part of the ky = 0 column are conjugate mirrors, so the result is
-    exactly Hermitian with the Nyquist modes zero.  The passes write into
+    corresponding part of ``numpy.fft.rfft2``).  The rows between the
+    retained ones and the Nyquist row are zeroed, and the kx < 0 part of the
+    ky = 0 column is written as the conjugate mirror of its kx > 0 part, so
+    ``expand`` makes the result exactly Hermitian.  The passes write into
     ``buffers`` (built for this batch and m; fresh ones when None) and the
-    result is ``buffers.out``.
+    result is ``buffers.cols``.
     """
     m = values.shape[-1]
     h = grid.n_modes // 2
     if buffers is None:
         buffers = TransformBuffers(grid, values.shape[:-2], m)
     rows = np.fft.rfft(values, axis=-1, norm="forward", out=buffers.rows)[..., :h]
-    r = np.fft.fft(rows, axis=-2, norm="forward", out=buffers.cols)
-    out = buffers.out
-    out[..., :h, :h] = r[..., :h, :]
-    out[..., h:, :h] = r[..., m - h:, :]
-    out[..., h, :] = 0.0
-    out[..., :, h] = 0.0
-    # the mirrors read r, not out, so no ufunc sees overlapping operands
-    np.conjugate(r[..., h - 1:0:-1, 0], out=out[..., h + 1:, 0])
+    out = np.fft.fft(rows, axis=-2, norm="forward", out=buffers.cols)
+    out[..., h:m - h + 1, :] = 0.0
+    np.conjugate(out[..., h - 1:0:-1, 0], out=out[..., m - h + 1:, 0])
     out[..., 0, 0] = out[..., 0, 0].real
-    # c(kx, -ky) = conj c(-kx, ky); row 0 is its own mirror, rows r and n-r
-    # swap, and the Nyquist row h mirrors itself: conj(0) = 0 - 0j
-    np.conjugate(r[..., 0, h - 1:0:-1], out=out[..., 0, h + 1:])
-    np.conjugate(r[..., m - 1:m - h:-1, h - 1:0:-1], out=out[..., 1:h, h + 1:])
-    out[..., h, h + 1:] = np.conj(0j)
-    np.conjugate(r[..., h - 1:0:-1, h - 1:0:-1], out=out[..., h + 1:, h + 1:])
     return out
 
 
@@ -188,22 +216,39 @@ def divergence(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return grid.ikx * coeffs[0] + grid.iky * coeffs[1]
 
 
-def leray_project(grid: TorusGrid, coeffs: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def _projection(kx: np.ndarray, ky: np.ndarray, weight) -> np.ndarray:
+    """weight times the entries (P00, P11, P01) of the symmetric Leray
+    projection I - k k^T / |k|^2, stacked; zero on the mean mode."""
+    k_sq = kx**2 + ky**2
+    w = np.where(k_sq == 0, 0.0, weight / np.where(k_sq == 0, 1.0, k_sq))
+    return np.stack(np.broadcast_arrays(w * ky * ky, w * kx * kx, -w * kx * ky))
+
+
+def leray_multiplier(grid: TorusGrid, weight: np.ndarray) -> np.ndarray:
+    """weight P on the half layout for ``leray_project``, with ``weight`` a
+    real multiplier on that layout (the integrating factor, in the step):
+    (3, m, n/2), complex so that its products with a field need no cast, and
+    zero on the rows between the retained ones."""
+    return _projection(grid.half_kx, grid.half_ky, weight * grid.half_retained).astype(complex)
+
+
+def leray_project(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None = None,
+                  multiplier: np.ndarray | None = None) -> np.ndarray:
     """Remove the gradient part: u_k -> u_k - k (k.u_k)/|k|^2, zero mean mode.
 
     Acts as the identity on divergence-free fields and annihilates pure
-    gradients; idempotent and self-adjoint in the L2 inner product.  ``out``
-    (C-contiguous, may be ``coeffs`` itself) receives the result.
+    gradients; idempotent and self-adjoint in the L2 inner product.  Applies
+    the symmetric 2 x 2 ``multiplier`` (P00, P11, P01), by default
+    ``grid.projector``, the projection on the full layout; a half-layout
+    field takes one from ``leray_multiplier``, which may fold in a scalar
+    multiplier.  ``out`` (C-contiguous, may be ``coeffs`` itself) receives
+    the result.
     """
-    k_sq = grid.k_sq_safe
-    k_dot_u = grid.kx * coeffs[0] + grid.ky * coeffs[1]
+    p = grid.projector if multiplier is None else multiplier
+    swapped = p[2] * coeffs[::-1]  # (P01 c1, P01 c0), before out (maybe coeffs) is written
     if out is None:
-        out = np.empty(coeffs.shape, dtype=coeffs.dtype)
-    np.subtract(coeffs[0], grid.kx * k_dot_u / k_sq, out=out[0])
-    np.subtract(coeffs[1], grid.ky * k_dot_u / k_sq, out=out[1])
-    out[:, 0, 0] = 0.0
-    return out
+        out = np.empty(coeffs.shape, dtype=complex)
+    return np.add(np.multiply(p[:2], coeffs, out=out), swapped, out=out)
 
 
 def max_divergence(grid: TorusGrid, coeffs: np.ndarray) -> float:
@@ -218,8 +263,16 @@ def random_solenoidal(grid: TorusGrid, gen: np.random.Generator, k_min: float,
     k_min <= |k| <= k_max, made Hermitian and Leray-projected."""
     shape = (2, grid.n_modes, grid.n_modes)
     raw = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
-    band = (grid.k_sq >= k_min**2) & (grid.k_sq <= k_max**2)
+    band = band_mask(grid.k_sq, k_min, k_max)
     return leray_project(grid, hermitian_symmetrize(grid, np.where(band, raw, 0.0)))
+
+
+def band_mask(k_sq: np.ndarray, k_min: float, k_max: float) -> np.ndarray:
+    """k_min <= |k| <= k_max for the squared wavenumbers ``k_sq``; a bound
+    too large to square is infinite."""
+    with np.errstate(over="ignore"):
+        low, high = np.float64(k_min) ** 2, np.float64(k_max) ** 2
+    return (k_sq >= low) & (k_sq <= high)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +284,7 @@ def advect(grid: TorusGrid, u: np.ndarray, f: np.ndarray) -> np.ndarray:
     u_phys_pad = to_physical(grid, u, m)
     gf_phys = to_physical(grid, gradient(grid, f), m)
     prod = u_phys_pad[0] * gf_phys[0] + u_phys_pad[1] * gf_phys[1]
-    return from_physical(grid, prod)
+    return expand(grid, from_physical(grid, prod))
 
 
 def tensor_flux_physical(a: np.ndarray, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -245,7 +298,7 @@ def tensor_flux(grid: TorusGrid, a_pad: np.ndarray, f: np.ndarray) -> np.ndarray
     """Coefficients of the dealiased flux a grad f for f scalar (n,n) or
     vector (2,n,n), with ``a_pad`` the tensor on the padded grid."""
     g = to_physical(grid, gradient(grid, f), grid.pad_size)
-    return from_physical(grid, tensor_flux_physical(a_pad, g))
+    return expand(grid, from_physical(grid, tensor_flux_physical(a_pad, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from .operators import apply_A, apply_B, trilinear_b
 from .solver import SolverConfig, build_context, run
 from .spectral import (
     TorusGrid,
+    expand,
     from_physical,
     h_inner,
     h_norm,
@@ -72,7 +73,8 @@ def run_validation_suite(config: SolverConfig) -> list[tuple]:
     tg_err = h_norm(grid, vT - exact) / h_norm(grid, exact)
     results.append(("taylor_green_decay", tg_err < 1e-8, f"rel L2 error {tg_err:.2e}"))
 
-    q = from_physical(grid, np.sin(grid.x) * np.sin(2 * grid.y) + 0.3 * np.cos(3 * grid.x))
+    q = expand(grid, from_physical(
+        grid, np.sin(grid.x) * np.sin(2 * grid.y) + 0.3 * np.cos(3 * grid.x)))
     budget = diag.energy_budget_transport(q, ctx.noise, max(config.epsilon, 0.1))
     rel = abs(budget["residual"]) / (abs(budget["noise_intake"]) + 1e-300)
     results.append(("transport_energy_neutrality", rel < 1e-9, f"rel residual {rel:.2e}"))

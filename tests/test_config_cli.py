@@ -2,6 +2,7 @@
 
 import json
 import os
+import pickle
 import re
 import struct
 import subprocess
@@ -355,6 +356,9 @@ _BAD_INITIAL = {
     "seed": ({"kind": "random_band", "seed": 1.5}, "seed"),
     "seed_negative": ({"kind": "random_band", "seed": -1}, "seed"),
     "file_no_path": ({"kind": "file"}, "initial.path"),
+    # bands that hold no nonzero, non-Nyquist mode of N = 16 (|k|^2 <= 98)
+    "empty_band": ({"kind": "random_band", "k_min": 5, "k_max": 2}, "initial.k_min"),
+    "band_beyond_grid": ({"kind": "random_band", "k_min": 10, "k_max": 1e300}, "initial.k_max"),
 }
 
 
@@ -369,6 +373,38 @@ def test_cli_unknown_random_band_key_is_config_error(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert "config error" in err and key in err and "Traceback" not in err
     assert not out.exists()  # the config is refused before any output is made
+
+
+def test_initial_params_cannot_change_and_pickle():
+    # the checked parameters cannot be changed behind the checks, the config
+    # still pickles (ensemble --jobs sends it to its workers) and hashes as before
+    params = {"k_max": 4, "energy": 2.0}
+    config = SolverConfig(n_modes=16, t_end=0.01, initial_kind="random_band",
+                          initial_params=params)
+    params["energy"] = -1.0  # the config holds its own copy
+    changes = (lambda p: p.__setitem__("energy", -1.0), lambda p: p.__delitem__("k_max"),
+               lambda p: p.update(energy=-1.0), lambda p: p.pop("energy"), lambda p: p.clear(),
+               lambda p: p.popitem(), lambda p: p.setdefault("seed", 3),
+               lambda p: p.__ior__({"energy": -1.0}))
+    for change in changes:
+        with pytest.raises(TypeError, match="cannot be changed"):
+            change(config.initial_params)
+    assert config.initial_params == {"k_max": 4, "energy": 2.0}
+    assert config_hash(config) == "332b3508d6b9df58"  # the hash of the same config as a dict
+    again = pickle.loads(pickle.dumps(config))
+    assert again == config and config_hash(again) == config_hash(config)
+    with pytest.raises(TypeError, match="cannot be changed"):
+        again.initial_params["energy"] = -1.0
+
+
+def test_random_band_bound_too_large_to_square_runs():
+    # k_max = 1e300 keeps every mode, as any bound above the grid's |k| does
+    from lu_flow.solver import make_initial
+
+    huge = SolverConfig(n_modes=16, initial_kind="random_band", initial_params={"k_max": 1e300})
+    grid = TorusGrid(16)
+    assert np.array_equal(make_initial("random_band", grid, huge.initial_params),
+                          make_initial("random_band", grid, {"k_max": 100}))
 
 
 @pytest.mark.parametrize("command", ["simulate", "validate"])

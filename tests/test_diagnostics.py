@@ -16,6 +16,7 @@ from lu_flow.noise import build_noise_model
 from lu_flow.solver import SolverConfig, build_context, run
 from lu_flow.spectral import (
     TorusGrid,
+    expand,
     from_physical,
     v_norm,
 )
@@ -26,7 +27,7 @@ from conftest import random_div_free, synthetic_inhomogeneous_model
 def tracer(grid, fn):
     x = np.linspace(0, 2 * np.pi, grid.n_modes, endpoint=False)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    return from_physical(grid, fn(X, Y))
+    return expand(grid, from_physical(grid, fn(X, Y)))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,10 @@ from lu_flow.solver import (
 from lu_flow.spectral import (
     TorusGrid,
     advect,
+    compress,
     divergence,
     energy,
+    expand,
     from_physical,
     h_norm,
     leray_project,
@@ -157,7 +159,7 @@ def test_step_exact_heat_decay_single_mode(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
     v = _real_mode_coeffs(grid32, (1, 2), "cos")
-    out = step(v, ctx, None, cfg.dt)
+    out = expand(grid32, step(compress(grid32, v), ctx, None, cfg.dt))
     factor = np.exp(-cfg.dt * 5.0 / cfg.reynolds)
     assert np.max(np.abs(out - factor * v)) < 1e-15
 
@@ -165,7 +167,7 @@ def test_step_exact_heat_decay_single_mode(grid32):
 def test_step_matches_deterministic_path(grid32, rng):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
-    v = random_div_free(grid32, rng)
+    v = compress(grid32, random_div_free(grid32, rng))
     a = step(v, ctx, None, cfg.dt)
     b = step(v, ctx, np.zeros(cfg.k_modes), cfg.dt)
     assert np.array_equal(a, b)
@@ -201,30 +203,61 @@ def _reference_tracer(q0, velocity, ctx, dt, t_end, path):
     return np.array(energies)
 
 
-@pytest.mark.parametrize("model", ["mix", "synthetic"])
-@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.5])
-@pytest.mark.parametrize("with_noise", [True, False])
-def test_fused_step_matches_operator_reference(grid32, rng, model, epsilon, with_noise):
+# at N = 16, 24, 32, 48 and 96 (pad sizes 24, 36, 48, 72 and 144) the half
+# layout has different numbers of zero rows; N = 32 keeps its ids unsuffixed
+@pytest.mark.parametrize("with_noise,epsilon,model,n", [
+    pytest.param(with_noise, epsilon, model, n,
+                 id=f"{with_noise}-{epsilon}-{model}" + ("" if n == 32 else f"-n{n}"))
+    for n in (16, 24, 32, 48, 96) for model in ("mix", "synthetic")
+    for epsilon in (0.0, 0.1, 0.5) for with_noise in (True, False)])
+def test_fused_step_matches_operator_reference(rng, with_noise, epsilon, model, n):
+    grid = TorusGrid(n)
     if model == "mix":
-        base = build_context(short_config(k_modes=8))
+        base = build_context(short_config(n_modes=n, k_modes=8))
     else:
-        base = OperatorContext(synthetic_inhomogeneous_model(grid32), 0.1, 100.0)
+        base = OperatorContext(synthetic_inhomogeneous_model(grid), 0.1, 100.0)
     ctx = OperatorContext(base.noise, epsilon, 100.0)
     assert np.max(np.abs(ctx.noise.ito_stokes_drift)) > 0  # the drift terms are exercised
-    v = 2.0 * random_div_free(grid32, rng)
+    v = 2.0 * random_div_free(grid, rng)
     dt = 1e-3
     dbeta = (np.sqrt(dt) * rng.standard_normal(ctx.noise.k_modes) if with_noise else None)
-    got = step(v, ctx, dbeta, dt)
+    got = expand(grid, step(compress(grid, v), ctx, dbeta, dt))
     ref = _reference_step(ctx, v, dbeta, dt)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("n", [32, 48])
+@pytest.mark.parametrize("mix", [False, True])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+def test_run_matches_reference_step_loop(n, mix, epsilon):
+    # 50 steps of run against the per-operator step on the same path; the
+    # half layout and the folded multipliers change only rounding
+    cfg = short_config(n_modes=n, epsilon=epsilon, k_modes=8, noise_mixing=mix, t_end=0.05,
+                       record_every=50, initial_kind="random_band",
+                       initial_params={"k_max": n // 4, "seed": 2})
+    ctx = build_context(cfg)
+    path = WienerPath(cfg.seed, cfg.dt, cfg.n_steps, cfg.k_modes) if ctx.noisy else None
+    got = recorded_states(cfg, ctx=ctx, path=path, warn_cfl=False)[-1]
+    v = make_initial(cfg.initial_kind, ctx.grid, cfg.initial_params)
+    for i in range(cfg.n_steps):
+        v = _reference_step(ctx, v, None if path is None else path.increments[i], cfg.dt)
+    assert h_norm(ctx.grid, got - v) <= 1e-11 * h_norm(ctx.grid, v)
+
+
 def test_step_output_is_hermitian(grid32, rng):
+    # the ky = 0 column is the only one that holds conjugate pairs in the half
+    # layout: c(-kx, 0) = conj c(kx, 0) exactly, with a real mean mode, so the
+    # expanded state is exactly Hermitian
     ctx = build_context(short_config(k_modes=8))
-    v = random_div_free(grid32, rng)
+    v = compress(grid32, random_div_free(grid32, rng))
     out = step(v, ctx, 0.03 * np.ones(8), 1e-3)
+    m, h = grid32.pad_size, 16
+    assert np.array_equal(out[:, m - 1:m - h:-1, 0], np.conj(out[:, 1:h, 0]))
+    assert np.all(out[:, 0, 0].imag == 0.0)
+    assert np.all(out[:, h:m - h + 1] == 0.0)  # the rows between and the Nyquist row
+    full = expand(grid32, out)
     neg = (-np.arange(32)) % 32
-    assert np.array_equal(out, np.conj(out[:, neg[:, None], neg[None, :]]))
+    assert np.array_equal(full, np.conj(full[:, neg[:, None], neg[None, :]]))
 
 
 def _count_transforms(monkeypatch, call) -> dict:
@@ -258,7 +291,7 @@ def _real_passes(counts: dict) -> int:
 @pytest.mark.parametrize("epsilon,real", [(0.1, 12), (0.0, 8)])
 def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
     ctx = build_context(short_config(epsilon=epsilon, k_modes=8))
-    v = random_div_free(grid32, rng)
+    v = compress(grid32, random_div_free(grid32, rng))
     dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
     step(v, ctx, dbeta, 1e-3)  # fills the context caches
     assert _real_passes(_count_transforms(monkeypatch, lambda: step(v, ctx, dbeta, 1e-3))) == real
@@ -267,9 +300,9 @@ def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_warm_step_allocates_little(n):
     # the padded arrays live in the context's workspace: a warm step allocates
-    # its grid-sized result and a few grid-sized temporaries, nothing padded
+    # its state-sized result and a few state-sized temporaries, nothing padded
     ctx = build_context(short_config(n_modes=n, k_modes=8))
-    v = make_initial("random_band", ctx.grid, {"k_max": n // 4, "seed": 1})
+    v = compress(ctx.grid, make_initial("random_band", ctx.grid, {"k_max": n // 4, "seed": 1}))
     dbeta = 0.03 * np.ones(8)
     v = step(step(v, ctx, dbeta, 1e-3), ctx, dbeta, 1e-3)
     tracemalloc.start()
@@ -283,7 +316,7 @@ def test_warm_step_allocates_little(n):
 
 def test_step_result_survives_next_step(grid32, rng):
     ctx = build_context(short_config(k_modes=8))
-    v = random_div_free(grid32, rng)
+    v = compress(grid32, random_div_free(grid32, rng))
     first = step(v, ctx, 0.03 * np.ones(8), 1e-3)
     kept = first.copy()
     step(first, ctx, -0.02 * np.ones(8), 1e-3)
@@ -298,7 +331,7 @@ def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
     cfg = short_config(k_modes=8)
     base = build_context(cfg)
     shared = {eps: replace(base, epsilon=eps) for eps in (0.2, 0.1, 0.0)}
-    v0 = random_div_free(grid32, rng)
+    v0 = compress(grid32, random_div_free(grid32, rng))
     dbetas = [0.03 * rng.standard_normal(8) for _ in range(4)]
     a = {eps: v0 for eps in shared}
     b = dict(a)
@@ -342,7 +375,7 @@ def _band_limited_velocity(grid):
     x, y = grid.x, grid.y
     ux = 0.15 * (-2 * np.sin(x) * np.sin(2 * y) - 0.5 * np.sin(3 * x + y))
     uy = 0.15 * (-np.cos(x) * np.cos(2 * y) + 1.5 * np.sin(3 * x + y))
-    return leray_project(grid, from_physical(grid, np.stack([ux, uy])))
+    return leray_project(grid, expand(grid, from_physical(grid, np.stack([ux, uy]))))
 
 
 def _modes_below(v, n):
@@ -397,12 +430,12 @@ def test_record_cadence(grid32, monkeypatch, trajectory):
     seen = []
     integrate = solver._integrate
 
-    def spy(state, advance, path, config, names, measure, observe=None):
+    def spy(grid, state, advance, path, config, names, measure, observe=None):
         def observe_and_log(t, state):
             seen.append(t)
             if observe is not None:
                 observe(t, state)
-        return integrate(state, advance, path, config, names, measure, observe_and_log)
+        return integrate(grid, state, advance, path, config, names, measure, observe_and_log)
 
     monkeypatch.setattr(solver, "_integrate", spy)
     cfg = short_config(dt=0.01, t_end=0.05, record_every=2)
@@ -557,7 +590,7 @@ def test_mean_energy_increment_bounded_by_noise_term():
 def make_tracer(grid):
     x = np.linspace(0, 2 * np.pi, grid.n_modes, endpoint=False)
     X, Y = np.meshgrid(x, x, indexing="ij")
-    return from_physical(grid, np.sin(X) * np.sin(2 * Y) + 0.5 * np.cos(2 * X))
+    return expand(grid, from_physical(grid, np.sin(X) * np.sin(2 * Y) + 0.5 * np.cos(2 * X)))
 
 
 def test_tracer_constant_without_forcing(grid32):

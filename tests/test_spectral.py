@@ -8,12 +8,15 @@ from lu_flow.operators import OperatorContext
 from lu_flow.spectral import (
     TorusGrid,
     TransformBuffers,
+    compress,
     divergence,
+    expand,
     from_physical,
     gradient,
     h_inner,
     h_norm,
     hermitian_symmetrize,
+    leray_multiplier,
     leray_project,
     load_snapshot,
     max_divergence,
@@ -30,6 +33,11 @@ from conftest import random_div_free
 def physical_grid(n):
     x = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     return np.meshgrid(x, x, indexing="ij")
+
+
+def coeffs_of(grid, values):
+    """The full-layout coefficients of real values on the grid."""
+    return expand(grid, from_physical(grid, values))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +72,7 @@ def test_grid_equality_and_mismatch():
 
 def test_round_trip_identity(grid32, rng):
     c = random_div_free(grid32, rng)
-    back = from_physical(grid32, to_physical(grid32, c))
+    back = coeffs_of(grid32, to_physical(grid32, c))
     assert np.max(np.abs(back - c)) < 1e-13
 
 
@@ -92,11 +100,14 @@ def test_real_transforms_match_numpy_rfft2_bitwise(n, rng):
     half[:, m - h:, :h] = c[:, h:, :h]
     assert np.array_equal(to_physical(grid, c, m),
                           np.fft.irfft2(half, s=(m, m), norm="forward"))
+    assert np.array_equal(to_physical(grid, compress(grid, c, m), m), to_physical(grid, c, m))
     values = rng.standard_normal((3, m, m))
     full = np.fft.rfft2(values, norm="forward")
-    got = from_physical(grid, values)
+    got = from_physical(grid, values)  # the half layout keeps the padded rows' positions
+    assert got.shape == (3, m, h)
     assert np.array_equal(got[:, :h, 1:h], full[:, :h, 1:h])
-    assert np.array_equal(got[:, h + 1:, 1:h], full[:, m - h + 1:, 1:h])
+    assert np.array_equal(got[:, m - h + 1:, 1:h], full[:, m - h + 1:, 1:h])
+    assert np.array_equal(got[:, 1:h, 0], full[:, 1:h, 0])
 
 
 def _same_bits(a, b):
@@ -117,19 +128,42 @@ def test_transforms_with_buffers_match_fresh_bitwise(n, batch, padded, rng):
         phys = to_physical(grid, c, m, bufs)
         assert phys is bufs.phys
         assert _same_bits(phys, fresh)
-        # only the retained ky >= 0 columns are read: the step passes just those
+        # only the retained ky >= 0 columns are read, and the half layout
+        # (what the step passes) is transformed as it is
         assert _same_bits(to_physical(grid, np.ascontiguousarray(c[..., :n // 2]), m), fresh)
         assert _same_bits(to_physical(grid, c[..., :n // 2], m, bufs), fresh)
+        assert _same_bits(to_physical(grid, compress(grid, c, m), m, bufs), fresh)
         values = rng.standard_normal(batch + (m, m))
         hat = from_physical(grid, values, bufs)
-        assert hat is bufs.out
+        assert hat is bufs.cols
         assert _same_bits(hat, from_physical(grid, values))
     with pytest.raises(ValueError, match="buffers are for m"):
         to_physical(grid, c, m + 2, bufs)
 
 
+def test_compress_expand_round_trip_bitwise(grid32, rng):
+    c = random_div_free(grid32, rng)
+    m, h = grid32.pad_size, 16
+    half = compress(grid32, c)
+    assert half.shape == (2, m, h)
+    assert np.array_equal(half[:, :h], c[:, :h, :h])
+    assert np.array_equal(half[:, m - h + 1:], c[:, h + 1:, :h])
+    assert np.all(half[:, h:m - h + 1] == 0.0)  # the rows between and the Nyquist row
+    assert np.array_equal(expand(grid32, half), c)
+
+
+def test_leray_multiplier_projects_the_half_layout(grid32, rng):
+    raw = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
+    f = hermitian_symmetrize(grid32, raw)
+    weight = np.exp(-0.1 * grid32.half_k_sq)
+    got = leray_project(grid32, compress(grid32, f), multiplier=leray_multiplier(grid32, weight))
+    expected = np.exp(-0.1 * grid32.k_sq) * leray_project(grid32, f)
+    assert np.max(np.abs(expand(grid32, got) - expected)) < 1e-14 * np.max(np.abs(expected))
+    assert np.all(got[:, 16:grid32.pad_size - 15] == 0.0)
+
+
 def test_from_physical_is_exactly_hermitian(grid16, rng):
-    c = from_physical(grid16, rng.standard_normal((2, 24, 24)))
+    c = coeffs_of(grid16, rng.standard_normal((2, 24, 24)))
     neg = (-np.arange(16)) % 16
     assert np.array_equal(c, np.conj(c[:, neg[:, None], neg[None, :]]))
     assert np.all(c[:, grid16.nyquist_mask] == 0.0)
@@ -148,13 +182,13 @@ def test_nyquist_modes_zeroed(grid16, rng):
 
 def test_derivative_sin_x(grid16):
     X, Y = physical_grid(16)
-    c = from_physical(grid16, np.sin(X))
+    c = coeffs_of(grid16, np.sin(X))
     d = gradient(grid16, c)[0]
     assert np.max(np.abs(to_physical(grid16, d) - np.cos(X))) < 1e-13
 
 
 def test_derivative_constant_is_zero(grid16):
-    c = from_physical(grid16, np.full((16, 16), 3.7))
+    c = coeffs_of(grid16, np.full((16, 16), 3.7))
     for direction in (0, 1):
         assert np.max(np.abs(gradient(grid16, c)[direction])) == 0.0
 
@@ -162,7 +196,7 @@ def test_derivative_constant_is_zero(grid16):
 def test_derivative_against_symbolic_oracle(grid16):
     # d/dy [sin(2x) cos(3y)] = -3 sin(2x) sin(3y)
     X, Y = physical_grid(16)
-    c = from_physical(grid16, np.sin(2 * X) * np.cos(3 * Y))
+    c = coeffs_of(grid16, np.sin(2 * X) * np.cos(3 * Y))
     d = to_physical(grid16, gradient(grid16, c)[1])
     assert np.max(np.abs(d - (-3.0) * np.sin(2 * X) * np.sin(3 * Y))) < 1e-12
 
@@ -239,21 +273,21 @@ def test_leray_self_adjoint(grid32, rng):
 def padded_product(grid, f, g):
     """f g through the zero-padded transforms, alias-free for band-limited f, g."""
     m = grid.pad_size
-    return from_physical(grid, to_physical(grid, f, m) * to_physical(grid, g, m))
+    return coeffs_of(grid, to_physical(grid, f, m) * to_physical(grid, g, m))
 
 
 def test_product_with_one(grid16, rng):
     g = random_div_free(grid16, rng, components=1)
-    one = from_physical(grid16, np.ones((16, 16)))
+    one = coeffs_of(grid16, np.ones((16, 16)))
     assert np.max(np.abs(padded_product(grid16, one, g) - g)) < 1e-14
 
 
 def test_product_closed_form(grid16):
     # sin(x) * sin(x) = 1/2 - cos(2x)/2, no aliasing at N >= 8
     X, _ = physical_grid(16)
-    s = from_physical(grid16, np.sin(X))
+    s = coeffs_of(grid16, np.sin(X))
     prod = padded_product(grid16, s, s)
-    expected = from_physical(grid16, 0.5 - 0.5 * np.cos(2 * X))
+    expected = coeffs_of(grid16, 0.5 - 0.5 * np.cos(2 * X))
     assert np.max(np.abs(prod - expected)) < 1e-14
 
 
