@@ -145,7 +145,11 @@ class SolverConfig:
         # cast to the defaults' types only now: the messages above quote the input
         for f in keyed:
             object.__setattr__(self, f.name, type(f.default)(getattr(self, f.name)))
-        _step_count(self.dt, self.t_end)
+        n_steps = _step_count(self.dt, self.t_end)
+        # the Brownian table holds n_steps x K increments of 8 bytes
+        if n_steps * self.k_modes * 8 > np.iinfo(np.intp).max:
+            raise ConfigError(f"fields 'T', 'dt' and 'noise.K' give {n_steps} steps of "
+                              f"{self.k_modes} increments, more than an array can index")
         kind, params = self.initial_kind, self.initial_params
         rules = _INITIAL.get(kind) if isinstance(kind, str) else None
         if rules is None:

@@ -8,11 +8,11 @@ the test-suite use 5-standard-error intervals.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
-from .noise import NoiseModel
+from .noise import NoiseModel, WienerPath
 from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, run
 from .spectral import (
     TorusGrid,
@@ -224,13 +224,18 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
 
     For every epsilon the same per-member Brownian family is reused (shared
     paths), a deliberate pathwise strengthening of the convergence-in-law
-    statement that also cuts Monte Carlo variance.
+    statement that also cuts Monte Carlo variance.  The initial field is made
+    once for every run, and with shared paths each member's path once for
+    every epsilon.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
     ctx = build_context(base_config)  # the noisy runs share its model and cache
+    v0 = make_initial(base_config.initial_kind, ctx.grid, base_config.initial_params)
     det_states = []
     times = run(replace(base_config, epsilon=0.0), ctx=replace(ctx, epsilon=0.0, _cache={}),
-                observe=lambda t, s: det_states.append(s), warn_cfl=False).times
+                v0=v0, observe=lambda t, s: det_states.append(s), warn_cfl=False).times
+    member_path = cache(lambda m: WienerPath(base_config.seed, base_config.dt,
+                                             base_config.n_steps, base_config.k_modes, member=m))
 
     sup_h = np.zeros((len(epsilons), ensemble_size))
     int_v = np.zeros((len(epsilons), ensemble_size))
@@ -239,8 +244,9 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
         eps_ctx = replace(ctx, epsilon=float(eps))
         for m in range(ensemble_size):
             member = m if shared_path else m + 1000 * (j + 1)
+            path = member_path(m) if shared_path and eps_ctx.noisy else None
             sq = []
-            run(cfg, member, ctx=eps_ctx,
+            run(cfg, member, ctx=eps_ctx, path=path, v0=v0,
                 observe=partial(_distances_to, ctx.grid, iter(det_states), sq), warn_cfl=False)
             h_sq, v_sq = np.array(sq).T
             sup_h[j, m] = np.sqrt(h_sq.max())

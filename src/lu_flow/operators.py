@@ -13,12 +13,13 @@ The time-derivative contribution of the drift correction is identically
 zero for the time-independent covariance family used here; this is the
 extension point for a time-dependent noise model.
 
-``solver.step`` evaluates these terms in one fused expression; the
-functions here keep the per-operator formulas and are the reference that
-step is tested against.  Every flux a grad f, here and in the step, comes
-from ``spectral.tensor_flux``/``tensor_flux_physical`` with the padded
-variance tensor ``NoiseModel.a_pad``, and G(v) phi_k is ``noise_increment``
-with a unit increment vector.
+``solver.step`` evaluates these terms in one fused expression on the
+stream function of v; the functions here keep the per-operator formulas and
+are the reference that step is tested against.  Every flux a grad f, here
+and in the steps, comes from ``spectral`` with the padded variance tensor
+``NoiseModel.a_pad``: ``tensor_flux``/``tensor_flux_physical``, or for the
+velocity step ``tensor_flux_curl``, the parts of the flux its curl reads.
+G(v) phi_k is ``noise_increment`` with a unit increment vector.
 
 Key discrete identities, exact up to rounding thanks to dealiasing:
 (A v, v)_H = (1/Re)||v||_V^2, (B(u, v), v)_H = 0, b(u,v,w) = -b(u,w,v),

@@ -7,32 +7,40 @@ with exact integrating-factor treatment of the Stokes operator,
 
 Every eps-term of F and G is linear in w = v + eps^2 u_s (u_s the raw
 Ito-Stokes drift) and the projections commute with the integrating factor,
-so ``step`` evaluates the bracket as one fused expression,
+so the step is one fused expression,
 
     v+ = E P [v - (c.grad) w + (eps^2 dt / 2) div(a grad w)
               + eps^2 dt A u_s - eps A xi],
 
-with c = dt v + eps xi, xi = sum_k phi_k dbeta_k and E = exp(-dt A): one
-batched inverse real FFT of c and grad w on the padded grid, one batched
-forward real FFT of (c.grad) w and the flux a grad w.  The multipliers that
-depend only on (dt, Re, eps) are made once and kept with the step's
-workspace: E P as one symmetric 2 x 2 multiplier, applied by
-``spectral.leray_project`` in place of a separate projection, eps^2 u_s,
-the constant eps^2 dt A u_s, and (eps^2 dt / 2) i k for the divergence.
-xi enters c and -eps A xi only on its support, a few dozen coefficients.
-The kernel of the transforms, ``_transport``, also steps the tracer.
+with c = dt v + eps xi, xi = sum_k phi_k dbeta_k and E = exp(-dt A).  c is
+solenoidal, so transport and LU diffusion are the divergence of one flux,
+G_ji = -c_j w_i + (eps^2 dt / 2)(a grad w)_ji, and in 2D the projection of
+div G keeps only its curl.  ``run`` therefore steps the stream function psi
+of v, v = (-d_y psi, d_x psi), with no projection in the step:
 
-Both drivers keep their state in the half layout of ``spectral``, which
-``step`` and ``_transport`` take and return: the retained ky >= 0 columns
-with the kx rows at their padded-grid positions, so the inverse input is one
-multiply per field and the forward result is read in place.  The state stays
-real because only the ky = 0 column holds conjugate pairs, which
-``from_physical`` writes exactly and the even multipliers keep.  The full
-(2, n, n) layout is met only at the edges: the initial field, the records,
-``observe`` and ``check_cfl``.  The per-operator functions of ``operators``
-are the reference this step is tested against.  The integrating factor
-removes the stiff linear stability constraint; only an advective CFL
-condition remains and is warned about.
+    psi+ = E psi + E (kx^2 H0 - ky^2 H1 + kx ky H2) / |k|^2 + C
+           - eps E A psi_xi,
+
+H0 = G_xy, H1 = G_yx and H2 = G_yy - G_xx formed on the padded grid and C
+the constant drift terms.  A noisy step takes 8 real transforms: v and the
+three second derivatives of psi inverse (d_y v_y = -d_x v_x), the H's
+forward; at eps = 0, G = -dt v v is symmetric, so H0 = H1 and it takes 4.
+xi reaches the padded grid by a separable transform of the small block of
+modes that holds it, and the a grad u_s part of G is in C.  The multipliers
+of (dt, Re, eps) and the eps-independent padded fields are made once and
+kept with the step's workspace.  The tracer steps the same way, with 5 real
+transforms with noise and 3 without.
+
+Both drivers keep their state in the half layout of ``spectral``: the
+retained ky >= 0 columns with the kx rows at their padded-grid positions,
+so the inverse input is one multiply per field and the forward result is
+read in place.  The state stays real because only the ky = 0 column holds
+conjugate pairs, which ``from_physical`` writes exactly and the even
+multipliers keep.  The full (2, n, n) velocity is met only at the edges:
+the initial field, the records, ``observe`` and ``check_cfl``.  The
+per-operator functions of ``operators`` are the reference this step is
+tested against.  The integrating factor removes the stiff linear stability
+constraint; only an advective CFL condition remains and is warned about.
 
 A run with eps = 0 takes exactly the same code path as the deterministic
 solver (noise and drift-correction branches are skipped, not multiplied by
@@ -51,6 +59,7 @@ from .config import ConfigError, SolverConfig
 from .noise import WienerPath, build_noise_model
 from .operators import OperatorContext
 from .spectral import (
+    TWO_PI,
     TorusGrid,
     TransformBuffers,
     compress,
@@ -59,11 +68,14 @@ from .spectral import (
     from_physical,
     h_norm,
     hermitian_symmetrize,
-    leray_multiplier,
+    inverse_k_sq,
     leray_project,
     load_snapshot,
     max_divergence,
     random_solenoidal,
+    stream_function,
+    stream_velocity,
+    tensor_flux_curl,
     tensor_flux_physical,
     to_physical,
     v_norm,
@@ -81,6 +93,9 @@ class BlowUpError(RuntimeError):
         self.step = step
         self.time = time
 
+    def __reduce__(self):  # a pool worker's error reaches the parent by pickle
+        return type(self), (self.step, self.time)
+
 
 @dataclass
 class TrajectoryRecord:
@@ -97,6 +112,14 @@ class TrajectoryRecord:
                 raise ValueError(f"non-finite diagnostic {name!r}")
 
 
+# A diverging (or non-finite initial) state overflows before the loop raises
+# BlowUpError, and TrajectoryRecord rejects any non-finite record, so
+# floating-point warnings would add nothing.  A context whose noise overflows
+# (a huge noise.amp) makes every noisy run blow up at its first step.
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def build_context(config: SolverConfig) -> OperatorContext:
     grid = TorusGrid(config.n_modes)
     # mode weights use the unit-viscosity eigenvalue |k|^2; the Reynolds
@@ -150,123 +173,187 @@ def check_cfl(config: SolverConfig, grid: TorusGrid, v: np.ndarray) -> None:
 
 
 class _StepWorkspace:
-    """What ``_transport`` keeps between calls for f of k components (2 for
-    the velocity, 1 for a tracer), all in the half layout: c and grad f,
-    their transform buffers (shared by the forward pass when its batch is as
-    large), the padded product batch, w = v + eps^2 u_s, the flat indices of
-    xi's support and the multipliers of the last (dt, Re, eps).  The support
-    is taken from the model when the workspace is made: contexts that share
-    a cache share their model."""
+    """What a step keeps between calls, for the velocity (k = 2, stepped as
+    its stream function) or a tracer (k = 1): the transform buffers and the
+    padded product batch, and with noise the separable transform of xi and,
+    for the velocity, the padded fields its flux reads (the curl
+    coefficients of the variance tensor a and the raw drift u_s) and the
+    stream functions of the constant terms.  All of it is made once per
+    context cache and does not depend on eps; ``multipliers`` adds the ones
+    of the last (dt, Re, eps)."""
 
     def __init__(self, ctx: OperatorContext, k: int):
         grid = ctx.grid
-        n, m, h = grid.n_modes, grid.pad_size, grid.n_modes // 2
-        n_in, n_out = 2 + 2 * k, 3 * k if ctx.noisy else k
+        m, h = grid.pad_size, grid.n_modes // 2
+        self.velocity, self.noisy = k == 2, ctx.noisy
+        # inverse: v and with noise three second derivatives of psi, or grad q;
+        # forward: the H's, or (c.grad) q and with noise the flux a grad q
+        if self.velocity:
+            n_in, n_out = (5, 3) if self.noisy else (2, 2)
+        else:
+            n_in, n_out = 2, 3 if self.noisy else 1
         self.spec = np.empty((n_in, m, h), dtype=complex)
         self.inverse = TransformBuffers(grid, (n_in,), m)
         self.forward = self.inverse if n_out == n_in else TransformBuffers(grid, (n_out,), m)
         self.prod = np.empty((n_out, m, m))
-        self.ikx, self.iky = 1j * grid.half_kx, 1j * grid.half_ky
         self.key = None
-        if ctx.noisy:
-            self.w = np.empty((2, m, h), dtype=complex)
-            # the ky >= 0 part of the joint support of the phi_k, as flat
-            # indices of the half layout and the (K, 2S) real view of its values
-            idx, values = ctx.noise.phi_support
-            comp, row, col = np.unravel_index(idx, (2, n, n))
-            kept = col < h
-            row = np.where(row < h, row, row - n + m)[kept]
-            self.xi_idx = np.ravel_multi_index((comp[kept], row, col[kept]), (2, m, h))
-            self.xi_values = np.ascontiguousarray(values.view(complex)[:, kept]).view(float)
+        if self.noisy:
+            self.c = np.empty((2, m, m))
+            self._separable_noise(grid, ctx.phi_stack)
+            if self.velocity:
+                self.a_curl = tensor_flux_curl(ctx.a_pad)
+                self.w = np.empty((2, m, m))
+                self.cw = np.empty((2, m, m))
+                us = ctx.noise.ito_stokes_drift
+                self.us_pad = to_physical(grid, us, m)
+                self.psi_us = stream_function(grid, compress(grid, us))
+                self.psi_flux = stream_function(grid, compress(grid, ctx.div_a_grad_us))
 
-    def noise_values(self, dbeta: np.ndarray) -> np.ndarray:
-        """xi = sum_k dbeta_k phi_k on the ``xi_idx`` coefficients."""
-        return np.dot(dbeta, self.xi_values).view(complex)
+    def _separable_noise(self, grid: TorusGrid, phi: np.ndarray) -> None:
+        """The stream function and the velocity of every noise mode on the
+        smallest block of half-layout rows and leading columns that holds
+        them, as the (K, 6 r s) real view ``xi_table``, the block's flat
+        indices, and the two factors of its separable inverse transform:
+        ``ex`` = exp(i kx x) for the block's rows, (m, r), and ``wy``, the
+        real (2s, m) matrix that takes the interleaved real and imaginary
+        parts of s columns to their Hermitian sum (weight 1 at ky = 0, 2
+        above)."""
+        m, h = grid.pad_size, grid.n_modes // 2
+        half = compress(grid, phi)
+        table = np.concatenate([stream_function(grid, half)[:, None], half], axis=1)
+        held = table != 0
+        rows = np.flatnonzero(held.any(axis=(0, 1, 3)))
+        s = int(np.flatnonzero(held.any(axis=(0, 1, 2)))[-1]) + 1
+        self.block_idx = np.ravel_multi_index(np.ix_(rows, np.arange(s)), (m, h)).ravel()
+        block = np.ascontiguousarray(table[:, :, rows, :s])
+        self.xi_table = block.reshape(len(phi), -1).view(float)
+        self.xi_values = np.empty(self.xi_table.shape[1])
+        self.xi_block = self.xi_values.view(complex).reshape(3, len(rows), s)
+        x = np.arange(m) * (TWO_PI / m)
+        self.ex = np.exp(1j * np.outer(x, grid.half_kx[rows, 0]))
+        ky = np.arange(s)
+        weight = np.where(ky == 0, 1.0, 2.0)[:, None]
+        self.wy = np.empty((2 * s, m))
+        self.wy[0::2] = weight * np.cos(np.outer(ky, x))
+        self.wy[1::2] = -weight * np.sin(np.outer(ky, x))
+        self.xi_cols = np.empty((2, m, s), dtype=complex)
+
+    def noise(self, dbeta: np.ndarray, wy: np.ndarray) -> tuple:
+        """xi = sum_k dbeta_k phi_k as its stream function on ``block_idx``
+        and its values on the padded grid, through ``wy`` (``self.wy`` times
+        a scale) and written into ``c``: one dot and two small matrix
+        products."""
+        np.dot(dbeta, self.xi_table, out=self.xi_values)  # the values of xi_block
+        cols = np.matmul(self.ex, self.xi_block[1:], out=self.xi_cols)
+        return self.xi_block[0].reshape(-1), np.matmul(cols.view(float), wy, out=self.c)
 
     def multipliers(self, ctx: OperatorContext, dt: float) -> "_StepWorkspace":
         """Make the multipliers of (dt, Re, eps) unless they are the last
-        ones: ``proj`` = E P for ``leray_project``; with noise ``us2`` =
-        eps^2 u_s, ``drift`` = eps^2 dt A u_s, ``div`` = (eps^2 dt / 2) i k
-        and ``a_xi`` = eps A on the support of xi."""
+        ones: ``in_mult`` of the inverse input; for the velocity ``out_mult``
+        of the forward results and ``keep`` = E = exp(-dt A) of the state.
+        With noise: ``wy_step``, the scale of xi in c folded into ``wy``; for
+        the velocity ``us2`` = eps^2 u_s on the padded grid, ``const`` =
+        E psi(eps^4 dt / 2 div(a grad u_s) + eps^2 dt A u_s) and ``xi_mult``
+        = -eps E A on the block of xi; for the tracer ``div`` =
+        (eps^2 dt / 2) i k."""
         key = (dt, ctx.reynolds, ctx.epsilon)
-        if self.key != key:
-            grid = ctx.grid
+        if self.key == key:
+            return self
+        grid = ctx.grid
+        eps = ctx.epsilon
+        kx, ky = grid.half_kx, grid.half_ky
+        ikx, iky = 1j * kx, 1j * ky
+        if self.velocity:
             a_diag = grid.half_k_sq / ctx.reynolds
-            self.proj = leray_multiplier(grid, np.exp(-dt * a_diag))
-            if ctx.noisy:
-                eps = ctx.epsilon
-                self.us2 = eps**2 * compress(grid, ctx.noise.ito_stokes_drift)
-                self.drift = (dt * a_diag) * self.us2
-                self.div = (0.5 * eps**2 * dt) * self.ikx, (0.5 * eps**2 * dt) * self.iky
-                self.a_xi = eps * np.broadcast_to(a_diag, self.w.shape).reshape(-1)[self.xi_idx]
-            self.key = key
+            self.keep = np.exp(-dt * a_diag) * grid.half_retained
+            weight = (dt * self.keep) * inverse_k_sq(grid)
+            if self.noisy:
+                # G / dt = -(v + (eps / dt) xi)_j w_i + (eps^2 / 2)(a grad v)_ji;
+                # the a grad u_s part of w is in const
+                half_eps2 = 0.5 * eps**2
+                self.in_mult = np.stack([-iky, ikx, (half_eps2 * kx * ky).astype(complex),
+                                         (half_eps2 * ky * ky).astype(complex),
+                                         (-half_eps2 * kx * kx).astype(complex)])
+                self.out_mult = np.stack([weight * kx * kx, -weight * ky * ky, weight * kx * ky])
+                self.us2 = eps**2 * self.us_pad
+                self.const = (eps**2 * dt) * self.keep * (half_eps2 * self.psi_flux
+                                                           + a_diag * self.psi_us)
+                self.xi_mult = (-eps * self.keep * a_diag).reshape(-1)[self.block_idx]
+                self.wy_step = (eps / dt) * self.wy
+            else:  # G = -dt v v: H0 = H1 and H2 are -dt (v_x v_y, v_y^2 - v_x^2)
+                self.in_mult = np.stack([-iky, ikx])
+                self.out_mult = np.stack([-weight * (kx * kx - ky * ky), -weight * kx * ky])
+        else:  # q+ = q - T[(c.grad) q] + (eps^2 dt / 2) i k . T[a grad q]
+            self.in_mult = np.stack([ikx, iky])
+            if self.noisy:
+                self.div = (0.5 * eps**2 * dt) * self.in_mult
+                self.wy_step = eps * self.wy
+        self.key = key
         return self
 
 
 def _workspace(ctx: OperatorContext, k: int = 2) -> _StepWorkspace:
-    """The workspace of ``ctx`` for f of k components, made on first use and
-    kept in ``ctx._cache`` under (noisy, k)."""
+    """The workspace of ``ctx`` for the velocity (k = 2) or a tracer (k = 1),
+    made on first use and kept in ``ctx._cache`` under (noisy, k)."""
     key = (ctx.noisy, k)
     if key not in ctx._cache:
         ctx._cache[key] = _StepWorkspace(ctx, k)
     return ctx._cache[key]
 
 
-def _transport(ctx: OperatorContext, work: _StepWorkspace, u: np.ndarray, f: np.ndarray,
-               xi: np.ndarray | None, dt: float) -> np.ndarray:
-    """(c.grad) f for c = dt u + eps xi and f of k components, (k, m, n/2),
-    then with noise the flux a grad f as (2k, m, n/2), from one batched
-    inverse and one forward real FFT through ``work`` (a view of it,
-    overwritten by the next call).  u and f are in the half layout, xi is
-    given by its values on ``work.xi_idx``."""
-    grid = ctx.grid
-    m = grid.pad_size
-    k = f.shape[0]
-    spec = work.spec  # c and grad f, gf[l, i] = d_l f_i
-    c = np.multiply(dt, u, out=spec[:2])
-    if xi is not None:
-        c.reshape(-1)[work.xi_idx] += ctx.epsilon * xi
-    gf = spec[2:].reshape(2, k, m, grid.n_modes // 2)
-    np.multiply(work.ikx, f, out=gf[0])
-    np.multiply(work.iky, f, out=gf[1])
-    phys = to_physical(grid, spec, m, work.inverse)
-    cp, gf = phys[:2], phys[2:].reshape(2, k, m, m)
-    prod = work.prod
-    np.einsum("l...,li...->i...", cp, gf, out=prod[:k])        # (c.grad) f
-    if ctx.noisy:                                               # (a grad f)_{j i}
-        tensor_flux_physical(ctx.a_pad, gf, out=prod[k:].reshape(2, k, m, m))
-    return from_physical(grid, prod, work.forward)
+def _flux_curl(work: _StepWorkspace, v: np.ndarray, g: np.ndarray, c: np.ndarray) -> None:
+    """H = (G_xy, G_yx, G_yy - G_xx) into ``work.prod`` for G / dt =
+    -c_j w_i + (a g)_ji with w = v + eps^2 u_s, on the padded grid; g holds
+    (eps^2 / 2)(d_x v_x, d_y v_x, d_x v_y), and d_y v_y = -d_x v_x."""
+    h = work.prod
+    np.einsum("hf...,f...->h...", work.a_curl, g, out=h)
+    w = np.add(v, work.us2, out=work.w)
+    cw = np.multiply(c, w[::-1], out=work.cw)        # c_x w_y, c_y w_x
+    h[:2] -= cw
+    np.multiply(c, w, out=cw)                        # c_x w_x, c_y w_y
+    h[2] += cw[0]
+    h[2] -= cw[1]
 
 
-def step(state: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
+def step(psi: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
          dt: float) -> np.ndarray:
-    """One Euler-Maruyama step with integrating-factor Stokes treatment, on
-    a state in the half layout of ``spectral`` ((2, m, n/2), see ``compress``).
-
-    Fused form of exp(-dt|k|^2/Re) P[v - dt (B(v,v) + F(v)) + G(v) dbeta]:
-    ``_transport`` of w = v + eps^2 u_s by c = dt v + eps xi, 12 real
-    transforms on the padded grid with noise, 8 without, then one
-    ``leray_project`` with E P as its multiplier.  Its workspace,
-    ``_workspace(ctx)``, is kept in the context's cache (shared by contexts
-    made with ``dataclasses.replace``), so a warm step allocates only its
-    result and small temporaries.  The workspace makes ``step`` not
-    reentrant: contexts that share a cache must not step in two threads at
-    once.  The returned state never aliases the workspace.
+    """One Euler-Maruyama step with integrating-factor Stokes treatment of
+    the velocity's stream function psi, (m, n/2) in the half layout of
+    ``spectral``: psi+ = E psi + E (kx^2 H0 - ky^2 H1 + kx ky H2) / |k|^2 + C
+    - eps E A psi_xi of the module docstring, 8 real transforms with noise
+    and 4 without.  Its workspace, ``_workspace(ctx)``, is kept in the
+    context's cache (shared by contexts made with ``dataclasses.replace``),
+    so a warm step allocates only its result and small temporaries.  The
+    workspace makes ``step`` not reentrant: contexts that share a cache must
+    not step in two threads at once.  The returned state never aliases the
+    workspace.
     """
-    noisy = ctx.noisy
+    grid = ctx.grid
     work = _workspace(ctx).multipliers(ctx, dt)
-    xi = work.noise_values(dbeta) if noisy and dbeta is not None else None
-    f = np.add(state, work.us2, out=work.w) if noisy else state
-    hat = _transport(ctx, work, state, f, xi, dt)
-    rhs = np.subtract(state, hat[:2], out=hat[:2])
-    if noisy:  # + (eps^2 dt / 2) div(a grad w) + eps^2 dt A u_s - eps A xi
-        flux = hat[2:].reshape((2,) + rhs.shape)
-        for d, flux_d in zip(work.div, flux):
-            rhs += np.multiply(d, flux_d, out=flux_d)
-        rhs += work.drift
-        if xi is not None:
-            rhs.reshape(-1)[work.xi_idx] -= work.a_xi * xi
-    return leray_project(ctx.grid, rhs, np.empty_like(rhs), work.proj)
+    spec = np.multiply(work.in_mult, psi, out=work.spec)
+    phys = to_physical(grid, spec, grid.pad_size, work.inverse)
+    v = phys[:2]
+    if not work.noisy:
+        (h0, h1), (vx, vy) = work.prod, v
+        np.multiply(vx, vy, out=h0)
+        np.subtract(vy, vx, out=h1)
+        h1 *= np.add(vy, vx, out=vy)  # v is not read again
+    else:
+        c = v
+        if dbeta is not None:
+            psi_xi, c = work.noise(dbeta, work.wy_step)
+            c += v
+        _flux_curl(work, v, phys[2:], c)
+    hat = from_physical(grid, work.prod, work.forward)
+    np.multiply(work.out_mult, hat, out=hat)
+    out = work.keep * psi
+    for part in hat:
+        out += part
+    if work.noisy:
+        out += work.const
+        if dbeta is not None:
+            out.reshape(-1)[work.block_idx] += work.xi_mult * psi_xi
+    return out
 
 
 def _record(grid: TorusGrid, v: np.ndarray) -> tuple:
@@ -308,26 +395,22 @@ def _setup(config: SolverConfig, ctx: OperatorContext | None, path: WienerPath |
     return ctx, path
 
 
-# A diverging (or non-finite initial) state overflows before the loop raises
-# BlowUpError, and TrajectoryRecord rejects any non-finite record, so
-# floating-point warnings would add nothing.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
-
 def _integrate(grid: TorusGrid, state, advance, path: WienerPath | None,
-               config: SolverConfig, names: tuple, measure, observe=None) -> TrajectoryRecord:
+               config: SolverConfig, names: tuple, measure, observe=None, *,
+               stream: bool = False) -> TrajectoryRecord:
     """Step ``state``, a field in the full layout of ``grid``, config.n_steps
     times by ``advance(state, dbeta)``, which takes and returns the half
-    layout, with the increments of ``path`` (None without a path).  At t = 0,
-    every config.record_every steps and at the last, expand the state, append
-    ``measure(state)``, one value per name of ``names``, and call
-    ``observe(t, state)`` when given; return the record of those times and
-    values.  Raises BlowUpError at the first state that is not finite."""
+    layout (a velocity's stream function when ``stream``), with the
+    increments of ``path`` (None without a path).  At t = 0 (the given
+    field), every config.record_every steps and at the last, expand the
+    state, append ``measure(state)``, one value per name of ``names``, and
+    call ``observe(t, state)`` when given; return the record of those times
+    and values.  Raises BlowUpError at the first state that is not finite."""
     n_steps, dt = config.n_steps, config.dt
     times, rows = [], []
 
-    def record(t, state):
-        full = expand(grid, state)
+    def record(t, half):
+        full = expand(grid, half)
         times.append(t)
         rows.append(measure(full))
         if observe is not None:
@@ -335,13 +418,15 @@ def _integrate(grid: TorusGrid, state, advance, path: WienerPath | None,
 
     state = compress(grid, state)
     record(0.0, state)
+    if stream:
+        state = stream_function(grid, state)
     for i in range(n_steps):
         state = advance(state, None if path is None else path.increments[i])
         t = (i + 1) * dt
         if not np.isfinite(state).all():
             raise BlowUpError(i + 1, t)
         if (i + 1) % config.record_every == 0 or i + 1 == n_steps:
-            record(t, state)
+            record(t, stream_velocity(grid, state) if stream else state)
     diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(names)}
     return TrajectoryRecord(np.array(times), diags)
 
@@ -358,7 +443,9 @@ def run(config: SolverConfig, member_index: int = 0, *,
     Bit-reproducible for a fixed config and member index.  A given ``ctx``
     must match the config in eps, Re, N and every noise parameter, and a
     given ``path`` must fit its steps, dt and K, or ``ValueError`` names the
-    field.
+    field.  The velocity is stepped as its stream function, so the first
+    step drops the gradient part and the mean of the initial field; the
+    record at t = 0 shows the field as given.
     ``observe(t, state)``, when given, sees each recorded state, a fresh
     array in the full layout, and may keep it; the record holds only the
     diagnostics.
@@ -369,8 +456,9 @@ def run(config: SolverConfig, member_index: int = 0, *,
     if warn_cfl:
         check_cfl(config, ctx.grid, state)
     # step is looked up at each call: perfbench/hook.py's one-shot timer rebinds it
-    return _integrate(ctx.grid, state, lambda v, dbeta: step(v, ctx, dbeta, config.dt), path,
-                      config, RECORD_NAMES, partial(_record, ctx.grid), observe)
+    return _integrate(ctx.grid, state, lambda psi, dbeta: step(psi, ctx, dbeta, config.dt),
+                      path, config, RECORD_NAMES, partial(_record, ctx.grid), observe,
+                      stream=True)
 
 
 @_quiet_overflow
@@ -383,9 +471,10 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
               + (eps^2/2) div(a grad q) dt
 
     in a steady velocity u: q+ = q - (c.grad) q + (eps^2 dt / 2) div(a grad q),
-    c = dt (u - eps^2 u_s) + eps xi, by ``_transport`` through the context's
-    one-component workspace (7 real transforms with noise, 5 without), on the
-    half layout; ``q0`` and ``velocity`` are full coefficient arrays.
+    c = dt (u - eps^2 u_s) + eps xi, with dt (u - eps^2 u_s) on the padded grid
+    made once, through the context's one-component workspace (5 real
+    transforms with noise, 3 without), on the half layout; ``q0`` and
+    ``velocity`` are full coefficient arrays.
     The steps, dt and record cadence are the config's; ``ctx`` and ``path``
     (member 0's by default) are set up as in ``run``.  Raises BlowUpError at
     the first step whose tracer is not finite.  Returns the record of the
@@ -393,17 +482,26 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
     """
     ctx, path = _setup(config, ctx, path)
     grid = ctx.grid
-    noisy = ctx.noisy
-    u_adv = compress(grid, velocity - ctx.epsilon**2 * ctx.us)
+    m = grid.pad_size
     work = _workspace(ctx, k=1).multipliers(ctx, config.dt)
+    u_pad = to_physical(grid, config.dt * (velocity - ctx.epsilon**2 * ctx.us), m)
 
     def advance(q, dbeta):
-        xi = work.noise_values(dbeta) if noisy else None
-        hat = _transport(ctx, work, u_adv, q[None], xi, config.dt)
+        grad = to_physical(grid, np.multiply(work.in_mult, q, out=work.spec), m, work.inverse)
+        c = u_pad
+        if work.noisy:
+            c = work.noise(dbeta, work.wy_step)[1]
+            c += u_pad
+        prod = work.prod
+        np.einsum("l...,l...->...", c, grad, out=prod[0])  # (c.grad) q
+        if work.noisy:                                      # a grad q
+            tensor_flux_physical(ctx.a_pad, grad, out=prod[1:])
+        hat = from_physical(grid, prod, work.forward)
         q = q - hat[0]
-        if noisy:
-            for d, flux_d in zip(work.div, hat[1:]):
-                q += d * flux_d
+        if work.noisy:
+            flux = np.multiply(work.div, hat[1:], out=hat[1:])
+            q += flux[0]
+            q += flux[1]
         return q
 
     return _integrate(grid, q0, advance, path, config, ("energy",), lambda q: (energy(grid, q),))

@@ -14,7 +14,9 @@ bottom) and zero rows between.  Hermitian symmetry is then the data layout:
 the ky < 0 half is not stored, and only the ky = 0 column holds conjugate
 pairs, which ``from_physical`` writes exactly.  ``compress`` and ``expand``
 convert between the layouts; ``to_physical`` takes either and
-``from_physical`` returns the half layout.
+``from_physical`` returns the half layout.  A velocity is stepped as its
+stream function psi, one (m, n/2) field, v = (-d_y psi, d_x psi):
+``stream_function`` and ``stream_velocity`` convert a half-layout velocity.
 
 Quadratic terms are evaluated pseudo-spectrally after zero-padding to at
 least 3N/2 points per dimension (the 2/3 rule), which makes products of
@@ -65,7 +67,7 @@ class TorusGrid:
         self.half_k_sq = self.half_kx**2 + self.half_ky**2
         self.half_retained = np.ones((m, 1), dtype=bool)
         self.half_retained[half:m - half + 1] = False
-        self.projector = _projection(self.kx, self.ky, 1.0)  # P on the full layout
+        self.projector = _projection(self.kx, self.ky)  # P on the full layout
         x1d = np.arange(n) * (TWO_PI / n)
         self.x = x1d[:, None] + 0.0 * x1d[None, :]
         self.y = 0.0 * x1d[:, None] + x1d[None, :]
@@ -216,39 +218,49 @@ def divergence(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     return grid.ikx * coeffs[0] + grid.iky * coeffs[1]
 
 
-def _projection(kx: np.ndarray, ky: np.ndarray, weight) -> np.ndarray:
-    """weight times the entries (P00, P11, P01) of the symmetric Leray
-    projection I - k k^T / |k|^2, stacked; zero on the mean mode."""
+def _projection(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
+    """The entries (P00, P11, P01) of the symmetric Leray projection
+    I - k k^T / |k|^2, stacked; zero on the mean mode."""
     k_sq = kx**2 + ky**2
-    w = np.where(k_sq == 0, 0.0, weight / np.where(k_sq == 0, 1.0, k_sq))
+    w = np.where(k_sq == 0, 0.0, 1.0 / np.where(k_sq == 0, 1.0, k_sq))
     return np.stack(np.broadcast_arrays(w * ky * ky, w * kx * kx, -w * kx * ky))
 
 
-def leray_multiplier(grid: TorusGrid, weight: np.ndarray) -> np.ndarray:
-    """weight P on the half layout for ``leray_project``, with ``weight`` a
-    real multiplier on that layout (the integrating factor, in the step):
-    (3, m, n/2), complex so that its products with a field need no cast, and
-    zero on the rows between the retained ones."""
-    return _projection(grid.half_kx, grid.half_ky, weight * grid.half_retained).astype(complex)
-
-
-def leray_project(grid: TorusGrid, coeffs: np.ndarray, out: np.ndarray | None = None,
-                  multiplier: np.ndarray | None = None) -> np.ndarray:
+def leray_project(grid: TorusGrid, coeffs: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Remove the gradient part: u_k -> u_k - k (k.u_k)/|k|^2, zero mean mode.
 
     Acts as the identity on divergence-free fields and annihilates pure
     gradients; idempotent and self-adjoint in the L2 inner product.  Applies
-    the symmetric 2 x 2 ``multiplier`` (P00, P11, P01), by default
-    ``grid.projector``, the projection on the full layout; a half-layout
-    field takes one from ``leray_multiplier``, which may fold in a scalar
-    multiplier.  ``out`` (C-contiguous, may be ``coeffs`` itself) receives
-    the result.
+    the symmetric 2 x 2 multiplier (P00, P11, P01) ``grid.projector`` to
+    full-layout coefficients.  ``out`` (C-contiguous, may be ``coeffs``
+    itself) receives the result.
     """
-    p = grid.projector if multiplier is None else multiplier
+    p = grid.projector
     swapped = p[2] * coeffs[::-1]  # (P01 c1, P01 c0), before out (maybe coeffs) is written
     if out is None:
         out = np.empty(coeffs.shape, dtype=complex)
     return np.add(np.multiply(p[:2], coeffs, out=out), swapped, out=out)
+
+
+def inverse_k_sq(grid: TorusGrid) -> np.ndarray:
+    """1 / |k|^2 on the half layout, 0 on the mean mode and the rows between."""
+    k_sq = grid.half_k_sq * grid.half_retained
+    return np.divide(1.0, k_sq, out=np.zeros_like(k_sq), where=k_sq > 0)
+
+
+def stream_function(grid: TorusGrid, v: np.ndarray) -> np.ndarray:
+    """The stream function psi of the solenoidal, mean-free part of a
+    half-layout velocity (..., 2, m, n/2): psi_k = i (ky v_x - kx v_y)/|k|^2,
+    (..., m, n/2).  The gradient part and the mean of v are dropped."""
+    return (1j * inverse_k_sq(grid)) * (grid.half_ky * v[..., 0, :, :]
+                                        - grid.half_kx * v[..., 1, :, :])
+
+
+def stream_velocity(grid: TorusGrid, psi: np.ndarray) -> np.ndarray:
+    """The velocity (-d_y psi, d_x psi) of a half-layout stream function:
+    (-i ky psi, i kx psi), stacked on a new axis before the last two."""
+    return np.stack([(-1j * grid.half_ky) * psi, (1j * grid.half_kx) * psi], axis=-3)
 
 
 def max_divergence(grid: TorusGrid, coeffs: np.ndarray) -> float:
@@ -292,6 +304,18 @@ def tensor_flux_physical(a: np.ndarray, g: np.ndarray, out: np.ndarray | None = 
     tensor and the gradient g of f: (2, m, m) for a scalar f, (2, 2, m, m)
     with g[l, i] = d_l f_i for a vector f (then out[j, i])."""
     return np.einsum("jl...,l...->j...", a, g, out=out)
+
+
+def tensor_flux_curl(a: np.ndarray) -> np.ndarray:
+    """The flux F = a grad v of a solenoidal v by the parts its curl reads,
+    H = (F_xy, F_yx, F_yy - F_xx) with F_ji = a_jl d_l v_i: the (3, 3, ...)
+    coefficients of H in g = (d_x v_x, d_y v_x, d_x v_y), d_y v_y = -d_x v_x,
+    for a (2, 2, ...) tensor a; H = einsum("hf...,f...->h...", this, g)."""
+    axx, axy, ayy = a[0, 0], a[0, 1], a[1, 1]
+    zero = np.zeros_like(axx)
+    return np.stack([np.stack([-axy, zero, axx]),
+                     np.stack([axy, ayy, zero]),
+                     np.stack([-axx - ayy, -axy, axy])])
 
 
 def tensor_flux(grid: TorusGrid, a_pad: np.ndarray, f: np.ndarray) -> np.ndarray:

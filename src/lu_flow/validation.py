@@ -33,6 +33,9 @@ def _random_div_free(grid: TorusGrid, gen) -> np.ndarray:
     return coeffs
 
 
+# a noise model whose fields overflow (a huge noise.amp) fails its invariants
+# through their NaN or infinite figures, so the warnings would add nothing
+@np.errstate(over="ignore", invalid="ignore")
 def run_validation_suite(config: SolverConfig) -> list[tuple]:
     ctx = build_context(config)
     grid = ctx.grid

@@ -346,6 +346,35 @@ def test_cli_blow_up_exit_code(tmp_path, capsys):
     assert "blow-up" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [{"N": 16, "T": 1e300}, {"N": 16, "T": 1e15, "dt": 1e-3}],
+                         ids=["T1e300", "steps1e18"])
+def test_cli_step_count_beyond_an_array_is_config_error(tmp_path, capsys, doc):
+    # n_steps x K increments of 8 bytes that numpy cannot index are refused
+    # with the config, before --out is made; the Brownian table is never asked for
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: fields 'T', 'dt' and 'noise.K'")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mix", [False, True], ids=["pure", "mix"])
+@pytest.mark.parametrize("argv,code", [
+    (["simulate"], 2), (["ensemble"], 2), (["ensemble", "--jobs", "2"], 2), (["converge"], 2),
+    (["transport"], 2), (["validate"], 3),
+], ids=["simulate", "ensemble", "ensemble-jobs2", "converge", "transport", "validate"])
+def test_cli_overflowing_noise_ends_without_warning(tmp_path, capsys, argv, code, mix):
+    # noise.amp 1e300 overflows the noise fields: every noisy run blows up at
+    # its first step (exit 2, also through a pool) and validate fails its
+    # invariants (exit 3), with no floating-point warning (an error here)
+    cfg = _write_config(tmp_path, {"N": 16, "T": 0.01, "noise": {"amp": 1e300, "mix": mix},
+                                   "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}})
+    assert main([argv[0], "--config", cfg, "--out", str(tmp_path / "o"), *argv[1:]]) == code
+    err = capsys.readouterr().err
+    assert ("blow-up: solution blew up at step 1" in err) == (code == 2)
+
+
 _BAD_INITIAL = {
     "bogus": ({"kind": "random_band", "bogus": 1}, "bogus"),
     "k_min": ({"kind": "random_band", "k_min": "a"}, "k_min"),

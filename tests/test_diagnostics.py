@@ -18,6 +18,7 @@ from lu_flow.spectral import (
     TorusGrid,
     expand,
     from_physical,
+    h_norm,
     v_norm,
 )
 
@@ -202,3 +203,42 @@ def test_each_trajectory_is_one_run_of_n_steps(monkeypatch):
     calls.update(run=0, step=0)
     contraction_test(cfg, delta=1e-3)
     assert calls == {"run": 2, "step": 2 * cfg.n_steps}
+
+
+@pytest.mark.parametrize("shared_path", [True, False])
+def test_study_builds_its_initial_field_and_paths_once(monkeypatch, shared_path):
+    # one random_band draw for all 1 + 3 x 2 runs, and with shared paths one
+    # path per member for all three epsilons; the report keeps the bits of
+    # runs that each build their own initial field and path
+    import lu_flow.diagnostics
+    import lu_flow.noise
+    import lu_flow.solver
+
+    made = {"make_initial": 0, "WienerPath": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            made[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for mod in (lu_flow.diagnostics, lu_flow.solver):
+        monkeypatch.setattr(mod, "make_initial", counting("make_initial", mod.make_initial))
+        monkeypatch.setattr(mod, "WienerPath", counting("WienerPath", lu_flow.noise.WienerPath))
+    cfg = base_cfg(n_modes=16, t_end=0.02, record_every=5, k_modes=4,
+                   initial_kind="random_band", initial_params={"k_max": 4, "seed": 3})
+    epsilons, members = [0.2, 0.1, 0.05], 2
+    report = epsilon_convergence_study(cfg, epsilons, members, shared_path=shared_path)
+    assert made == {"make_initial": 1,
+                    "WienerPath": members * (1 if shared_path else len(epsilons))}
+    monkeypatch.undo()
+
+    det = []
+    run(replace(cfg, epsilon=0.0), observe=lambda t, s: det.append(s), warn_cfl=False)
+    for j, eps in enumerate(epsilons):
+        for m in range(members):
+            states = []
+            run(replace(cfg, epsilon=eps), m if shared_path else m + 1000 * (j + 1),
+                observe=lambda t, s: states.append(s), warn_cfl=False)
+            sup = np.sqrt(max(h_norm(TorusGrid(16), a - b) ** 2 for a, b in zip(states, det)))
+            assert report.per_member_h[j, m] == sup

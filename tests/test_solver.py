@@ -32,11 +32,24 @@ from lu_flow.spectral import (
     leray_project,
     max_divergence,
     save_snapshot,
+    stream_function,
+    stream_velocity,
     tensor_flux,
+    to_physical,
     v_norm,
 )
 
 from conftest import random_div_free, recorded_states, synthetic_inhomogeneous_model
+
+
+def psi_of(grid, v):
+    """The stream function ``step`` takes, of a full-layout velocity."""
+    return stream_function(grid, compress(grid, v))
+
+
+def velocity_of(grid, psi):
+    """The full-layout velocity of a stream function ``step`` returns."""
+    return expand(grid, stream_velocity(grid, psi))
 
 
 def short_config(**kw):
@@ -159,7 +172,7 @@ def test_step_exact_heat_decay_single_mode(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
     v = _real_mode_coeffs(grid32, (1, 2), "cos")
-    out = expand(grid32, step(compress(grid32, v), ctx, None, cfg.dt))
+    out = velocity_of(grid32, step(psi_of(grid32, v), ctx, None, cfg.dt))
     factor = np.exp(-cfg.dt * 5.0 / cfg.reynolds)
     assert np.max(np.abs(out - factor * v)) < 1e-15
 
@@ -167,7 +180,7 @@ def test_step_exact_heat_decay_single_mode(grid32):
 def test_step_matches_deterministic_path(grid32, rng):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
-    v = compress(grid32, random_div_free(grid32, rng))
+    v = psi_of(grid32, random_div_free(grid32, rng))
     a = step(v, ctx, None, cfg.dt)
     b = step(v, ctx, np.zeros(cfg.k_modes), cfg.dt)
     assert np.array_equal(a, b)
@@ -221,18 +234,24 @@ def test_fused_step_matches_operator_reference(rng, with_noise, epsilon, model, 
     v = 2.0 * random_div_free(grid, rng)
     dt = 1e-3
     dbeta = (np.sqrt(dt) * rng.standard_normal(ctx.noise.k_modes) if with_noise else None)
-    got = expand(grid, step(compress(grid, v), ctx, dbeta, dt))
+    got = velocity_of(grid, step(psi_of(grid, v), ctx, dbeta, dt))
     ref = _reference_step(ctx, v, dbeta, dt)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("n", [32, 48])
-@pytest.mark.parametrize("mix", [False, True])
-@pytest.mark.parametrize("epsilon", [0.0, 0.1])
-def test_run_matches_reference_step_loop(n, mix, epsilon):
+# K = 64 gives xi a block of 9 x 5 (pure) or 13 x 7 (mixed) half-layout
+# modes at N = 32, against 3 x 2 and 5 x 3 at K = 8
+@pytest.mark.parametrize("epsilon,mix,n,k_modes", [
+    pytest.param(epsilon, mix, n, k_modes,
+                 id=f"{epsilon}-{mix}-{n}" + ("" if k_modes == 8 else f"-k{k_modes}"))
+    for epsilon, mix, n, k_modes in
+    [(e, x, n, 8) for e in (0.0, 0.1) for x in (False, True) for n in (32, 48)]
+    + [(0.1, False, 32, 64), (0.1, True, 32, 64)]])
+def test_run_matches_reference_step_loop(epsilon, mix, n, k_modes):
     # 50 steps of run against the per-operator step on the same path; the
-    # half layout and the folded multipliers change only rounding
-    cfg = short_config(n_modes=n, epsilon=epsilon, k_modes=8, noise_mixing=mix, t_end=0.05,
+    # stream-function state, the curl of one flux and the separable xi change
+    # only rounding
+    cfg = short_config(n_modes=n, epsilon=epsilon, k_modes=k_modes, noise_mixing=mix, t_end=0.05,
                        record_every=50, initial_kind="random_band",
                        initial_params={"k_max": n // 4, "seed": 2})
     ctx = build_context(cfg)
@@ -246,16 +265,17 @@ def test_run_matches_reference_step_loop(n, mix, epsilon):
 
 def test_step_output_is_hermitian(grid32, rng):
     # the ky = 0 column is the only one that holds conjugate pairs in the half
-    # layout: c(-kx, 0) = conj c(kx, 0) exactly, with a real mean mode, so the
-    # expanded state is exactly Hermitian
+    # layout: psi(-kx, 0) = conj psi(kx, 0) exactly, with a zero mean mode, so
+    # the expanded velocity is exactly Hermitian
     ctx = build_context(short_config(k_modes=8))
-    v = compress(grid32, random_div_free(grid32, rng))
+    v = psi_of(grid32, random_div_free(grid32, rng))
     out = step(v, ctx, 0.03 * np.ones(8), 1e-3)
     m, h = grid32.pad_size, 16
-    assert np.array_equal(out[:, m - 1:m - h:-1, 0], np.conj(out[:, 1:h, 0]))
-    assert np.all(out[:, 0, 0].imag == 0.0)
-    assert np.all(out[:, h:m - h + 1] == 0.0)  # the rows between and the Nyquist row
-    full = expand(grid32, out)
+    assert out.shape == (m, h)
+    assert np.array_equal(out[m - 1:m - h:-1, 0], np.conj(out[1:h, 0]))
+    assert out[0, 0] == 0.0
+    assert np.all(out[h:m - h + 1] == 0.0)  # the rows between and the Nyquist row
+    full = velocity_of(grid32, out)
     neg = (-np.arange(32)) % 32
     assert np.array_equal(full, np.conj(full[:, neg[:, None], neg[None, :]]))
 
@@ -288,21 +308,42 @@ def _real_passes(counts: dict) -> int:
     return real
 
 
-@pytest.mark.parametrize("epsilon,real", [(0.1, 12), (0.0, 8)])
+@pytest.mark.parametrize("epsilon,real", [(0.1, 8), (0.0, 4)])
 def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
+    # v and three second derivatives of psi inverse, the three H's forward;
+    # at eps = 0 only v inverse and H0 = H1, H2 forward
     ctx = build_context(short_config(epsilon=epsilon, k_modes=8))
-    v = compress(grid32, random_div_free(grid32, rng))
+    v = psi_of(grid32, random_div_free(grid32, rng))
     dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
     step(v, ctx, dbeta, 1e-3)  # fills the context caches
     assert _real_passes(_count_transforms(monkeypatch, lambda: step(v, ctx, dbeta, 1e-3))) == real
 
 
+@pytest.mark.parametrize("k_modes", [8, 64])
+@pytest.mark.parametrize("mix", [False, True])
+def test_separable_noise_matches_its_transform(grid32, rng, mix, k_modes):
+    # xi on the padded grid from the separable transform of its block against
+    # the inverse FFT of the reference noise field, and its stream function on
+    # the block against that of the field, which has no mode outside it
+    ctx = build_context(short_config(k_modes=k_modes, noise_mixing=mix))
+    work = solver._StepWorkspace(ctx, 2)
+    dbeta = rng.standard_normal(k_modes)
+    field = ctx.noise_field(dbeta)
+    psi_xi, xi = work.noise(dbeta, work.wy)
+    ref = to_physical(grid32, field, grid32.pad_size)
+    assert np.max(np.abs(xi - ref)) <= 1e-13 * np.max(np.abs(ref))
+    psi_ref = stream_function(grid32, compress(grid32, field)).reshape(-1)
+    assert np.max(np.abs(psi_xi - psi_ref[work.block_idx])) <= 1e-13 * np.max(np.abs(psi_ref))
+    psi_ref[work.block_idx] = 0.0
+    assert np.all(psi_ref == 0.0)
+
+
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_warm_step_allocates_little(n):
     # the padded arrays live in the context's workspace: a warm step allocates
-    # its state-sized result and a few state-sized temporaries, nothing padded
+    # its state-sized result and a few small temporaries, nothing padded
     ctx = build_context(short_config(n_modes=n, k_modes=8))
-    v = compress(ctx.grid, make_initial("random_band", ctx.grid, {"k_max": n // 4, "seed": 1}))
+    v = psi_of(ctx.grid, make_initial("random_band", ctx.grid, {"k_max": n // 4, "seed": 1}))
     dbeta = 0.03 * np.ones(8)
     v = step(step(v, ctx, dbeta, 1e-3), ctx, dbeta, 1e-3)
     tracemalloc.start()
@@ -316,7 +357,7 @@ def test_warm_step_allocates_little(n):
 
 def test_step_result_survives_next_step(grid32, rng):
     ctx = build_context(short_config(k_modes=8))
-    v = compress(grid32, random_div_free(grid32, rng))
+    v = psi_of(grid32, random_div_free(grid32, rng))
     first = step(v, ctx, 0.03 * np.ones(8), 1e-3)
     kept = first.copy()
     step(first, ctx, -0.02 * np.ones(8), 1e-3)
@@ -331,7 +372,7 @@ def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
     cfg = short_config(k_modes=8)
     base = build_context(cfg)
     shared = {eps: replace(base, epsilon=eps) for eps in (0.2, 0.1, 0.0)}
-    v0 = compress(grid32, random_div_free(grid32, rng))
+    v0 = psi_of(grid32, random_div_free(grid32, rng))
     dbetas = [0.03 * rng.standard_normal(8) for _ in range(4)]
     a = {eps: v0 for eps in shared}
     b = dict(a)
@@ -430,12 +471,13 @@ def test_record_cadence(grid32, monkeypatch, trajectory):
     seen = []
     integrate = solver._integrate
 
-    def spy(grid, state, advance, path, config, names, measure, observe=None):
+    def spy(grid, state, advance, path, config, names, measure, observe=None, **kwargs):
         def observe_and_log(t, state):
             seen.append(t)
             if observe is not None:
                 observe(t, state)
-        return integrate(grid, state, advance, path, config, names, measure, observe_and_log)
+        return integrate(grid, state, advance, path, config, names, measure, observe_and_log,
+                         **kwargs)
 
     monkeypatch.setattr(solver, "_integrate", spy)
     cfg = short_config(dt=0.01, t_end=0.05, record_every=2)
@@ -648,9 +690,10 @@ def test_tracer_null_amplitude_is_noise_free(grid32):
     assert energies[0] == energies[1]
 
 
-@pytest.mark.parametrize("epsilon,real", [(0.1, 7), (0.0, 5)])
+@pytest.mark.parametrize("epsilon,real", [(0.1, 5), (0.0, 3)])
 def test_transform_count_per_tracer_step(grid32, monkeypatch, epsilon, real):
-    # a two-step run minus a one-step one, so that set-up transforms cancel
+    # a two-step run minus a one-step one, so that set-up transforms cancel:
+    # grad q inverse, (c.grad) q and with noise the flux a grad q forward
     cfg = short_config(epsilon=epsilon, k_modes=8)
     ctx = build_context(cfg)
     q0 = make_tracer(grid32)

@@ -16,13 +16,16 @@ from lu_flow.spectral import (
     h_inner,
     h_norm,
     hermitian_symmetrize,
-    leray_multiplier,
     leray_project,
     load_snapshot,
     max_divergence,
     random_solenoidal,
     save_snapshot,
+    stream_function,
+    stream_velocity,
     tensor_flux,
+    tensor_flux_curl,
+    tensor_flux_physical,
     to_physical,
     v_norm,
 )
@@ -152,14 +155,34 @@ def test_compress_expand_round_trip_bitwise(grid32, rng):
     assert np.array_equal(expand(grid32, half), c)
 
 
-def test_leray_multiplier_projects_the_half_layout(grid32, rng):
+def test_stream_function_round_trip(grid32, rng):
+    # psi of a half-layout velocity drops its gradient part and its mean, so
+    # the velocity of psi is the Leray projection of the field
     raw = rng.standard_normal((2, 32, 32)) + 1j * rng.standard_normal((2, 32, 32))
     f = hermitian_symmetrize(grid32, raw)
-    weight = np.exp(-0.1 * grid32.half_k_sq)
-    got = leray_project(grid32, compress(grid32, f), multiplier=leray_multiplier(grid32, weight))
-    expected = np.exp(-0.1 * grid32.k_sq) * leray_project(grid32, f)
-    assert np.max(np.abs(expand(grid32, got) - expected)) < 1e-14 * np.max(np.abs(expected))
-    assert np.all(got[:, 16:grid32.pad_size - 15] == 0.0)
+    psi = stream_function(grid32, compress(grid32, f))
+    m = grid32.pad_size
+    assert psi.shape == (m, 16)
+    assert psi[0, 0] == 0.0
+    assert np.all(psi[16:m - 15] == 0.0)  # the rows between and the Nyquist row
+    got = expand(grid32, stream_velocity(grid32, psi))
+    expected = leray_project(grid32, f)
+    assert np.max(np.abs(got - expected)) < 1e-14 * np.max(np.abs(expected))
+    grad = compress(grid32, gradient(grid32, f[0]))
+    assert np.max(np.abs(stream_function(grid32, grad))) < 1e-15 * np.max(np.abs(grad))
+
+
+def test_tensor_flux_curl_matches_the_flux(rng):
+    # the curl parts of a grad v for a solenoidal v (d_y v_y = -d_x v_x) from
+    # three of its gradient entries equal those of the full flux
+    a = rng.standard_normal((2, 2, 6, 6))
+    a[1, 0] = a[0, 1]
+    g = rng.standard_normal((2, 2, 6, 6))  # g[l, i] = d_l v_i
+    g[1, 1] = -g[0, 0]
+    flux = tensor_flux_physical(a, g)
+    got = np.einsum("hf...,f...->h...", tensor_flux_curl(a), np.stack([g[0, 0], g[1, 0], g[0, 1]]))
+    expected = np.stack([flux[0, 1], flux[1, 0], flux[1, 1] - flux[0, 0]])
+    assert np.max(np.abs(got - expected)) < 1e-14 * np.max(np.abs(expected))
 
 
 def test_from_physical_is_exactly_hermitian(grid16, rng):
