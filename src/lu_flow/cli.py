@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +75,14 @@ def cmd_simulate(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
     make_manifest(config, None, outputs).write(out / "manifest.json")
     print(f"simulate: {len(record.times)} records -> {out / 'trajectory.csv'}")
     return 0
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """``concurrent.futures.ProcessPoolExecutor``, imported when a pool is made:
+    a command without one never loads the pool or ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor as pool_class
+
+    return pool_class(*args, **kwargs)
 
 
 _worker_context = None  # the process's one OperatorContext, set by _init_worker

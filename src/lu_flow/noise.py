@@ -43,14 +43,11 @@ def _mode_wavevectors(grid: TorusGrid, k_modes: int) -> list[tuple[int, int]]:
     carries two real polarizations (cos, sin).
     """
     half = grid.n_modes // 2
-    reps = []
-    for k1 in range(0, half):
-        for k2 in range(-half + 1, half):
-            if k1 == 0 and k2 <= 0:
-                continue
-            reps.append((k1, k2))
-    reps.sort(key=lambda k: (k[0] ** 2 + k[1] ** 2, k[0], k[1]))
-    return reps[:(k_modes + 1) // 2]
+    k1, k2 = np.meshgrid(np.arange(half), np.arange(-half + 1, half), indexing="ij")
+    keep = (k1 > 0) | (k2 > 0)
+    k1, k2 = k1[keep], k2[keep]
+    order = np.lexsort((k2, k1, k1**2 + k2**2))[:(k_modes + 1) // 2]
+    return list(zip(k1[order].tolist(), k2[order].tolist()))
 
 
 def max_modes(n_modes: int, mix_shells: bool = False) -> int:
@@ -183,12 +180,16 @@ def check_regularity(model: NoiseModel) -> dict:
     i.e. the mass added when the truncation doubles) and the drift norm
     ||u_s||_{H3}.  It passes when the half-mass indicator, which stays
     bounded away from zero for divergent spectra at any truncation, is at
-    most 0.1.
+    most 0.1.  A partial sum that is not finite (modes that overflowed) has
+    a NaN indicator and fails.
     """
     grid = model.grid
     terms = np.array([sobolev_norm_sq(grid, coeffs, 3) for coeffs in model.phi])
     partial = float(terms.sum())
-    tail_ratio = float(terms[len(terms) // 2:].sum() / partial) if partial > 0 else 0.0
+    if not np.isfinite(partial):
+        tail_ratio = math.nan
+    else:
+        tail_ratio = float(terms[len(terms) // 2:].sum() / partial) if partial > 0 else 0.0
     us_h3 = float(np.sqrt(sobolev_norm_sq(grid, model.ito_stokes_drift, 3)))
     return {
         "partial_sum_h3": partial,

@@ -362,6 +362,20 @@ def _record(grid: TorusGrid, v: np.ndarray) -> tuple:
     return (0.5 * hn**2, 0.5 * vn**2, hn, vn, max_divergence(grid, v))
 
 
+def member_path(config: SolverConfig, member: int) -> WienerPath:
+    """The Brownian path of ``member`` under ``config``, from (config.seed,
+    member).  A table that does not fit in memory is a ConfigError that
+    names the fields fixing its size."""
+    try:
+        return WienerPath(config.seed, config.dt, config.n_steps, config.k_modes,
+                          member=member)
+    except MemoryError:
+        gib = config.n_steps * config.k_modes * 8 / 2**30
+        raise ConfigError(f"fields 'T', 'dt' and 'noise.K' ask for a Brownian table of "
+                          f"{config.n_steps} steps x {config.k_modes} increments "
+                          f"({gib:.1f} GiB), more than the memory holds") from None
+
+
 def _setup(config: SolverConfig, ctx: OperatorContext | None, path: WienerPath | None,
            member: int = 0) -> tuple:
     """(ctx, path) of a trajectory of ``config``: each is derived from the
@@ -382,10 +396,7 @@ def _setup(config: SolverConfig, ctx: OperatorContext | None, path: WienerPath |
         if got != want:
             raise ValueError(f"context {name} {got!r} disagrees with config {want!r}")
     if path is None:
-        if ctx.noisy:
-            path = WienerPath(config.seed, config.dt, config.n_steps, config.k_modes,
-                              member=member)
-        return ctx, path
+        return ctx, member_path(config, member) if ctx.noisy else None
     for name, got, want, fits in (
             ("n_steps", path.n_steps, config.n_steps, path.n_steps >= config.n_steps),
             ("dt", path.dt, config.dt, abs(path.dt - config.dt) <= 1e-9 * config.dt),

@@ -280,6 +280,14 @@ def test_cli_validate(tmp_path, capsys):
     assert "[PASS]" in captured and "[FAIL]" not in captured
 
 
+def test_cli_validate_fails_a_model_that_overflowed(tmp_path, capsys):
+    # amp 1e300 with mixing makes the modes NaN; their regularity must fail
+    cfg = _write_config(tmp_path, {"N": 16, "T": 0.01,
+                                   "noise": {"amp": 1e300, "mix": True}})
+    assert main(["validate", "--config", cfg, "--out", str(tmp_path / "v")]) == 3
+    assert "[FAIL] noise_regularity: tail ratio nan" in capsys.readouterr().out
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"dt": -1.0})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
@@ -564,6 +572,50 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_does_not_load_the_process_pool():
+    # only a pool that --jobs makes imports concurrent.futures and multiprocessing
+    code = ("import sys, lu_flow.cli; "
+            "print(any(m.split('.')[0] in ('concurrent', 'multiprocessing') for m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("jobs,loaded", [("1", False), ("2", True)])
+def test_cli_ensemble_loads_the_pool_only_for_jobs(tmp_path, jobs, loaded):
+    cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": 2}))
+    code = ("import sys, lu_flow.cli; "
+            f"code = lu_flow.cli.main(['ensemble', '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}, '--jobs', {jobs!r}]); "
+            "print(code, 'multiprocessing' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split()[-2:] == ["0", str(loaded)]
+
+
+def _limit_address_space():
+    # in the child only: the table below must fail to allocate, not page out
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["converge"], ["ensemble", "--jobs", "2"]],
+                         ids=["simulate", "converge", "ensemble-jobs2"])
+def test_cli_brownian_table_beyond_memory_is_config_error(tmp_path, argv):
+    # 4e8 steps x 4 increments is an 11.9 GiB table: a config error, also
+    # when a pool worker is the one that fails to allocate it
+    cfg = _write_config(tmp_path, {"N": 16, "T": 40, "dt": 1e-7,
+                                   "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}})
+    proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", argv[0], "--config", cfg,
+                           "--out", str(tmp_path / "o"), *argv[1:]], env=_src_env(),
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: fields 'T', 'dt' and 'noise.K' ask for a "
+                                  "Brownian table of 400000000 steps x 4 increments (11.9 GiB)")
 
 
 @pytest.mark.parametrize("argv,spans,builds", [

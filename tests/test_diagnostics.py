@@ -7,6 +7,7 @@ import pytest
 
 from lu_flow.diagnostics import (
     ContractionReport,
+    _ls_slope,
     contraction_test,
     energy_budget_transport,
     energy_estimate_check,
@@ -151,6 +152,22 @@ def test_convergence_zero_amplitude_degenerate():
     assert rep.fitted_slope == 0.0
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_ls_slope_matches_polyfit(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    x = np.log(np.sort(rng.uniform(1e-3, 1.0, n)))
+    y = rng.uniform(0.5, 2.0) * x + rng.uniform(-3.0, 3.0) + 0.1 * rng.standard_normal(n)
+    want = np.polyfit(x, y, 1)[0]
+    assert abs(_ls_slope(x, y) - want) <= 1e-12 * abs(want)
+
+
+def test_ls_slope_exact_on_collinear_points():
+    x = np.array([-3.0, -1.0, 2.0, 5.0])
+    assert _ls_slope(x, 3.0 * x - 2.0) == 3.0
+    assert _ls_slope(x[:2], 0.5 * x[:2] + 7.0) == 0.5
+
+
 def test_convergence_sweep_monotone_and_linear():
     cfg = SolverConfig(n_modes=32, t_end=0.1, dt=2e-3, record_every=10,
                        noise_mixing=True)
@@ -224,7 +241,9 @@ def test_study_builds_its_initial_field_and_paths_once(monkeypatch, shared_path)
 
     for mod in (lu_flow.diagnostics, lu_flow.solver):
         monkeypatch.setattr(mod, "make_initial", counting("make_initial", mod.make_initial))
-        monkeypatch.setattr(mod, "WienerPath", counting("WienerPath", lu_flow.noise.WienerPath))
+    # solver.member_path makes every path, the study's shared ones too
+    monkeypatch.setattr(lu_flow.solver, "WienerPath",
+                        counting("WienerPath", lu_flow.noise.WienerPath))
     cfg = base_cfg(n_modes=16, t_end=0.02, record_every=5, k_modes=4,
                    initial_kind="random_band", initial_params={"k_max": 4, "seed": 3})
     epsilons, members = [0.2, 0.1, 0.05], 2

@@ -14,9 +14,11 @@ import lu_flow
 from lu_flow.noise import (
     WienerPath,
     _increments_from_bits,
+    _mode_wavevectors,
     _ndtri,
     build_noise_model,
     check_regularity,
+    max_modes,
 )
 from lu_flow.spectral import (
     TorusGrid,
@@ -84,6 +86,32 @@ def test_modes_divergence_free_and_ordering_deterministic(grid16):
         for a, b in zip(m1.phi, m2.phi):
             assert np.array_equal(a, b)
             assert max_divergence(grid16, a) == 0.0
+
+
+def _sorted_lattice(n):
+    """The half lattice of _mode_wavevectors as Python orders it, by
+    (|k|^2, k1, k2)."""
+    half = n // 2
+    reps = [(k1, k2) for k1 in range(half) for k2 in range(-half + 1, half)
+            if k1 > 0 or k2 > 0]
+    return sorted(reps, key=lambda k: (k[0] ** 2 + k[1] ** 2, k[0], k[1]))
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128])
+def test_mode_wavevectors_match_the_sorted_lattice(n):
+    # build_noise_model asks for K wavevectors, or 2K when mixing, so the
+    # arguments 1 .. max_modes(n) cover every K of both bases; at N = 128,
+    # where the sweep would take 18 s, every K to 512, every 61st and the last
+    grid = TorusGrid(n)
+    ref = _sorted_lattice(n)
+    last = max_modes(n)
+    assert len(ref) == last // 2 == max_modes(n, mix_shells=True)
+    for k in range(1, last + 1):
+        if n == 128 and not (k <= 512 or k % 61 == 0 or k == last):
+            continue
+        got = _mode_wavevectors(grid, k)
+        assert got == ref[:(k + 1) // 2], k
+    assert all(type(c) is int for kv in got for c in kv)
 
 
 def test_too_many_modes_rejected():
@@ -204,6 +232,17 @@ def test_regularity_partial_sum_saturates_for_smooth_spectrum():
     s8 = check_regularity(build_noise_model(g, 8, 3.0, 1.0))["partial_sum_h3"]
     s16 = check_regularity(build_noise_model(g, 16, 3.0, 1.0))["partial_sum_h3"]
     assert abs(s16 - s8) < 0.10 * s8
+
+
+def test_regularity_fails_a_model_that_overflowed(grid16):
+    # amp 1e300 overflows the mixed pair weights, so the modes are NaN: a
+    # NaN partial sum must not read as a tail ratio of 0
+    with np.errstate(all="ignore"):
+        model = build_noise_model(grid16, 4, 3.0, 1e300, mix_shells=True)
+    rep = check_regularity(model)
+    assert not np.isfinite(rep["partial_sum_h3"])
+    assert not np.isfinite(rep["tail_ratio"])
+    assert not rep["passes"]
 
 
 def test_regularity_pass_fail(grid32):
