@@ -235,13 +235,13 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     every epsilon.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    ctx = build_context(base_config)  # the noisy runs share its model and cache
+    ctx = build_context(base_config)  # every run shares its noise model
     v0 = make_initial(base_config.initial_kind, ctx.grid, base_config.initial_params)
     paths = cache(partial(member_path, base_config))
     if shared_path and replace(ctx, epsilon=float(epsilons[0])).noisy:
         paths(0)  # a table too large for memory fails before the reference run
     det_states = []
-    times = run(replace(base_config, epsilon=0.0), ctx=replace(ctx, epsilon=0.0, _cache={}),
+    times = run(replace(base_config, epsilon=0.0), ctx=replace(ctx, epsilon=0.0),
                 v0=v0, observe=lambda t, s: det_states.append(s), warn_cfl=False).times
 
     sup_h = np.zeros((len(epsilons), ensemble_size))

@@ -26,11 +26,14 @@ import numpy as np
 from .spectral import (
     TWO_PI,
     TorusGrid,
+    compress,
     divergence,
     expand,
     from_physical,
     leray_project,
     sobolev_norm_sq,
+    stream_function,
+    tensor_flux,
     to_physical,
 )
 
@@ -81,14 +84,19 @@ def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str)
 class NoiseModel:
     """Eigenmode expansion of the unresolved-velocity covariance and every
     field it fixes, computed once here (eps only scales their terms in F and
-    G, so contexts for any eps share them).  ``phi`` holds the weighted
-    eigenfunctions (amplitude folded in), stacked (K, 2, n, n);
-    ``phi_support`` is (flat indices, (K, 2S) real view of the
-    values) of their joint support; ``variance_tensor`` is a(x) on the
-    physical grid, (2, 2, n, n), ``variance_hat`` its coefficients and
-    ``a_pad`` a on the padded grid; ``ito_stokes_drift`` is the raw field
-    0.5 div a and ``drift_projected`` its Leray projection.  ``mix_shells``
-    records whether ``build_noise_model`` paired modes of different shells.
+    G, so contexts and runs for any eps share them).  ``phi`` holds the
+    weighted eigenfunctions (amplitude folded in), stacked (K, 2, n, n);
+    ``phi_support`` is (flat indices, (K, 2S) real view of the values) of
+    their joint support; ``variance_tensor`` is a(x) on the physical grid,
+    (2, 2, n, n), ``variance_hat`` its coefficients and ``a_pad`` a on the
+    padded grid; ``ito_stokes_drift`` is the raw field u_s = 0.5 div a,
+    ``drift_projected`` its Leray projection and ``drift_pad`` u_s on the
+    padded grid; ``div_a_grad_us`` is P div(a grad u_s), and ``psi_us`` and
+    ``psi_div_a_grad_us`` are the stream functions of u_s and of it.
+    ``block_idx``, ``xi_table``, ``ex`` and ``wy``, the separable transform
+    of xi (``_separable_tables``), are None when every mode is zero.
+    ``mix_shells`` records whether ``build_noise_model`` paired modes of
+    different shells.
     """
 
     grid: TorusGrid
@@ -102,6 +110,14 @@ class NoiseModel:
     a_pad: np.ndarray = field(init=False)
     ito_stokes_drift: np.ndarray = field(init=False)
     drift_projected: np.ndarray = field(init=False)
+    drift_pad: np.ndarray = field(init=False)
+    div_a_grad_us: np.ndarray = field(init=False)
+    psi_us: np.ndarray = field(init=False)
+    psi_div_a_grad_us: np.ndarray = field(init=False)
+    block_idx: np.ndarray | None = field(init=False, default=None)
+    xi_table: np.ndarray | None = field(init=False, default=None)
+    ex: np.ndarray | None = field(init=False, default=None)
+    wy: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         grid = self.grid
@@ -118,10 +134,52 @@ class NoiseModel:
         us = np.stack([0.5 * divergence(grid, self.variance_hat[i]) for i in range(2)])
         self.ito_stokes_drift = us
         self.drift_projected = leray_project(grid, us)
+        self.drift_pad = to_physical(grid, us, grid.pad_size)
+        flux = tensor_flux(grid, self.a_pad, us)
+        self.div_a_grad_us = leray_project(grid, divergence(grid, flux))
+        self.psi_us = stream_function(grid, compress(grid, us))
+        self.psi_div_a_grad_us = stream_function(grid, compress(grid, self.div_a_grad_us))
+        if len(idx):
+            self.block_idx, self.xi_table, self.ex, self.wy = _separable_tables(grid, self.phi)
 
     @property
     def k_modes(self) -> int:
         return len(self.phi)
+
+    def separable_xi(self, dbeta: np.ndarray, wy: np.ndarray, out: np.ndarray) -> tuple:
+        """xi = sum_k dbeta_k phi_k as its stream function on ``block_idx``
+        and its values on the padded grid, through ``wy`` (``self.wy`` times
+        a scale) and written into ``out``, (2, m, m): one dot and two small
+        matrix products."""
+        block = np.dot(dbeta, self.xi_table).view(complex).reshape(3, self.ex.shape[1], -1)
+        cols = np.matmul(self.ex, block[1:])
+        return block[0].reshape(-1), np.matmul(cols.view(float), wy, out=out)
+
+
+def _separable_tables(grid: TorusGrid, phi: np.ndarray) -> tuple:
+    """The stream function and the velocity of every noise mode on the
+    smallest block of half-layout rows and leading columns that holds them,
+    as (the block's flat indices, the (K, 6 r s) real view ``xi_table``,
+    ``ex`` = exp(i kx x) for the block's rows, (m, r), and ``wy``, the real
+    (2s, m) matrix that takes the interleaved real and imaginary parts of s
+    columns to their Hermitian sum (weight 1 at ky = 0, 2 above)), the two
+    factors of its separable inverse transform.  Some mode must be nonzero."""
+    m, h = grid.pad_size, grid.n_modes // 2
+    half = compress(grid, phi)
+    table = np.concatenate([stream_function(grid, half)[:, None], half], axis=1)
+    held = table != 0
+    rows = np.flatnonzero(held.any(axis=(0, 1, 3)))
+    s = int(np.flatnonzero(held.any(axis=(0, 1, 2)))[-1]) + 1
+    block_idx = np.ravel_multi_index(np.ix_(rows, np.arange(s)), (m, h)).ravel()
+    block = np.ascontiguousarray(table[:, :, rows, :s])
+    x = np.arange(m) * (TWO_PI / m)
+    ex = np.exp(1j * np.outer(x, grid.half_kx[rows, 0]))
+    ky = np.arange(s)
+    weight = np.where(ky == 0, 1.0, 2.0)[:, None]
+    wy = np.empty((2 * s, m))
+    wy[0::2] = weight * np.cos(np.outer(ky, x))
+    wy[1::2] = -weight * np.sin(np.outer(ky, x))
+    return block_idx, block.reshape(len(phi), -1).view(float), ex, wy
 
 
 def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,

@@ -19,6 +19,7 @@ are the reference that step is tested against.  Every flux a grad f, here
 and in the steps, comes from ``spectral`` with the padded variance tensor
 ``NoiseModel.a_pad``: ``tensor_flux``/``tensor_flux_physical``, or for the
 velocity step ``tensor_flux_curl``, the parts of the flux its curl reads.
+P div(a grad u_s) is made once, with ``tensor_flux``, by the noise model.
 G(v) phi_k is ``noise_increment`` with a unit increment vector.
 
 Key discrete identities, exact up to rounding thanks to dealiasing:
@@ -50,18 +51,19 @@ from .spectral import (
 class OperatorContext:
     """Immutable bundle of a noise model and the physical parameters.
 
-    The grid and the eps-independent noise fields are the noise model's; the
-    properties here read them.  ``us_pad``, ``div_a_grad_us`` and
-    ``additive_noise_parts``, which only the reference operators read, are
-    computed on each use.  ``_cache`` holds the solver's step workspaces,
-    made on first use by ``solver._workspace``.  None of it depends on eps, so
-    ``dataclasses.replace(ctx, epsilon=...)`` gives a context that shares the
-    model and the cache.
+    The grid and every eps-independent field, those the step reads too, are
+    the noise model's, made once per model; the properties here read them.
+    ``us_pad`` and ``additive_noise_parts``, which only the reference
+    operators read, are computed on each use.  Nothing is kept on the
+    context: ``dataclasses.replace(ctx, epsilon=...)`` gives a context for
+    another eps on the same model, and each run makes its own workspace.
     """
 
     noise: NoiseModel
     epsilon: float
     reynolds: float
+    # nothing in lu_flow reads or writes this dict; perfbench/hook.py keys the
+    # first use of the properties below by its id
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -76,10 +78,10 @@ class OperatorContext:
 
     @property
     def noisy(self) -> bool:
-        """Whether the noise acts: eps > 0 and a nonzero amplitude.  Every
-        run decision that skips the noise (and so keeps eps = 0 bitwise
-        deterministic) reads this."""
-        return self.epsilon > 0.0 and self.noise.amplitude != 0.0
+        """Whether the noise acts: eps > 0 and a mode is nonzero (null or
+        underflowing weights zero them all).  Every run decision that skips
+        the noise (and so keeps eps = 0 bitwise deterministic) reads this."""
+        return self.epsilon > 0.0 and len(self.noise.phi_support[0]) > 0
 
     @property
     def a_pad(self) -> np.ndarray:
@@ -104,7 +106,7 @@ class OperatorContext:
 
     @property
     def div_a_grad_us(self) -> np.ndarray:
-        return _div_a_grad(self, self.noise.ito_stokes_drift)
+        return self.noise.div_a_grad_us
 
     @property
     def phi_stack(self) -> np.ndarray:

@@ -280,7 +280,7 @@ def test_criterion_8_operator_epsilon_scaling():
                         t_end=1e-3, k_modes=4, noise_mixing=True)
     ctx0 = build_context(base)
     for eps in eps_grid:
-        ctx = OperatorContext(ctx0.noise, float(eps), base.reynolds, _cache=ctx0._cache)
+        ctx = OperatorContext(ctx0.noise, float(eps), base.reynolds)
         f_norms.append(h_norm(grid, apply_F(ctx, v)))
         g_norms.append(_hs_norm_G(ctx, v))
     slope_f = float(np.polyfit(np.log(eps_grid), np.log(f_norms), 1)[0])

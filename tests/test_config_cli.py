@@ -383,6 +383,48 @@ def test_cli_overflowing_noise_ends_without_warning(tmp_path, capsys, argv, code
     assert ("blow-up: solution blew up at step 1" in err) == (code == 2)
 
 
+_RUN_COMMANDS = [["simulate"], ["converge"], ["ensemble"], ["ensemble", "--jobs", "2"],
+                  ["transport"]]
+_RUN_IDS = ["simulate", "converge", "ensemble", "ensemble-jobs2", "transport"]
+
+
+@pytest.mark.parametrize("argv", _RUN_COMMANDS, ids=_RUN_IDS)
+@pytest.mark.parametrize("noise", [{"amp": 5e-324}, {"amp": 1e-200, "mix": True, "K": 8}],
+                         ids=["amp-underflow", "mix-weights-underflow"])
+def test_cli_noise_whose_modes_underflow_is_no_noise(tmp_path, argv, noise):
+    # weights that underflow zero every mode: the run is the one at amp 0,
+    # byte for byte, with no error and no floating-point warning
+    outputs = []
+    for amp in (noise["amp"], 0.0):
+        doc = {"N": 16, "T": 0.002, "noise": {**noise, "amp": amp},
+               "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}}
+        out = tmp_path / f"o{amp}"
+        cfg = _write_config(tmp_path, doc, name=f"config{amp}.json")
+        assert main([argv[0], "--config", cfg, "--out", str(out), *argv[1:]]) == 0
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())
+                        if f.name != "manifest.json"})
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv", _RUN_COMMANDS, ids=_RUN_IDS)
+@pytest.mark.parametrize("initial", [{"kind": "random_band", "energy": 1e308},
+                                     {"kind": "taylor_green", "scale": 1e308}],
+                         ids=["energy", "scale"])
+def test_cli_overflowing_field_is_blow_up(tmp_path, argv, initial):
+    # a field whose diagnostics or transforms overflow ends as a blow-up
+    # (exit 2) with no traceback and no floating-point warning; the solver's
+    # own CFL warning may show
+    cfg = _write_config(tmp_path, {"N": 16, "T": 0.002, "initial": initial,
+                                   "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}})
+    proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", argv[0], "--config", cfg,
+                           "--out", str(tmp_path / "o"), *argv[1:]], env=_src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "blow-up: solution blew up at step" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "encountered in" not in proc.stderr
+
+
 _BAD_INITIAL = {
     "bogus": ({"kind": "random_band", "bogus": 1}, "bogus"),
     "k_min": ({"kind": "random_band", "k_min": "a"}, "k_min"),

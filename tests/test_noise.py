@@ -20,13 +20,17 @@ from lu_flow.noise import (
     check_regularity,
     max_modes,
 )
+from lu_flow.operators import OperatorContext
 from lu_flow.spectral import (
     TorusGrid,
+    compress,
     divergence,
     expand,
     from_physical,
     h_norm,
     leray_project,
+    stream_function,
+    tensor_flux,
     to_physical,
 )
 
@@ -123,7 +127,9 @@ def test_too_many_modes_rejected():
 def test_model_fields_match_per_field_rebuild(grid16, kind):
     # every field the model fixes in __post_init__ has the bits of the
     # recipe that built it field by field: a per-mode sum of outer products,
-    # one forward transform, a padded inverse, 0.5 div a and its projection
+    # one forward transform, a padded inverse, 0.5 div a and its projection,
+    # the fields of the velocity step built from u_s, and the separable
+    # tables of xi on the block of half-layout rows and columns its modes hold
     if kind == "synthetic":
         model = synthetic_inhomogeneous_model(grid16)
     else:
@@ -139,18 +145,50 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
         a += p[:, None] * p[None, :]
     a_hat = expand(g, from_physical(g, a))
     us = np.stack([0.5 * divergence(g, a_hat[i]) for i in range(2)])
+    m = g.pad_size
+    a_pad = to_physical(g, a_hat, m)
+    div_a_grad_us = leray_project(g, divergence(g, tensor_flux(g, a_pad, us)))
+    half = compress(g, phi)
+    table = np.concatenate([stream_function(g, half)[:, None], half], axis=1)
+    rows = np.flatnonzero(table.any(axis=(0, 1, 3)))
+    s = int(np.flatnonzero(table.any(axis=(0, 1, 2)))[-1]) + 1
+    x = np.arange(m) * (2 * np.pi / m)
+    ky_x = np.outer(np.arange(s), x)
+    wy = np.empty((2 * s, m))  # interleaved cos and -sin rows, weight 1 at ky = 0, 2 above
+    wy[0::2] = np.where(np.arange(s) == 0, 1.0, 2.0)[:, None] * np.cos(ky_x)
+    wy[1::2] = -np.where(np.arange(s) == 0, 1.0, 2.0)[:, None] * np.sin(ky_x)
     expected = {"support_idx": idx, "support_values": values,
-                "variance_tensor": a, "variance_hat": a_hat,
-                "a_pad": to_physical(g, a_hat, g.pad_size),
-                "us_raw": us, "us": leray_project(g, us)}
+                "variance_tensor": a, "variance_hat": a_hat, "a_pad": a_pad,
+                "us_raw": us, "us": leray_project(g, us),
+                "drift_pad": to_physical(g, us, m), "div_a_grad_us": div_a_grad_us,
+                "psi_us": stream_function(g, compress(g, us)),
+                "psi_div_a_grad_us": stream_function(g, compress(g, div_a_grad_us)),
+                "block_idx": (rows[:, None] * (g.n_modes // 2) + np.arange(s)).ravel(),
+                "xi_table": np.ascontiguousarray(table[:, :, rows, :s]).reshape(
+                    model.k_modes, -1).view(float),
+                "ex": np.exp(1j * np.outer(x, g.half_kx[rows, 0])), "wy": wy}
     got = {"support_idx": model.phi_support[0],
            "support_values": model.phi_support[1],
            "variance_tensor": model.variance_tensor, "variance_hat": model.variance_hat,
            "a_pad": model.a_pad, "us_raw": model.ito_stokes_drift,
-           "us": model.drift_projected}
+           "us": model.drift_projected, "drift_pad": model.drift_pad,
+           "div_a_grad_us": model.div_a_grad_us, "psi_us": model.psi_us,
+           "psi_div_a_grad_us": model.psi_div_a_grad_us, "block_idx": model.block_idx,
+           "xi_table": model.xi_table, "ex": model.ex, "wy": model.wy}
     for name, arr in expected.items():
         assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
         assert got[name].tobytes() == arr.tobytes(), name
+
+
+@pytest.mark.parametrize("amplitude,mix", [(5e-324, False), (1e-200, True)],
+                         ids=["amp-underflow", "mix-weights-underflow"])
+def test_zero_modes_build_no_xi_tables(grid16, amplitude, mix):
+    # weights that underflow zero every mode: the model builds no separable
+    # tables of xi, and a context of it at eps > 0 is not noisy
+    model = build_noise_model(grid16, 8, 3.0, amplitude, mix_shells=mix)
+    assert not model.phi.any()
+    assert model.block_idx is model.xi_table is model.ex is model.wy is None
+    assert not OperatorContext(model, 0.1, 100.0).noisy
 
 
 # ---------------------------------------------------------------------------

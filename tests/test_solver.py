@@ -1,7 +1,9 @@
 """Time stepping: validation, closed forms, reduction, self-convergence."""
 
+import importlib.util
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -315,7 +317,7 @@ def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
     ctx = build_context(short_config(epsilon=epsilon, k_modes=8))
     v = psi_of(grid32, random_div_free(grid32, rng))
     dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
-    step(v, ctx, dbeta, 1e-3)  # fills the context caches
+    # a bare step makes its own workspace, and making one takes no transform
     assert _real_passes(_count_transforms(monkeypatch, lambda: step(v, ctx, dbeta, 1e-3))) == real
 
 
@@ -326,29 +328,31 @@ def test_separable_noise_matches_its_transform(grid32, rng, mix, k_modes):
     # the inverse FFT of the reference noise field, and its stream function on
     # the block against that of the field, which has no mode outside it
     ctx = build_context(short_config(k_modes=k_modes, noise_mixing=mix))
-    work = solver._StepWorkspace(ctx, 2)
+    model = ctx.noise
     dbeta = rng.standard_normal(k_modes)
     field = ctx.noise_field(dbeta)
-    psi_xi, xi = work.noise(dbeta, work.wy)
-    ref = to_physical(grid32, field, grid32.pad_size)
+    m = grid32.pad_size
+    psi_xi, xi = model.separable_xi(dbeta, model.wy, np.empty((2, m, m)))
+    ref = to_physical(grid32, field, m)
     assert np.max(np.abs(xi - ref)) <= 1e-13 * np.max(np.abs(ref))
     psi_ref = stream_function(grid32, compress(grid32, field)).reshape(-1)
-    assert np.max(np.abs(psi_xi - psi_ref[work.block_idx])) <= 1e-13 * np.max(np.abs(psi_ref))
-    psi_ref[work.block_idx] = 0.0
+    assert np.max(np.abs(psi_xi - psi_ref[model.block_idx])) <= 1e-13 * np.max(np.abs(psi_ref))
+    psi_ref[model.block_idx] = 0.0
     assert np.all(psi_ref == 0.0)
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
 def test_warm_step_allocates_little(n):
-    # the padded arrays live in the context's workspace: a warm step allocates
+    # the padded arrays live in the run's workspace: a warm step allocates
     # its state-sized result and a few small temporaries, nothing padded
     ctx = build_context(short_config(n_modes=n, k_modes=8))
+    work = solver._StepWorkspace(ctx, 1e-3)
     v = psi_of(ctx.grid, make_initial("random_band", ctx.grid, {"k_max": n // 4, "seed": 1}))
     dbeta = 0.03 * np.ones(8)
-    v = step(step(v, ctx, dbeta, 1e-3), ctx, dbeta, 1e-3)
+    v = step(step(v, ctx, dbeta, 1e-3, work), ctx, dbeta, 1e-3, work)
     tracemalloc.start()
     try:
-        step(v, ctx, dbeta, 1e-3)
+        step(v, ctx, dbeta, 1e-3, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -366,9 +370,9 @@ def test_step_result_survives_next_step(grid32, rng):
 
 
 def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
-    # contexts made with replace share the cache, and with it the workspace and
-    # the cached Stokes factors; interleaving them and changing dt must give
-    # the bits of a fresh context built for each step
+    # contexts made with replace share the noise model and its step fields;
+    # interleaving them and changing dt must give the bits of a fresh context
+    # built for each step
     cfg = short_config(k_modes=8)
     base = build_context(cfg)
     shared = {eps: replace(base, epsilon=eps) for eps in (0.2, 0.1, 0.0)}
@@ -443,10 +447,12 @@ def test_cross_resolution_consistency(mix, epsilon):
         return _modes_below(recorded_states(cfg, path=path, v0=v0, warn_cfl=False)[-1], 16)
 
     ref = final(128)
-    errs = {n: np.linalg.norm(final(n) - ref) / np.linalg.norm(ref) for n in (16, 24, 32, 64)}
+    errs = {n: np.linalg.norm(final(n) - ref) / np.linalg.norm(ref)
+            for n in (16, 24, 32, 48, 64, 96)}
     assert errs[16] > errs[24] > errs[32]
     assert errs[16] > 1e-9  # the truncation at N = 16 shows
-    assert max(errs[32], errs[64]) < 1e-14
+    # N = 48 and 96 cover the pad sizes 72 and 144
+    assert max(errs[32], errs[48], errs[64], errs[96]) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +460,18 @@ def test_cross_resolution_consistency(mix, epsilon):
 
 
 def test_zero_noise_reduction_bitwise():
-    # with the noise off (eps = 0 or a null amplitude) the run is the
-    # deterministic one, bit for bit, whatever the noise model
+    # with the noise off (eps = 0, a null amplitude or weights that all
+    # underflow to zero) the run is the deterministic one, bit for bit,
+    # whatever the noise model
     runs = [recorded_states(short_config(**kw), warn_cfl=False) for kw in (
         dict(epsilon=0.0, k_modes=8, noise_mixing=True),
         dict(epsilon=0.1, amplitude=0.0),
         dict(epsilon=0.0, k_modes=1),
+        dict(epsilon=0.1, amplitude=5e-324),
+        dict(epsilon=0.1, amplitude=1e-200, noise_mixing=True, k_modes=8),
     )]
     snaps = [[s.tobytes() for s in states] for states in runs]
-    assert snaps[0] == snaps[1] == snaps[2]
+    assert all(other == snaps[0] for other in snaps[1:])
 
 
 @pytest.mark.parametrize("trajectory", ["velocity", "tracer"])
@@ -610,6 +619,29 @@ def test_blow_up_detected(grid32):
     assert err.value.step >= 1
 
 
+def test_overflowing_record_is_blow_up(grid32):
+    # a tracer at rest keeps its finite state, but its energy overflows a
+    # double from the first record on: the run ends in BlowUpError at step 0,
+    # not in the ValueError of TrajectoryRecord's check of its values
+    cfg = short_config(epsilon=0.0, t_end=2e-3)
+    q0 = 1e160 * make_tracer(grid32)
+    with pytest.raises(BlowUpError) as err:
+        run_scalar_transport(cfg, q0, np.zeros((2, 32, 32), dtype=complex))
+    assert (err.value.step, err.value.time) == (0, 0.0)
+
+
+def test_state_digest_tool():
+    # tools/state_digest.py: the digest of a run is the same on a second
+    # call and tells eps = 0.1 from the deterministic run
+    spec = importlib.util.spec_from_file_location(
+        "state_digest", Path(__file__).resolve().parents[1] / "tools" / "state_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    first = tool.digest(16, 0.1, True, 3)
+    assert first == tool.digest(16, 0.1, True, 3)
+    assert len(first) == 64 and first != tool.digest(16, 0.0, True, 3)
+
+
 def test_mean_energy_increment_bounded_by_noise_term():
     # ensemble-mean per-step energy growth is at most C eps^2 E dt once the
     # martingale part is averaged out; C fitted over the time grid
@@ -704,21 +736,36 @@ def test_transform_count_per_tracer_step(grid32, monkeypatch, epsilon, real):
 
 
 def test_tracer_reuses_the_context_workspace(grid32, monkeypatch):
-    # the tracer's one-component workspace is the context's, made once: a
-    # second run on the same context constructs no new one
-    cfg = short_config(k_modes=8, t_end=2e-3)
+    # each run makes its workspace once, when it starts, whatever its step
+    # count: a velocity run one _StepWorkspace, a tracer run its two transform
+    # buffers and no _StepWorkspace; the model's fields are shared, so two
+    # runs on one context give the same bits
+    cfg = short_config(k_modes=8, t_end=3e-3)
     ctx = build_context(cfg)
     q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
-    made = []
+    made, buffers = [], []
 
     class CountingWorkspace(solver._StepWorkspace):
         def __init__(self, *args, **kwargs):
             made.append(args)
             super().__init__(*args, **kwargs)
 
+    class CountingBuffers(solver.TransformBuffers):
+        def __init__(self, *args, **kwargs):
+            buffers.append(args)
+            super().__init__(*args, **kwargs)
+
     monkeypatch.setattr(solver, "_StepWorkspace", CountingWorkspace)
+    monkeypatch.setattr(solver, "TransformBuffers", CountingBuffers)
+    first = run(cfg, ctx=ctx, warn_cfl=False).diagnostics["energy"]
+    assert len(made) == 1
+    second = run(cfg, ctx=ctx, warn_cfl=False).diagnostics["energy"]
+    assert len(made) == 2
+    assert first.tobytes() == second.tobytes()
+    made.clear()
+    buffers.clear()
     first = run_scalar_transport(cfg, q0, u, ctx=ctx).diagnostics["energy"]
-    assert len(made) == 1
+    assert (len(made), len(buffers)) == (0, 2)
     second = run_scalar_transport(cfg, q0, u, ctx=ctx).diagnostics["energy"]
-    assert len(made) == 1
+    assert (len(made), len(buffers)) == (0, 4)
     assert first.tobytes() == second.tobytes()
