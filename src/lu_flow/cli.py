@@ -90,10 +90,16 @@ _worker_context = None  # the process's one OperatorContext, set by _init_worker
 
 def _init_worker(config: SolverConfig) -> None:
     global _worker_context
-    _worker_context = build_context(config)
+    try:
+        _worker_context = build_context(config)
+    except ConfigError as exc:
+        # an initializer that raises breaks the pool: each job raises it instead
+        _worker_context = exc
 
 
 def _member_job(config: SolverConfig, member: int):
+    if isinstance(_worker_context, ConfigError):
+        raise _worker_context
     # run once per member: the benchmark counts member-steps per run call
     return run(config, member_index=member, ctx=_worker_context)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .spectral import (
     divergence,
     expand,
     from_physical,
+    inverse_k_sq,
     leray_project,
     sobolev_norm_sq,
     stream_function,
@@ -60,23 +62,27 @@ def max_modes(n_modes: int, mix_shells: bool = False) -> int:
     return n_reps if mix_shells else 2 * n_reps
 
 
-def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str) -> np.ndarray:
-    """Unit-H-norm divergence-free real mode: w * cos(k.x) or w * sin(k.x),
-    with w = k_perp / |k|."""
+def _real_mode_entries(grid: TorusGrid, kvec: tuple[int, int], polarization: str) -> tuple:
+    """Unit-H-norm divergence-free real mode w * cos(k.x) or w * sin(k.x),
+    with w = k_perp / |k|, as the flat indices into its (2, n, n)
+    coefficients of its two components at k and at -k and its values there."""
     n = grid.n_modes
     k1, k2 = kvec
     norm = np.hypot(k1, k2)
     w = np.array([-k2 / norm, k1 / norm])
-    c = np.zeros((2, n, n), dtype=complex)
     amp = np.sqrt(2.0) / (2.0 * TWO_PI)  # |phi|_H = 1
-    ip, jp = k1 % n, k2 % n
-    im, jm = (-k1) % n, (-k2) % n
     if polarization == "cos":
-        c[:, ip, jp] = w * amp
-        c[:, im, jm] = w * amp
+        values = np.concatenate([w * amp, w * amp]).astype(complex)
     else:
-        c[:, ip, jp] = w * (-1j * amp)
-        c[:, im, jm] = w * (1j * amp)
+        values = np.concatenate([w * (-1j * amp), w * (1j * amp)])
+    at_k, at_minus_k = (k1 % n) * n + k2 % n, ((-k1) % n) * n + (-k2) % n
+    return np.array([at_k, n * n + at_k, at_minus_k, n * n + at_minus_k]), values
+
+
+def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str) -> np.ndarray:
+    """The mode of ``_real_mode_entries`` as its (2, n, n) coefficients."""
+    c = np.zeros((2, grid.n_modes, grid.n_modes), dtype=complex)
+    c.put(*_real_mode_entries(grid, kvec, polarization))
     return c
 
 
@@ -84,10 +90,13 @@ def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str)
 class NoiseModel:
     """Eigenmode expansion of the unresolved-velocity covariance and every
     field it fixes, computed once here (eps only scales their terms in F and
-    G, so contexts and runs for any eps share them).  ``phi`` holds the
-    weighted eigenfunctions (amplitude folded in), stacked (K, 2, n, n);
-    ``phi_support`` is (flat indices, (K, 2S) real view of the values) of
-    their joint support; ``variance_tensor`` is a(x) on the physical grid,
+    G, so contexts and runs for any eps share them).  ``entries`` is the only
+    stored copy of the weighted eigenfunctions (amplitude folded in): for
+    each mode, the flat indices into its (2, n, n) coefficients of the
+    positions it holds and its values there, a handful per mode.  Every
+    other field is derived from them one mode at a time (``modes``), and the
+    stack (K, 2, n, n) of the reference operators, ``phi``, is made only
+    when it is first read.  ``variance_tensor`` is a(x) on the physical grid,
     (2, 2, n, n), ``variance_hat`` its coefficients and ``a_pad`` a on the
     padded grid; ``ito_stokes_drift`` is the raw field u_s = 0.5 div a,
     ``drift_projected`` its Leray projection and ``drift_pad`` u_s on the
@@ -100,11 +109,10 @@ class NoiseModel:
     """
 
     grid: TorusGrid
-    phi: np.ndarray
+    entries: tuple
     spectrum_exponent: float
     amplitude: float
     mix_shells: bool = False
-    phi_support: tuple = field(init=False)
     variance_tensor: np.ndarray = field(init=False)
     variance_hat: np.ndarray = field(init=False)
     a_pad: np.ndarray = field(init=False)
@@ -121,11 +129,13 @@ class NoiseModel:
 
     def __post_init__(self):
         grid = self.grid
-        flat = self.phi.reshape(self.k_modes, -1)
-        idx = np.flatnonzero(np.any(flat != 0, axis=0))
-        self.phi_support = (idx, np.ascontiguousarray(flat[:, idx]).view(float))
+        # the xi table is the model's largest array: a model too large for
+        # the memory fails here, before its transforms
+        tables = _separable_tables(grid, self.entries)
+        if tables is not None:
+            self.block_idx, self.xi_table, self.ex, self.wy = tables
         a = np.zeros((2, 2, grid.n_modes, grid.n_modes))
-        for coeffs in self.phi:
+        for coeffs in self.modes():
             phys = to_physical(grid, coeffs)
             a += phys[:, None] * phys[None, :]
         self.variance_tensor = a
@@ -139,12 +149,25 @@ class NoiseModel:
         self.div_a_grad_us = leray_project(grid, divergence(grid, flux))
         self.psi_us = stream_function(grid, compress(grid, us))
         self.psi_div_a_grad_us = stream_function(grid, compress(grid, self.div_a_grad_us))
-        if len(idx):
-            self.block_idx, self.xi_table, self.ex, self.wy = _separable_tables(grid, self.phi)
 
     @property
     def k_modes(self) -> int:
-        return len(self.phi)
+        return len(self.entries)
+
+    def modes(self):
+        """Each mode's (2, n, n) coefficients in turn, a fresh array rebuilt
+        from its entries (zero elsewhere)."""
+        n = self.grid.n_modes
+        for idx, values in self.entries:
+            coeffs = np.zeros((2, n, n), dtype=complex)
+            coeffs.put(idx, values)
+            yield coeffs
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """The modes stacked, (K, 2, n, n): made from the entries when first
+        read, and kept.  Only the reference operators and tests read it."""
+        return np.stack(list(self.modes()))
 
     def separable_xi(self, dbeta: np.ndarray, wy: np.ndarray, out: np.ndarray) -> tuple:
         """xi = sum_k dbeta_k phi_k as its stream function on ``block_idx``
@@ -156,22 +179,43 @@ class NoiseModel:
         return block[0].reshape(-1), np.matmul(cols.view(float), wy, out=out)
 
 
-def _separable_tables(grid: TorusGrid, phi: np.ndarray) -> tuple:
+def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple | None:
     """The stream function and the velocity of every noise mode on the
     smallest block of half-layout rows and leading columns that holds them,
     as (the block's flat indices, the (K, 6 r s) real view ``xi_table``,
     ``ex`` = exp(i kx x) for the block's rows, (m, r), and ``wy``, the real
     (2s, m) matrix that takes the interleaved real and imaginary parts of s
     columns to their Hermitian sum (weight 1 at ky = 0, 2 above)), the two
-    factors of its separable inverse transform.  Some mode must be nonzero."""
-    m, h = grid.pad_size, grid.n_modes // 2
-    half = compress(grid, phi)
-    table = np.concatenate([stream_function(grid, half)[:, None], half], axis=1)
-    held = table != 0
-    rows = np.flatnonzero(held.any(axis=(0, 1, 3)))
-    s = int(np.flatnonzero(held.any(axis=(0, 1, 2)))[-1]) + 1
+    factors of its separable inverse transform; None when every mode is
+    zero.  The table is filled from the modes' entries: the stream function
+    only where a mode holds a velocity, with the arithmetic of
+    ``stream_function``, which gives 0 elsewhere."""
+    n, m, h = grid.n_modes, grid.pad_size, grid.n_modes // 2
+    mode = np.repeat(np.arange(len(entries)), [len(idx) for idx, _ in entries])
+    comp, i, j = np.unravel_index(np.concatenate([idx for idx, _ in entries]), (2, n, n))
+    values = np.concatenate([v for _, v in entries])
+    row = np.where(i < h, i, i + (m - n))  # kx rows at their padded-grid rows
+    kept = (j < h) & (i != h)  # the retained ky >= 0 half
+    held = kept & (values != 0)
+    if not held.any():
+        return None
+    rows = np.flatnonzero(np.bincount(row[held], minlength=m))
+    s = int(j[held].max()) + 1
+    block_row = np.full(m, -1)
+    block_row[rows] = np.arange(len(rows))
+    inside = kept & (j < s) & (block_row[row] >= 0)
+    mode, comp, row, col, values = mode[inside], comp[inside], row[inside], j[inside], values[inside]
+    at = block_row[row]
+    try:
+        table = np.zeros((len(entries), 3, len(rows), s), dtype=complex)
+    except MemoryError:
+        raise MemoryError(f"its xi table holds {len(entries)} x {6 * len(rows) * s} doubles "
+                          f"({48 * len(entries) * len(rows) * s / 2**30:.1f} GiB)") from None
+    table[mode, 1 + comp, at, col] = values
+    vx, vy = table[mode, 1, at, col], table[mode, 2, at, col]
+    table[mode, 0, at, col] = (1j * inverse_k_sq(grid)[row, col]) * (
+        grid.half_ky[row, col] * vx - grid.half_kx[row, col] * vy)
     block_idx = np.ravel_multi_index(np.ix_(rows, np.arange(s)), (m, h)).ravel()
-    block = np.ascontiguousarray(table[:, :, rows, :s])
     x = np.arange(m) * (TWO_PI / m)
     ex = np.exp(1j * np.outer(x, grid.half_kx[rows, 0]))
     ky = np.arange(s)
@@ -179,7 +223,7 @@ def _separable_tables(grid: TorusGrid, phi: np.ndarray) -> tuple:
     wy = np.empty((2 * s, m))
     wy[0::2] = weight * np.cos(np.outer(ky, x))
     wy[1::2] = -weight * np.sin(np.outer(ky, x))
-    return block_idx, block.reshape(len(phi), -1).view(float), ex, wy
+    return block_idx, table.reshape(len(entries), -1).view(float), ex, wy
 
 
 def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
@@ -197,7 +241,9 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
     divergence-free, whose cross terms make the variance tensor spatially
     inhomogeneous with a genuinely solenoidal drift component.  Pair weights
     are the geometric mean of the two shell weights.  Mode ordering is
-    deterministic in both variants.
+    deterministic in both variants.  Each mode keeps as its entries the
+    positions where it is nonzero before its weight, which may underflow to
+    a signed zero, is applied.
     """
     limit = max_modes(grid.n_modes, mix_shells)
     if not 1 <= k_modes <= limit:
@@ -205,15 +251,21 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
                          f"{' with mix_shells' if mix_shells else ''}, got {k_modes}")
     # pairwise mixing consumes wavevectors twice as fast as pure polarizations
     reps = _mode_wavevectors(grid, 2 * k_modes if mix_shells else k_modes)
-    modes = []
+    entries = []
 
     def emit(kvecs, weight):
         for pol in ("cos", "sin"):
-            if len(modes) == k_modes:
+            if len(entries) == k_modes:
                 return
-            c = sum(_real_mode_coeffs(grid, kv, pol) for kv in kvecs)
-            c *= weight / np.sqrt(len(kvecs))
-            modes.append(c)
+            parts = [_real_mode_entries(grid, kv, pol) for kv in kvecs]
+            idx = np.concatenate([i for i, _ in parts])
+            order = np.argsort(idx)
+            # 0 + v, as in a sum of the modes' coefficients, clears signed zeros
+            values = 0 + np.concatenate([v for _, v in parts])[order]
+            held = values != 0
+            values = values[held]
+            values *= weight / np.sqrt(len(kvecs))
+            entries.append((idx[order][held], values))
 
     def weight_of(kvec):
         return amplitude * (kvec[0] ** 2 + kvec[1] ** 2) ** (-spectrum_exponent)
@@ -227,7 +279,7 @@ def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,
             pair = [reps[j]] + ([reps[j + half]] if j + half < len(reps) else [])
             weight = np.sqrt(np.prod([weight_of(kv) for kv in pair]))
             emit(pair, weight)
-    return NoiseModel(grid, np.stack(modes), spectrum_exponent, amplitude, mix_shells)
+    return NoiseModel(grid, tuple(entries), spectrum_exponent, amplitude, mix_shells)
 
 
 def check_regularity(model: NoiseModel) -> dict:
@@ -242,7 +294,7 @@ def check_regularity(model: NoiseModel) -> dict:
     a NaN indicator and fails.
     """
     grid = model.grid
-    terms = np.array([sobolev_norm_sq(grid, coeffs, 3) for coeffs in model.phi])
+    terms = np.array([sobolev_norm_sq(grid, coeffs, 3) for coeffs in model.modes()])
     partial = float(terms.sum())
     if not np.isfinite(partial):
         tail_ratio = math.nan

@@ -79,9 +79,10 @@ class OperatorContext:
     @property
     def noisy(self) -> bool:
         """Whether the noise acts: eps > 0 and a mode is nonzero (null or
-        underflowing weights zero them all).  Every run decision that skips
-        the noise (and so keeps eps = 0 bitwise deterministic) reads this."""
-        return self.epsilon > 0.0 and len(self.noise.phi_support[0]) > 0
+        underflowing weights zero them all, and such a model has no xi
+        tables).  Every run decision that skips the noise (and so keeps
+        eps = 0 bitwise deterministic) reads this."""
+        return self.epsilon > 0.0 and self.noise.xi_table is not None
 
     @property
     def a_pad(self) -> np.ndarray:
@@ -113,12 +114,14 @@ class OperatorContext:
         return self.noise.phi
 
     def noise_field(self, dbeta: np.ndarray) -> np.ndarray:
-        """xi = sum_k dbeta_k phi_k, (2, n, n), summed only on the joint
-        support of the phi_k (a few dozen coefficients) instead of through
-        BLAS."""
-        idx, values = self.noise.phi_support
-        out = np.zeros(self.phi_stack.shape[1:], dtype=complex)
-        out.put(idx, np.einsum("k,ks->s", dbeta, values).view(complex))
+        """xi = sum_k dbeta_k phi_k, (2, n, n), summed mode by mode on each
+        mode's entries (a handful of coefficients) instead of through BLAS,
+        with the bits of the dense contraction."""
+        n = self.grid.n_modes
+        out = np.zeros((2, n, n), dtype=complex)
+        parts = out.reshape(-1).view(float).reshape(-1, 2)  # (re, im) of each coefficient
+        for d, (idx, values) in zip(dbeta, self.noise.entries):
+            parts[idx] += d * values.view(float).reshape(-1, 2)
         return out
 
     @property
@@ -126,10 +129,11 @@ class OperatorContext:
         """Per-mode state-independent G parts: (A phi_k, P(phi_k . grad u_s)),
         both shaped (K, 2, n, n)."""
         grid = self.grid
-        a_phi = (grid.k_sq / self.reynolds) * self.phi_stack
+        phi = self.phi_stack
+        a_phi = (grid.k_sq / self.reynolds) * phi
         b_phi_us = np.stack([
-            leray_project(grid, advect(grid, phi, self.noise.ito_stokes_drift))
-            for phi in self.phi_stack
+            leray_project(grid, advect(grid, mode, self.noise.ito_stokes_drift))
+            for mode in phi
         ])
         return a_phi, b_phi_us
 

@@ -122,11 +122,20 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 @_quiet_overflow
 def build_context(config: SolverConfig) -> OperatorContext:
+    """The context of ``config``: its noise model and (eps, Re).  A model
+    that does not fit in memory is a ConfigError that names the fields
+    fixing its size."""
     grid = TorusGrid(config.n_modes)
     # mode weights use the unit-viscosity eigenvalue |k|^2; the Reynolds
     # factor of the Stokes spectrum would only rescale the overall amplitude
-    model = build_noise_model(grid, config.k_modes, config.spectrum_exponent,
-                              config.amplitude, mix_shells=config.noise_mixing)
+    try:
+        model = build_noise_model(grid, config.k_modes, config.spectrum_exponent,
+                                  config.amplitude, mix_shells=config.noise_mixing)
+    except MemoryError as exc:
+        raise ConfigError(f"fields 'noise.K' and 'N' ask for a noise model of "
+                          f"{config.k_modes} modes at N={config.n_modes}"
+                          f"{f': {exc}' if str(exc) else ''}, more than the memory holds"
+                          ) from None
     return OperatorContext(model, config.epsilon, config.reynolds)
 
 
@@ -337,9 +346,9 @@ def _integrate(grid: TorusGrid, state, advance, path: WienerPath | None,
     field), every config.record_every steps and at the last, expand the
     state, append ``measure(state)``, one value per name of ``names``, and
     call ``observe(t, state)`` when given; return the record of those times
-    and values.  Raises BlowUpError at the first state that is not finite,
-    or, when every state is, at the first record whose values overflow or
-    are not finite."""
+    and values.  Raises BlowUpError at the first state that is not finite
+    (step 0 for a given field that is not), or, when every state is, at the
+    first record whose values overflow or are not finite."""
     n_steps, dt = config.n_steps, config.dt
     steps, rows = [], []
 
@@ -354,6 +363,8 @@ def _integrate(grid: TorusGrid, state, advance, path: WienerPath | None,
             observe(i * dt, full)
 
     state = compress(grid, state)
+    if not np.isfinite(state).all():
+        raise BlowUpError(0, 0.0)
     record(0, state)
     if stream:
         state = stream_function(grid, state)
@@ -417,10 +428,13 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
     the half layout; ``q0`` and ``velocity`` are full coefficient arrays.
     The steps, dt and record cadence are the config's; ``ctx`` and ``path``
     (member 0's by default) are set up as in ``run``.  Raises BlowUpError at
-    the first step whose tracer is not finite.  Returns the record of the
-    diagnostic "energy", 0.5 |q|_H^2.
+    step 0 when ``q0`` or ``velocity`` is not finite, else at the first step
+    whose tracer is not finite.  Returns the record of the diagnostic
+    "energy", 0.5 |q|_H^2.
     """
     ctx, path = _setup(config, ctx, path)
+    if not np.isfinite(velocity).all():
+        raise BlowUpError(0, 0.0)
     grid, noisy = ctx.grid, ctx.noisy
     m = grid.pad_size
     # q+ = q - T[(c.grad) q] + (eps^2 dt / 2) i k . T[a grad q]; inverse:

@@ -45,7 +45,12 @@ def synthetic_inhomogeneous_model(grid, amplitude=1.0):
     s2 = _real_mode_coeffs(grid, (1, 2), "sin")
     combos = [(c1 + c2) / np.sqrt(2), (s1 + s2) / np.sqrt(2),
               _real_mode_coeffs(grid, (1, 1), "cos")]
-    return NoiseModel(grid, amplitude * np.stack(combos), 3.0, amplitude)
+    entries = []
+    for coeffs in combos:
+        flat = (amplitude * coeffs).reshape(-1)
+        idx = np.flatnonzero(flat)
+        entries.append((idx, flat[idx]))
+    return NoiseModel(grid, tuple(entries), 3.0, amplitude)
 
 
 @pytest.fixture

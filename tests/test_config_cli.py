@@ -421,6 +421,8 @@ def test_cli_overflowing_field_is_blow_up(tmp_path, argv, initial):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "blow-up: solution blew up at step" in proc.stderr
+    if "scale" in initial:  # its transforms overflow: the given field is not finite
+        assert "blow-up: solution blew up at step 0 (t = 0)" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert "encountered in" not in proc.stderr
 
@@ -616,6 +618,21 @@ def test_cli_import_does_not_load_scipy():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_runs_do_not_load_numpy_ma(tmp_path):
+    # numpy.ma, which np.unique imports, stays out of the footprint of runs;
+    # matplotlib, which the best-effort convergence plot would import, loads
+    # it too, so it is kept from importing here
+    cfg = _write_config(tmp_path, dict(SMALL, study={"epsilons": [0.2, 0.1],
+                                                     "ensemble_size": 2}))
+    code = ("import sys, lu_flow.cli; sys.modules['matplotlib'] = None; "
+            f"codes = [lu_flow.cli.main([c, '--config', {cfg!r}, '--out', "
+            f"{str(tmp_path / 'o')!r}]) for c in ('simulate', 'converge')]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0] False"
+
+
 def test_cli_import_does_not_load_the_process_pool():
     # only a pool that --jobs makes imports concurrent.futures and multiprocessing
     code = ("import sys, lu_flow.cli; "
@@ -658,6 +675,24 @@ def test_cli_brownian_table_beyond_memory_is_config_error(tmp_path, argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: fields 'T', 'dt' and 'noise.K' ask for a "
                                   "Brownian table of 400000000 steps x 4 increments (11.9 GiB)")
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["converge"], ["ensemble", "--jobs", "2"]],
+                         ids=["simulate", "converge", "ensemble-jobs2"])
+def test_cli_noise_model_beyond_memory_is_config_error(tmp_path, argv):
+    # 8064 mixed modes at N = 128 ask for a 2.9 GiB xi table: a config error,
+    # also when the pool initializer is the one that fails to allocate it
+    cfg = _write_config(tmp_path, {"N": 128, "T": 0.002, "noise": {"K": 8064, "mix": True},
+                                   "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}})
+    proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", argv[0], "--config", cfg,
+                           "--out", str(tmp_path / "o"), *argv[1:]], env=_src_env(),
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: fields 'noise.K' and 'N' ask for a noise "
+                                  "model of 8064 modes at N=128: its xi table holds 8064 x "
+                                  "48768 doubles (2.9 GiB), more than the memory holds")
 
 
 @pytest.mark.parametrize("argv,spans,builds", [

@@ -125,11 +125,12 @@ def test_too_many_modes_rejected():
 
 @pytest.mark.parametrize("kind", ["mix", "pure", "synthetic"])
 def test_model_fields_match_per_field_rebuild(grid16, kind):
-    # every field the model fixes in __post_init__ has the bits of the
-    # recipe that built it field by field: a per-mode sum of outer products,
-    # one forward transform, a padded inverse, 0.5 div a and its projection,
-    # the fields of the velocity step built from u_s, and the separable
-    # tables of xi on the block of half-layout rows and columns its modes hold
+    # the entries are each mode's nonzero coefficients, and every field the
+    # model fixes in __post_init__ has the bits of the recipe that built it
+    # field by field: a per-mode sum of outer products, one forward
+    # transform, a padded inverse, 0.5 div a and its projection, the fields
+    # of the velocity step built from u_s, and the separable tables of xi on
+    # the block of half-layout rows and columns its modes hold
     if kind == "synthetic":
         model = synthetic_inhomogeneous_model(grid16)
     else:
@@ -137,8 +138,7 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
     g = grid16
     phi = model.phi
     flat = phi.reshape(model.k_modes, -1)
-    idx = np.flatnonzero(np.any(flat != 0, axis=0))
-    values = np.ascontiguousarray(flat[:, idx]).view(float)
+    idx = [np.flatnonzero(mode) for mode in flat]
     a = np.zeros((2, 2, 16, 16))
     for coeffs in phi:
         p = to_physical(g, coeffs)
@@ -157,7 +157,8 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
     wy = np.empty((2 * s, m))  # interleaved cos and -sin rows, weight 1 at ky = 0, 2 above
     wy[0::2] = np.where(np.arange(s) == 0, 1.0, 2.0)[:, None] * np.cos(ky_x)
     wy[1::2] = -np.where(np.arange(s) == 0, 1.0, 2.0)[:, None] * np.sin(ky_x)
-    expected = {"support_idx": idx, "support_values": values,
+    expected = {"entry_idx": np.concatenate(idx),
+                "entry_values": np.concatenate([mode[i] for mode, i in zip(flat, idx)]),
                 "variance_tensor": a, "variance_hat": a_hat, "a_pad": a_pad,
                 "us_raw": us, "us": leray_project(g, us),
                 "drift_pad": to_physical(g, us, m), "div_a_grad_us": div_a_grad_us,
@@ -167,8 +168,8 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
                 "xi_table": np.ascontiguousarray(table[:, :, rows, :s]).reshape(
                     model.k_modes, -1).view(float),
                 "ex": np.exp(1j * np.outer(x, g.half_kx[rows, 0])), "wy": wy}
-    got = {"support_idx": model.phi_support[0],
-           "support_values": model.phi_support[1],
+    got = {"entry_idx": np.concatenate([i for i, _ in model.entries]),
+           "entry_values": np.concatenate([v for _, v in model.entries]),
            "variance_tensor": model.variance_tensor, "variance_hat": model.variance_hat,
            "a_pad": model.a_pad, "us_raw": model.ito_stokes_drift,
            "us": model.drift_projected, "drift_pad": model.drift_pad,
@@ -189,6 +190,22 @@ def test_zero_modes_build_no_xi_tables(grid16, amplitude, mix):
     assert not model.phi.any()
     assert model.block_idx is model.xi_table is model.ex is model.wy is None
     assert not OperatorContext(model, 0.1, 100.0).noisy
+
+
+def test_model_build_memory_does_not_grow_as_k_n_squared():
+    # the modes are kept as their entries and every field is made from them
+    # one mode at a time: 512 mixed modes at N = 64 peak far below their
+    # (K, 2, n, n) stack of 64 MiB (the xi table, K x 6rs doubles, is 16 MiB)
+    import tracemalloc
+
+    grid = TorusGrid(64)
+    tracemalloc.start()
+    try:
+        build_noise_model(grid, 512, 3.0, 1.0, mix_shells=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 # ---------------------------------------------------------------------------
