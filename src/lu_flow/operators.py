@@ -18,7 +18,8 @@ stream function of v; the functions here keep the per-operator formulas and
 are the reference that step is tested against.  Every flux a grad f, here
 and in the steps, comes from ``spectral`` with the padded variance tensor
 ``NoiseModel.a_pad``: ``tensor_flux``/``tensor_flux_physical``, or for the
-velocity step ``tensor_flux_curl``, the parts of the flux its curl reads.
+velocity step ``tensor_flux_curl``, the parts of the flux its curl reads,
+formed from three entries of a.
 P div(a grad u_s) is made once, with ``tensor_flux``, by the noise model.
 G(v) phi_k is ``noise_increment`` with a unit increment vector.
 

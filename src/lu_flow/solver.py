@@ -27,11 +27,11 @@ three second derivatives of psi inverse (d_y v_y = -d_x v_x), the H's
 forward; at eps = 0, G = -dt v v is symmetric, so H0 = H1 and it takes 4.
 xi reaches the padded grid by a separable transform of the small block of
 modes that holds it, and the a grad u_s part of G is in C.  The
-eps-independent fields the step reads (u_s on the padded grid, the stream
-functions of the parts of C and the separable tables of xi) are the noise
-model's, made once per model; the multipliers of (dt, Re, eps) and the
-buffers are made once per run.  The tracer steps the same way, with 5 real
-transforms with noise and 3 without.
+eps-independent fields the step reads (a and u_s on the padded grid, the
+stream functions of the parts of C and the separable tables of xi) are the
+noise model's, made once per model; the multipliers of (dt, Re, eps) and
+one set of buffers, each written by the step, are made once per run.  The
+tracer steps the same way, with 5 real transforms with noise and 3 without.
 
 Both drivers keep their state in the half layout of ``spectral``: the
 retained ky >= 0 columns with the kx rows at their padded-grid positions,
@@ -62,7 +62,6 @@ from .noise import WienerPath, build_noise_model
 from .operators import OperatorContext
 from .spectral import (
     TorusGrid,
-    TransformBuffers,
     compress,
     energy,
     expand,
@@ -184,27 +183,30 @@ def check_cfl(config: SolverConfig, grid: TorusGrid, v: np.ndarray) -> None:
 
 
 class _StepWorkspace:
-    """What one velocity run keeps between its steps: the transform buffers
-    and the padded product batch, the multipliers of its (dt, Re, eps) and,
-    with noise, the curl coefficients of the variance tensor a.  The
-    eps-independent fields the step reads are the noise model's.  Made once
-    when the run starts: ``in_mult`` of the inverse input, ``out_mult`` of
-    the forward results and ``keep`` = E = exp(-dt A) of the state; with
-    noise ``wy_step``, the scale of xi in c folded into the model's ``wy``,
+    """What one velocity run keeps between its steps, made once when it
+    starts for one ctx (kept by identity) and dt.  The buffers hold only
+    what a step writes: ``cols`` the inverse input, transformed in place,
+    and the forward result; ``phys`` v and the three second derivatives of
+    psi, then w = v + eps^2 u_s and the products c_j w_i; ``prod`` the H's,
+    ``rows`` their y-pass, and with noise ``c``.  The multipliers of (dt,
+    Re, eps): ``in_mult`` of the inverse input, ``out_mult`` of the forward
+    results and ``keep`` = E = exp(-dt A) of the state; with noise
+    ``wy_step``, the scale of xi in c folded into the model's ``wy``,
     ``us2`` = eps^2 u_s on the padded grid, ``const`` = E psi(eps^4 dt / 2
-    div(a grad u_s) + eps^2 dt A u_s) and ``xi_mult`` = -eps E A on the block
-    of xi."""
+    div(a grad u_s) + eps^2 dt A u_s) and ``xi_mult`` = -eps E A on the
+    block of xi.  The eps-independent fields, a on the padded grid among
+    them, are the noise model's."""
 
     def __init__(self, ctx: OperatorContext, dt: float):
         grid = ctx.grid
         m, h = grid.pad_size, grid.n_modes // 2
-        self.noisy = ctx.noisy
+        self.ctx, self.dt, self.noisy = ctx, dt, ctx.noisy
         # inverse: v and with noise three second derivatives of psi;
         # forward: the H's
         n_in, n_out = (5, 3) if self.noisy else (2, 2)
-        self.spec = np.empty((n_in, m, h), dtype=complex)
-        self.inverse = TransformBuffers(grid, (n_in,), m)
-        self.forward = self.inverse if n_out == n_in else TransformBuffers(grid, (n_out,), m)
+        self.cols = np.empty((n_in, m, h), dtype=complex)
+        self.phys = np.empty((n_in, m, m))
+        self.rows = np.empty((n_out, m, m // 2 + 1), dtype=complex)
         self.prod = np.empty((n_out, m, m))
         kx, ky = grid.half_kx, grid.half_ky
         ikx, iky = 1j * kx, 1j * ky
@@ -216,8 +218,8 @@ class _StepWorkspace:
             self.out_mult = np.stack([-weight * (kx * kx - ky * ky), -weight * kx * ky])
             return
         noise, eps = ctx.noise, ctx.epsilon
-        self.c, self.w, self.cw = np.empty((3, 2, m, m))
-        self.a_curl = tensor_flux_curl(ctx.a_pad)
+        self.c = np.empty((2, m, m))
+        self.a_pad = ctx.a_pad
         # G / dt = -(v + (eps / dt) xi)_j w_i + (eps^2 / 2)(a grad v)_ji;
         # the a grad u_s part of w is in const
         half_eps2 = 0.5 * eps**2
@@ -232,14 +234,14 @@ class _StepWorkspace:
         self.wy_step = (eps / dt) * noise.wy
 
 
-def _flux_curl(work: _StepWorkspace, v: np.ndarray, g: np.ndarray, c: np.ndarray) -> None:
+def _flux_curl(work: _StepWorkspace, phys: np.ndarray, c: np.ndarray) -> None:
     """H = (G_xy, G_yx, G_yy - G_xx) into ``work.prod`` for G / dt =
-    -c_j w_i + (a g)_ji with w = v + eps^2 u_s, on the padded grid; g holds
-    (eps^2 / 2)(d_x v_x, d_y v_x, d_x v_y), and d_y v_y = -d_x v_x."""
-    h = work.prod
-    np.einsum("hf...,f...->h...", work.a_curl, g, out=h)
-    w = np.add(v, work.us2, out=work.w)
-    cw = np.multiply(c, w[::-1], out=work.cw)        # c_x w_y, c_y w_x
+    -c_j w_i + (a g)_ji with w = v + eps^2 u_s, on the padded grid; ``phys``
+    holds v and g = (eps^2 / 2)(d_x v_x, d_y v_x, d_x v_y), d_y v_y = -d_x v_x.
+    w is written over v and the products c_j w_i over g."""
+    h = tensor_flux_curl(work.a_pad, phys[2:], work.prod)
+    w = np.add(phys[:2], work.us2, out=phys[:2])
+    cw = np.multiply(c, w[::-1], out=phys[2:4])      # c_x w_y, c_y w_x
     h[:2] -= cw
     np.multiply(c, w, out=cw)                        # c_x w_x, c_y w_y
     h[2] += cw[0]
@@ -253,15 +255,20 @@ def step(psi: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
     ``spectral``: psi+ = E psi + E (kx^2 H0 - ky^2 H1 + kx ky H2) / |k|^2 + C
     - eps E A psi_xi of the module docstring, 8 real transforms with noise
     and 4 without.  ``work`` is the workspace of a run of ``ctx`` and ``dt``,
-    ``_StepWorkspace(ctx, dt)``, made here when None; with a warm one a step
-    allocates only its result and small temporaries.  The returned state
-    never aliases the workspace.
+    ``_StepWorkspace(ctx, dt)``, made here when None; one made for another
+    context (by identity) or another dt is a ValueError that names which.
+    With a warm workspace a step allocates only its result and small
+    temporaries.  The returned state never aliases the workspace.
     """
     grid = ctx.grid
     if work is None:
         work = _StepWorkspace(ctx, dt)
-    spec = np.multiply(work.in_mult, psi, out=work.spec)
-    phys = to_physical(grid, spec, grid.pad_size, work.inverse)
+    elif work.ctx is not ctx:
+        raise ValueError("workspace ctx is not the step's: it was made for another context")
+    elif work.dt != dt:
+        raise ValueError(f"workspace dt {work.dt!r} is not the step's {dt!r}")
+    cols = np.multiply(work.in_mult, psi, out=work.cols)
+    phys = to_physical(grid, cols, grid.pad_size, cols, work.phys)
     v = phys[:2]
     if not work.noisy:
         (h0, h1), (vx, vy) = work.prod, v
@@ -269,12 +276,14 @@ def step(psi: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
         np.subtract(vy, vx, out=h1)
         h1 *= np.add(vy, vx, out=vy)  # v is not read again
     else:
-        c = v
-        if dbeta is not None:
-            psi_xi, c = ctx.noise.separable_xi(dbeta, work.wy_step, work.c)
+        c = work.c
+        if dbeta is None:
+            c[...] = v  # w is written over v
+        else:
+            psi_xi = ctx.noise.separable_xi(dbeta, work.wy_step, c)[0]
             c += v
-        _flux_curl(work, v, phys[2:], c)
-    hat = from_physical(grid, work.prod, work.forward)
+        _flux_curl(work, phys, c)
+    hat = from_physical(grid, work.prod, work.rows, work.cols[:len(work.prod)])
     np.multiply(work.out_mult, hat, out=hat)
     out = work.keep * psi
     for part in hat:
@@ -438,11 +447,13 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
     grid, noisy = ctx.grid, ctx.noisy
     m = grid.pad_size
     # q+ = q - T[(c.grad) q] + (eps^2 dt / 2) i k . T[a grad q]; inverse:
-    # grad q; forward: (c.grad) q and with noise the flux a grad q
+    # grad q; forward: (c.grad) q and with noise the flux a grad q, through
+    # one buffer set like the velocity step's
     n_out = 3 if noisy else 1
     in_mult = np.stack([1j * grid.half_kx, 1j * grid.half_ky])
-    spec = np.empty((2, m, grid.n_modes // 2), dtype=complex)
-    inverse, forward = TransformBuffers(grid, (2,), m), TransformBuffers(grid, (n_out,), m)
+    cols = np.empty((max(2, n_out), m, grid.n_modes // 2), dtype=complex)
+    phys = np.empty((2, m, m))
+    rows = np.empty((n_out, m, m // 2 + 1), dtype=complex)
     prod = np.empty((n_out, m, m))
     u_pad = to_physical(grid, config.dt * (velocity - ctx.epsilon**2 * ctx.us), m)
     if noisy:
@@ -451,7 +462,8 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
         div = (0.5 * ctx.epsilon**2 * config.dt) * in_mult
 
     def advance(q, dbeta):
-        grad = to_physical(grid, np.multiply(in_mult, q, out=spec), m, inverse)
+        grad_hat = np.multiply(in_mult, q, out=cols[:2])
+        grad = to_physical(grid, grad_hat, m, grad_hat, phys)
         c = u_pad
         if noisy:
             c = ctx.noise.separable_xi(dbeta, wy, c_buf)[1]
@@ -459,7 +471,7 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
         np.einsum("l...,l...->...", c, grad, out=prod[0])  # (c.grad) q
         if noisy:                                           # a grad q
             tensor_flux_physical(ctx.a_pad, grad, out=prod[1:])
-        hat = from_physical(grid, prod, forward)
+        hat = from_physical(grid, prod, rows, cols[:n_out])
         q = q - hat[0]
         if noisy:
             flux = np.multiply(div, hat[1:], out=hat[1:])

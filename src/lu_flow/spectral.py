@@ -91,23 +91,6 @@ def _pad_size(n: int) -> int:
 # ---------------------------------------------------------------------------
 # transforms
 
-class TransformBuffers:
-    """The arrays ``to_physical``/``from_physical`` write into, for a batch of
-    fields with leading shape ``batch`` on the m x m grid.
-
-    ``cols`` holds the x-pass of either direction and the half-layout result
-    of the forward transform, ``phys`` the physical values of the inverse and
-    ``rows`` the y-pass of the forward transform.  A call returns a view of
-    these arrays, which the next call through the same buffers overwrites.
-    """
-
-    def __init__(self, grid: TorusGrid, batch: tuple, m: int):
-        h = grid.n_modes // 2
-        self.cols = np.empty(batch + (m, h), dtype=complex)
-        self.phys = np.empty(batch + (m, m))
-        self.rows = np.empty(batch + (m, m // 2 + 1), dtype=complex)
-
-
 def compress(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None) -> np.ndarray:
     """The half layout, (..., m, n/2), of the retained modes of ``coeffs``
     (m defaults to ``grid.pad_size``).  Only the ky >= 0 columns of
@@ -144,7 +127,7 @@ def expand(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
 
 
 def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None,
-                buffers: TransformBuffers | None = None) -> np.ndarray:
+                cols: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate Hermitian coefficients on an m x m physical grid (default n x n).
 
     Batched over leading axes.  ``coeffs`` is the half layout for this m,
@@ -153,25 +136,22 @@ def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None,
     columns will do).  The half spectrum is inverted with one 2D real FFT,
     run as its two 1D passes so that the x-pass skips the all-zero columns
     ky >= n/2 (the result is bitwise that of ``numpy.fft.irfft2`` on the full
-    half spectrum).  The passes write into ``buffers`` (built for this batch
-    and m; fresh ones when None) and the result is ``buffers.phys``.
+    half spectrum).  The x-pass writes into ``cols``, complex (..., m, n/2),
+    which may be ``coeffs`` itself, and the y-pass into ``out``, real
+    (..., m, m), the result; numpy allocates either one that is None.
     """
     n = grid.n_modes
     m = n if m is None else m
     if m < n:
         raise ValueError("pad target smaller than grid")
-    if buffers is None:
-        buffers = TransformBuffers(grid, coeffs.shape[:-2], m)
-    elif buffers.phys.shape[-1] != m:
-        raise ValueError(f"buffers are for m = {buffers.phys.shape[-1]}, not {m}")
     if coeffs.shape[-2:] != (m, n // 2):
         coeffs = compress(grid, coeffs, m)
-    cols = np.fft.ifft(coeffs, axis=-2, norm="forward", out=buffers.cols)
-    return np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=buffers.phys)
+    cols = np.fft.ifft(coeffs, axis=-2, norm="forward", out=cols)
+    return np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=out)
 
 
-def from_physical(grid: TorusGrid, values: np.ndarray,
-                  buffers: TransformBuffers | None = None) -> np.ndarray:
+def from_physical(grid: TorusGrid, values: np.ndarray, rows: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Project real values on an m x m grid back onto the retained modes, in
     the half layout (..., m, n/2).
 
@@ -180,16 +160,14 @@ def from_physical(grid: TorusGrid, values: np.ndarray,
     corresponding part of ``numpy.fft.rfft2``).  The rows between the
     retained ones and the Nyquist row are zeroed, and the kx < 0 part of the
     ky = 0 column is written as the conjugate mirror of its kx > 0 part, so
-    ``expand`` makes the result exactly Hermitian.  The passes write into
-    ``buffers`` (built for this batch and m; fresh ones when None) and the
-    result is ``buffers.cols``.
+    ``expand`` makes the result exactly Hermitian.  The y-pass writes into
+    ``rows``, complex (..., m, m/2 + 1), and the x-pass into ``out``, complex
+    (..., m, n/2), the result; numpy allocates either one that is None.
     """
     m = values.shape[-1]
     h = grid.n_modes // 2
-    if buffers is None:
-        buffers = TransformBuffers(grid, values.shape[:-2], m)
-    rows = np.fft.rfft(values, axis=-1, norm="forward", out=buffers.rows)[..., :h]
-    out = np.fft.fft(rows, axis=-2, norm="forward", out=buffers.cols)
+    rows = np.fft.rfft(values, axis=-1, norm="forward", out=rows)[..., :h]
+    out = np.fft.fft(rows, axis=-2, norm="forward", out=out)
     out[..., h:m - h + 1, :] = 0.0
     np.conjugate(out[..., h - 1:0:-1, 0], out=out[..., m - h + 1:, 0])
     out[..., 0, 0] = out[..., 0, 0].real
@@ -306,16 +284,23 @@ def tensor_flux_physical(a: np.ndarray, g: np.ndarray, out: np.ndarray | None = 
     return np.einsum("jl...,l...->j...", a, g, out=out)
 
 
-def tensor_flux_curl(a: np.ndarray) -> np.ndarray:
-    """The flux F = a grad v of a solenoidal v by the parts its curl reads,
-    H = (F_xy, F_yx, F_yy - F_xx) with F_ji = a_jl d_l v_i: the (3, 3, ...)
-    coefficients of H in g = (d_x v_x, d_y v_x, d_x v_y), d_y v_y = -d_x v_x,
-    for a (2, 2, ...) tensor a; H = einsum("hf...,f...->h...", this, g)."""
-    axx, axy, ayy = a[0, 0], a[0, 1], a[1, 1]
-    zero = np.zeros_like(axx)
-    return np.stack([np.stack([-axy, zero, axx]),
-                     np.stack([axy, ayy, zero]),
-                     np.stack([-axx - ayy, -axy, axy])])
+def tensor_flux_curl(a: np.ndarray, g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The parts of the flux F = a grad v of a solenoidal v that its curl
+    reads, H = (F_xy, F_yx, F_yy - F_xx) with F_ji = a_jl d_l v_i, written
+    into ``out``, (3, ...), from a[0, 0], a[0, 1] and a[1, 1] of the (2, 2,
+    ...) tensor a and g = (d_x v_x, d_y v_x, d_x v_y) (d_y v_y = -d_x v_x):
+    H0 = a_xx g2 - a_xy g0, H1 = a_xy g0 + a_yy g1 and H2 = a_xy g2 -
+    ((a_xx + a_yy) g0 + a_xy g1), each rounded as its sum over g0, g1, g2 in
+    that order.  g[1] and g[2] are overwritten; no other array is made."""
+    (axx, axy), ayy = a[0], a[1, 1]
+    (g0, g1, g2), (h0, h1, h2) = g, out
+    np.multiply(axy, g0, out=h1)
+    np.subtract(np.multiply(axx, g2, out=h0), h1, out=h0)
+    np.multiply(axy, g1, out=h2)
+    h1 += np.multiply(ayy, g1, out=g1)
+    h2 += np.multiply(np.add(axx, ayy, out=g1), g0, out=g1)
+    np.subtract(np.multiply(axy, g2, out=g2), h2, out=h2)
+    return out
 
 
 def tensor_flux(grid: TorusGrid, a_pad: np.ndarray, f: np.ndarray) -> np.ndarray:

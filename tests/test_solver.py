@@ -359,6 +359,45 @@ def test_warm_step_allocates_little(n):
     assert peak <= 10 * v.nbytes
 
 
+def _owned_arrays(obj, ctx):
+    """The arrays held by ``obj`` or by a plain object it holds, the context aside."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif hasattr(value, "__dict__") and value is not ctx:
+            yield from _owned_arrays(value, ctx)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+@pytest.mark.parametrize("epsilon,budget", [(0.1, 28), (0.0, 10)])
+def test_workspace_byte_budget(n, epsilon, budget):
+    # a run's workspace holds the buffers its steps write and its
+    # multipliers: at most ``budget`` padded fields of doubles, not counting
+    # the arrays it shares with the noise model
+    ctx = build_context(short_config(n_modes=n, k_modes=8, epsilon=epsilon))
+    work = solver._StepWorkspace(ctx, 1e-3)
+    shared = [x for x in vars(ctx.noise).values() if isinstance(x, np.ndarray)]
+    owned = {id(a): a.nbytes for a in _owned_arrays(work, ctx)
+             if not any(np.shares_memory(a, x) for x in shared)}
+    assert sum(owned.values()) <= budget * 8 * ctx.grid.pad_size**2
+
+
+def test_step_refuses_a_workspace_of_another_context_or_dt(grid32, rng):
+    # the workspace holds the multipliers of its (ctx, dt): a step with any
+    # other context, even an equal one, or another dt is refused
+    cfg = short_config(k_modes=8)
+    ctx = build_context(cfg)
+    psi = psi_of(grid32, random_div_free(grid32, rng))
+    dbeta = 0.03 * np.ones(8)
+    for other in (replace(ctx, epsilon=0.0), build_context(cfg)):
+        with pytest.raises(ValueError, match="ctx"):
+            step(psi, ctx, dbeta, 1e-3, solver._StepWorkspace(other, 1e-3))
+    with pytest.raises(ValueError, match="dt 0.002"):
+        step(psi, ctx, dbeta, 1e-3, solver._StepWorkspace(ctx, 2e-3))
+    got = step(psi, ctx, dbeta, 1e-3, solver._StepWorkspace(ctx, 1e-3))
+    assert got.tobytes() == step(psi, ctx, dbeta, 1e-3).tobytes()
+
+
 def test_step_result_survives_next_step(grid32, rng):
     ctx = build_context(short_config(k_modes=8))
     v = psi_of(grid32, random_div_free(grid32, rng))
@@ -737,35 +776,37 @@ def test_transform_count_per_tracer_step(grid32, monkeypatch, epsilon, real):
 
 def test_tracer_reuses_the_context_workspace(grid32, monkeypatch):
     # each run makes its workspace once, when it starts, whatever its step
-    # count: a velocity run one _StepWorkspace, a tracer run its two transform
-    # buffers and no _StepWorkspace; the model's fields are shared, so two
-    # runs on one context give the same bits
+    # count: a velocity run one _StepWorkspace, a tracer run its buffers and
+    # no _StepWorkspace, so its peak memory does not grow with its steps; the
+    # model's fields are shared, so two runs on one context give the same bits
     cfg = short_config(k_modes=8, t_end=3e-3)
     ctx = build_context(cfg)
     q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
-    made, buffers = [], []
+    made = []
 
     class CountingWorkspace(solver._StepWorkspace):
         def __init__(self, *args, **kwargs):
             made.append(args)
             super().__init__(*args, **kwargs)
 
-    class CountingBuffers(solver.TransformBuffers):
-        def __init__(self, *args, **kwargs):
-            buffers.append(args)
-            super().__init__(*args, **kwargs)
-
     monkeypatch.setattr(solver, "_StepWorkspace", CountingWorkspace)
-    monkeypatch.setattr(solver, "TransformBuffers", CountingBuffers)
     first = run(cfg, ctx=ctx, warn_cfl=False).diagnostics["energy"]
     assert len(made) == 1
     second = run(cfg, ctx=ctx, warn_cfl=False).diagnostics["energy"]
     assert len(made) == 2
     assert first.tobytes() == second.tobytes()
     made.clear()
-    buffers.clear()
     first = run_scalar_transport(cfg, q0, u, ctx=ctx).diagnostics["energy"]
-    assert (len(made), len(buffers)) == (0, 2)
     second = run_scalar_transport(cfg, q0, u, ctx=ctx).diagnostics["energy"]
-    assert (len(made), len(buffers)) == (0, 4)
+    assert len(made) == 0
     assert first.tobytes() == second.tobytes()
+    peaks = []
+    for n_steps in (3, 30):
+        tracemalloc.start()
+        try:
+            run_scalar_transport(replace(cfg, t_end=n_steps * cfg.dt, record_every=1000), q0, u,
+                                 ctx=ctx)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 8 * grid32.pad_size**2

@@ -7,7 +7,6 @@ from lu_flow.noise import build_noise_model
 from lu_flow.operators import OperatorContext
 from lu_flow.spectral import (
     TorusGrid,
-    TransformBuffers,
     compress,
     divergence,
     expand,
@@ -124,24 +123,28 @@ def test_transforms_with_buffers_match_fresh_bitwise(n, batch, padded, rng):
     # the buffers change where the passes write, not a bit of what they compute
     grid = TorusGrid(n)
     m = grid.pad_size if padded else n
-    bufs = TransformBuffers(grid, batch, m)
+    cols = np.empty(batch + (m, n // 2), dtype=complex)
+    phys = np.empty(batch + (m, m))
+    rows = np.empty(batch + (m, m // 2 + 1), dtype=complex)
     for _ in range(2):  # a second call through the same buffers overwrites the first
         c = random_div_free(grid, rng, components=1) * rng.standard_normal(batch + (1, 1))
         fresh = to_physical(grid, c, m)
-        phys = to_physical(grid, c, m, bufs)
-        assert phys is bufs.phys
-        assert _same_bits(phys, fresh)
+        got = to_physical(grid, c, m, cols, phys)
+        assert got is phys
+        assert _same_bits(got, fresh)
         # only the retained ky >= 0 columns are read, and the half layout
-        # (what the step passes) is transformed as it is
+        # (what the step passes) is transformed as it is, also in place
         assert _same_bits(to_physical(grid, np.ascontiguousarray(c[..., :n // 2]), m), fresh)
-        assert _same_bits(to_physical(grid, c[..., :n // 2], m, bufs), fresh)
-        assert _same_bits(to_physical(grid, compress(grid, c, m), m, bufs), fresh)
+        assert _same_bits(to_physical(grid, c[..., :n // 2], m, cols, phys), fresh)
+        assert _same_bits(to_physical(grid, compress(grid, c, m), m, cols, phys), fresh)
+        cols[...] = compress(grid, c, m)
+        assert _same_bits(to_physical(grid, cols, m, cols, phys), fresh)
         values = rng.standard_normal(batch + (m, m))
-        hat = from_physical(grid, values, bufs)
-        assert hat is bufs.cols
+        hat = from_physical(grid, values, rows, cols)
+        assert hat is cols
         assert _same_bits(hat, from_physical(grid, values))
-    with pytest.raises(ValueError, match="buffers are for m"):
-        to_physical(grid, c, m + 2, bufs)
+    with pytest.raises(ValueError, match="wrong shape"):
+        to_physical(grid, c, m + 2, cols, phys)
 
 
 def test_compress_expand_round_trip_bitwise(grid32, rng):
@@ -180,7 +183,7 @@ def test_tensor_flux_curl_matches_the_flux(rng):
     g = rng.standard_normal((2, 2, 6, 6))  # g[l, i] = d_l v_i
     g[1, 1] = -g[0, 0]
     flux = tensor_flux_physical(a, g)
-    got = np.einsum("hf...,f...->h...", tensor_flux_curl(a), np.stack([g[0, 0], g[1, 0], g[0, 1]]))
+    got = tensor_flux_curl(a, np.stack([g[0, 0], g[1, 0], g[0, 1]]), np.empty((3, 6, 6)))
     expected = np.stack([flux[0, 1], flux[1, 0], flux[1, 1] - flux[0, 0]])
     assert np.max(np.abs(got - expected)) < 1e-14 * np.max(np.abs(expected))
 
