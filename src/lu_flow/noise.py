@@ -102,10 +102,10 @@ class NoiseModel:
     ``drift_projected`` its Leray projection and ``drift_pad`` u_s on the
     padded grid; ``div_a_grad_us`` is P div(a grad u_s), and ``psi_us`` and
     ``psi_div_a_grad_us`` are the stream functions of u_s and of it.
-    ``block_idx``, ``xi_table``, ``ex`` and ``wy``, the separable transform
-    of xi (``_separable_tables``), are None when every mode is zero.
-    ``mix_shells`` records whether ``build_noise_model`` paired modes of
-    different shells.
+    ``block_idx``, ``xi_terms`` (O(K) triples), ``ex`` and ``wy``, the
+    separable transform of xi (``_separable_tables``), are None when every
+    mode is zero.  ``mix_shells`` records whether ``build_noise_model``
+    paired modes of different shells.
     """
 
     grid: TorusGrid
@@ -123,17 +123,13 @@ class NoiseModel:
     psi_us: np.ndarray = field(init=False)
     psi_div_a_grad_us: np.ndarray = field(init=False)
     block_idx: np.ndarray | None = field(init=False, default=None)
-    xi_table: np.ndarray | None = field(init=False, default=None)
+    xi_terms: tuple | None = field(init=False, default=None)
     ex: np.ndarray | None = field(init=False, default=None)
     wy: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
         grid = self.grid
-        # the xi table is the model's largest array: a model too large for
-        # the memory fails here, before its transforms
-        tables = _separable_tables(grid, self.entries)
-        if tables is not None:
-            self.block_idx, self.xi_table, self.ex, self.wy = tables
+        self.block_idx, self.xi_terms, self.ex, self.wy = _separable_tables(grid, self.entries)
         a = np.zeros((2, 2, grid.n_modes, grid.n_modes))
         for coeffs in self.modes():
             phys = to_physical(grid, coeffs)
@@ -172,49 +168,53 @@ class NoiseModel:
     def separable_xi(self, dbeta: np.ndarray, wy: np.ndarray, out: np.ndarray) -> tuple:
         """xi = sum_k dbeta_k phi_k as its stream function on ``block_idx``
         and its values on the padded grid, through ``wy`` (``self.wy`` times
-        a scale) and written into ``out``, (2, m, m): one dot and two small
-        matrix products."""
-        block = np.dot(dbeta, self.xi_table).view(complex).reshape(3, self.ex.shape[1], -1)
+        a scale) and written into ``out``, (2, m, m): the block, each column
+        the sum from +0 of its terms, and two small matrix products."""
+        mode, column, value = self.xi_terms
+        block = np.bincount(column, dbeta[mode] * value, 6 * self.block_idx.size)
+        block = block.view(complex).reshape(3, self.ex.shape[1], -1)
         cols = np.matmul(self.ex, block[1:])
         return block[0].reshape(-1), np.matmul(cols.view(float), wy, out=out)
 
 
-def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple | None:
-    """The stream function and the velocity of every noise mode on the
-    smallest block of half-layout rows and leading columns that holds them,
-    as (the block's flat indices, the (K, 6 r s) real view ``xi_table``,
-    ``ex`` = exp(i kx x) for the block's rows, (m, r), and ``wy``, the real
-    (2s, m) matrix that takes the interleaved real and imaginary parts of s
-    columns to their Hermitian sum (weight 1 at ky = 0, 2 above)), the two
-    factors of its separable inverse transform; None when every mode is
-    zero.  The table is filled from the modes' entries: the stream function
-    only where a mode holds a velocity, with the arithmetic of
-    ``stream_function``, which gives 0 elsewhere."""
+def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple:
+    """The stream function and the velocity of every mode on the smallest block
+    of half-layout rows and leading columns that holds them, (3, r, s) complex
+    per mode, as (its flat indices; the (mode, column, value) triples of the
+    nonzero doubles of the modes' blocks, the stream function only where a mode
+    holds a velocity, with the arithmetic of ``stream_function``; ``ex`` =
+    exp(i kx x) of its rows, (m, r); ``wy``, the real (2s, m) matrix taking the
+    interleaved real and imaginary parts of s columns to their Hermitian sum,
+    weight 1 at ky = 0 and 2 above), or Nones when every mode is zero.  No
+    column holds two modes (a cos mode holds the real parts of its velocity and
+    the imaginary parts of its stream function, a sin mode the reverse), so
+    summing the terms per column gives the block of sum_k dbeta_k phi_k bitwise."""
     n, m, h = grid.n_modes, grid.pad_size, grid.n_modes // 2
     mode = np.repeat(np.arange(len(entries)), [len(idx) for idx, _ in entries])
-    comp, i, j = np.unravel_index(np.concatenate([idx for idx, _ in entries]), (2, n, n))
+    comp, i, col = np.unravel_index(np.concatenate([idx for idx, _ in entries]), (2, n, n))
     values = np.concatenate([v for _, v in entries])
-    row = np.where(i < h, i, i + (m - n))  # kx rows at their padded-grid rows
-    kept = (j < h) & (i != h)  # the retained ky >= 0 half
-    held = kept & (values != 0)
+    held = (col < h) & (i != h) & (values != 0)  # nonzeros of the retained ky >= 0 half
     if not held.any():
-        return None
-    rows = np.flatnonzero(np.bincount(row[held], minlength=m))
-    s = int(j[held].max()) + 1
-    block_row = np.full(m, -1)
-    block_row[rows] = np.arange(len(rows))
-    inside = kept & (j < s) & (block_row[row] >= 0)
-    mode, comp, row, col, values = mode[inside], comp[inside], row[inside], j[inside], values[inside]
-    at = block_row[row]
-    try:
-        table = np.zeros((len(entries), 3, len(rows), s), dtype=complex)
-    except MemoryError:
-        raise MemoryError(f"its xi table holds {len(entries)} x {6 * len(rows) * s} doubles "
-                          f"({48 * len(entries) * len(rows) * s / 2**30:.1f} GiB)") from None
-    table[mode, 1 + comp, at, col] = values
-    vx, vy = table[mode, 1, at, col], table[mode, 2, at, col]
-    table[mode, 0, at, col] = (1j * inverse_k_sq(grid)[row, col]) * (
-        grid.half_ky[row, col] * vx - grid.half_kx[row, col] * vy)
+        return (None,) * 4
+    mode, comp, i, col, values = mode[held], comp[held], i[held], col[held], values[held]
+    row = np.where(i < h, i, i + (m - n))  # kx rows at their padded-grid rows
+    rows = np.flatnonzero(np.bincount(row, minlength=m))
+    r, s = len(rows), int(col.max()) + 1
+    at = np.searchsorted(rows, row) * s + col  # the entry's position in its (r, s) block
+    # one stream function per (mode, position) that holds a velocity
+    key = mode * (r * s) + at
+    lead = np.argsort(key, kind="stable")
+    lead = lead[np.diff(key[lead], prepend=-1) != 0]
+    v = np.zeros((2, len(lead)), dtype=complex)
+    v[comp, np.searchsorted(key[lead], key)] = values
+    at_k = row[lead], col[lead]
+    psi = (1j * inverse_k_sq(grid)[at_k]) * (grid.half_ky[at_k] * v[0] - grid.half_kx[at_k] * v[1])
+    # the complex value at (field, position) of a (3, r, s) block is two doubles
+    column = 2 * np.concatenate([(1 + comp) * (r * s) + at, at[lead]])[:, None] + np.arange(2)
+    value = np.concatenate([values, psi]).view(float)
+    nonzero = value != 0
+    terms = (np.repeat(np.concatenate([mode, mode[lead]]), 2)[nonzero],
+             column.ravel()[nonzero], value[nonzero])
     block_idx = np.ravel_multi_index(np.ix_(rows, np.arange(s)), (m, h)).ravel()
     x = np.arange(m) * (TWO_PI / m)
     ex = np.exp(1j * np.outer(x, grid.half_kx[rows, 0]))
@@ -223,7 +223,7 @@ def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple | None:
     wy = np.empty((2 * s, m))
     wy[0::2] = weight * np.cos(np.outer(ky, x))
     wy[1::2] = -weight * np.sin(np.outer(ky, x))
-    return block_idx, table.reshape(len(entries), -1).view(float), ex, wy
+    return block_idx, terms, ex, wy
 
 
 def build_noise_model(grid: TorusGrid, k_modes: int, spectrum_exponent: float,

@@ -25,13 +25,10 @@ H0 = G_xy, H1 = G_yx and H2 = G_yy - G_xx formed on the padded grid and C
 the constant drift terms.  A noisy step takes 8 real transforms: v and the
 three second derivatives of psi inverse (d_y v_y = -d_x v_x), the H's
 forward; at eps = 0, G = -dt v v is symmetric, so H0 = H1 and it takes 4.
-xi reaches the padded grid by a separable transform of the small block of
-modes that holds it, and the a grad u_s part of G is in C.  The
-eps-independent fields the step reads (a and u_s on the padded grid, the
-stream functions of the parts of C and the separable tables of xi) are the
-noise model's, made once per model; the multipliers of (dt, Re, eps) and
-one set of buffers, each written by the step, are made once per run.  The
-tracer steps the same way, with 5 real transforms with noise and 3 without.
+xi reaches the padded grid by a separable transform of the block of modes
+that holds it; the a grad u_s part of G is in C.  The eps-independent
+fields are the noise model's, the multipliers and buffers the run's.  The
+tracer steps the same way: 5 real transforms with noise, 3 without.
 
 Both drivers keep their state in the half layout of ``spectral``: the
 retained ky >= 0 columns with the kx rows at their padded-grid positions,
@@ -121,20 +118,17 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 @_quiet_overflow
 def build_context(config: SolverConfig) -> OperatorContext:
-    """The context of ``config``: its noise model and (eps, Re).  A model
-    that does not fit in memory is a ConfigError that names the fields
-    fixing its size."""
-    grid = TorusGrid(config.n_modes)
-    # mode weights use the unit-viscosity eigenvalue |k|^2; the Reynolds
-    # factor of the Stokes spectrum would only rescale the overall amplitude
+    """The context of ``config``: its noise model and (eps, Re).  A grid or
+    a model that does not fit in memory is a ConfigError that names the
+    fields fixing their size."""
     try:
+        grid = TorusGrid(config.n_modes)
         model = build_noise_model(grid, config.k_modes, config.spectrum_exponent,
                                   config.amplitude, mix_shells=config.noise_mixing)
-    except MemoryError as exc:
-        raise ConfigError(f"fields 'noise.K' and 'N' ask for a noise model of "
-                          f"{config.k_modes} modes at N={config.n_modes}"
-                          f"{f': {exc}' if str(exc) else ''}, more than the memory holds"
-                          ) from None
+    except MemoryError:
+        raise ConfigError(f"fields 'N' and 'noise.K' ask for a grid of N={config.n_modes} "
+                          f"and a noise model of {config.k_modes} modes, more than the "
+                          f"memory holds") from None
     return OperatorContext(model, config.epsilon, config.reynolds)
 
 
@@ -188,26 +182,29 @@ class _StepWorkspace:
     what a step writes: ``cols`` the inverse input, transformed in place,
     and the forward result; ``phys`` v and the three second derivatives of
     psi, then w = v + eps^2 u_s and the products c_j w_i; ``prod`` the H's,
-    ``rows`` their y-pass, and with noise ``c``.  The multipliers of (dt,
-    Re, eps): ``in_mult`` of the inverse input, ``out_mult`` of the forward
-    results and ``keep`` = E = exp(-dt A) of the state; with noise
-    ``wy_step``, the scale of xi in c folded into the model's ``wy``,
-    ``us2`` = eps^2 u_s on the padded grid, ``const`` = E psi(eps^4 dt / 2
-    div(a grad u_s) + eps^2 dt A u_s) and ``xi_mult`` = -eps E A on the
-    block of xi.  The eps-independent fields, a on the padded grid among
-    them, are the noise model's."""
+    ``rows`` their y-pass, and with noise ``c``.  With noise ``prod`` and
+    ``rows`` are the heads of ``cols`` and ``phys``, last read before they
+    are written (17.7 to 17.8 padded fields); at eps = 0 (two fields in), as
+    in the tracer, they do not fit.  The multipliers of (dt, Re, eps):
+    ``in_mult`` of the inverse input, ``out_mult`` of the forward results
+    and ``keep`` = E = exp(-dt A) of the state; with noise ``wy_step``, the
+    scale of xi in c folded into the model's ``wy``, ``us2`` = eps^2 u_s on
+    the padded grid, ``const`` = E psi(eps^4 dt / 2 div(a grad u_s) + eps^2
+    dt A u_s) and ``xi_mult`` = -eps E A on the block of xi.  The
+    eps-independent fields, a on the padded grid among them, are the noise
+    model's."""
 
     def __init__(self, ctx: OperatorContext, dt: float):
         grid = ctx.grid
         m, h = grid.pad_size, grid.n_modes // 2
         self.ctx, self.dt, self.noisy = ctx, dt, ctx.noisy
-        # inverse: v and with noise three second derivatives of psi;
-        # forward: the H's
         n_in, n_out = (5, 3) if self.noisy else (2, 2)
         self.cols = np.empty((n_in, m, h), dtype=complex)
         self.phys = np.empty((n_in, m, m))
-        self.rows = np.empty((n_out, m, m // 2 + 1), dtype=complex)
-        self.prod = np.empty((n_out, m, m))
+        prod, rows = ((self.cols.view(float), self.phys) if self.noisy
+                      else (np.empty(n_out * m * m), np.empty(n_out * m * (m + 2))))
+        self.prod = prod.reshape(-1)[:n_out * m * m].reshape(n_out, m, m)
+        self.rows = rows.reshape(-1)[:n_out * m * (m + 2)].view(complex).reshape(n_out, m, -1)
         kx, ky = grid.half_kx, grid.half_ky
         ikx, iky = 1j * kx, 1j * ky
         a_diag = grid.half_k_sq / ctx.reynolds

@@ -137,15 +137,16 @@ def to_physical(grid: TorusGrid, coeffs: np.ndarray, m: int | None = None,
     run as its two 1D passes so that the x-pass skips the all-zero columns
     ky >= n/2 (the result is bitwise that of ``numpy.fft.irfft2`` on the full
     half spectrum).  The x-pass writes into ``cols``, complex (..., m, n/2),
-    which may be ``coeffs`` itself, and the y-pass into ``out``, real
-    (..., m, m), the result; numpy allocates either one that is None.
-    """
+    which may be ``coeffs`` itself (by default their compressed copy for
+    full coefficients), and the y-pass into ``out``, real (..., m, m), the
+    result; numpy allocates either one that is None."""
     n = grid.n_modes
     m = n if m is None else m
     if m < n:
         raise ValueError("pad target smaller than grid")
     if coeffs.shape[-2:] != (m, n // 2):
         coeffs = compress(grid, coeffs, m)
+        cols = coeffs if cols is None else cols
     cols = np.fft.ifft(coeffs, axis=-2, norm="forward", out=cols)
     return np.fft.irfft(cols, n=m, axis=-1, norm="forward", out=out)
 

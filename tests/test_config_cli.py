@@ -680,9 +680,10 @@ def test_cli_brownian_table_beyond_memory_is_config_error(tmp_path, argv):
 @pytest.mark.parametrize("argv", [["simulate"], ["converge"], ["ensemble", "--jobs", "2"]],
                          ids=["simulate", "converge", "ensemble-jobs2"])
 def test_cli_noise_model_beyond_memory_is_config_error(tmp_path, argv):
-    # 8064 mixed modes at N = 128 ask for a 2.9 GiB xi table: a config error,
-    # also when the pool initializer is the one that fails to allocate it
-    cfg = _write_config(tmp_path, {"N": 128, "T": 0.002, "noise": {"K": 8064, "mix": True},
+    # the grid of N = 60000 asks for 27 GiB per (N, N) array of doubles: a
+    # config error, also when the pool initializer is the one that fails to
+    # allocate it
+    cfg = _write_config(tmp_path, {"N": 60000, "T": 0.001,
                                    "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}})
     proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", argv[0], "--config", cfg,
                            "--out", str(tmp_path / "o"), *argv[1:]], env=_src_env(),
@@ -690,9 +691,9 @@ def test_cli_noise_model_beyond_memory_is_config_error(tmp_path, argv):
                           timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("config error: fields 'noise.K' and 'N' ask for a noise "
-                                  "model of 8064 modes at N=128: its xi table holds 8064 x "
-                                  "48768 doubles (2.9 GiB), more than the memory holds")
+    assert proc.stderr.startswith("config error: fields 'N' and 'noise.K' ask for a grid of "
+                                  "N=60000 and a noise model of 4 modes, more than the memory "
+                                  "holds")
 
 
 @pytest.mark.parametrize("argv,spans,builds", [

@@ -130,7 +130,10 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
     # field by field: a per-mode sum of outer products, one forward
     # transform, a padded inverse, 0.5 div a and its projection, the fields
     # of the velocity step built from u_s, and the separable tables of xi on
-    # the block of half-layout rows and columns its modes hold
+    # the block of half-layout rows and columns its modes hold; the xi
+    # triples are the nonzeros of the dense (K, 6 r s) table, so the table
+    # is compared with its signed zeros cleared (0 + x), which add +0 to
+    # the dot of the increments with it whatever their sign
     if kind == "synthetic":
         model = synthetic_inhomogeneous_model(grid16)
     else:
@@ -165,7 +168,7 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
                 "psi_us": stream_function(g, compress(g, us)),
                 "psi_div_a_grad_us": stream_function(g, compress(g, div_a_grad_us)),
                 "block_idx": (rows[:, None] * (g.n_modes // 2) + np.arange(s)).ravel(),
-                "xi_table": np.ascontiguousarray(table[:, :, rows, :s]).reshape(
+                "xi_table": 0.0 + np.ascontiguousarray(table[:, :, rows, :s]).reshape(
                     model.k_modes, -1).view(float),
                 "ex": np.exp(1j * np.outer(x, g.half_kx[rows, 0])), "wy": wy}
     got = {"entry_idx": np.concatenate([i for i, _ in model.entries]),
@@ -175,7 +178,7 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
            "us": model.drift_projected, "drift_pad": model.drift_pad,
            "div_a_grad_us": model.div_a_grad_us, "psi_us": model.psi_us,
            "psi_div_a_grad_us": model.psi_div_a_grad_us, "block_idx": model.block_idx,
-           "xi_table": model.xi_table, "ex": model.ex, "wy": model.wy}
+           "xi_table": _dense_xi_table(model), "ex": model.ex, "wy": model.wy}
     for name, arr in expected.items():
         assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
         assert got[name].tobytes() == arr.tobytes(), name
@@ -188,14 +191,53 @@ def test_zero_modes_build_no_xi_tables(grid16, amplitude, mix):
     # tables of xi, and a context of it at eps > 0 is not noisy
     model = build_noise_model(grid16, 8, 3.0, amplitude, mix_shells=mix)
     assert not model.phi.any()
-    assert model.block_idx is model.xi_table is model.ex is model.wy is None
+    assert model.block_idx is model.xi_terms is model.ex is model.wy is None
     assert not OperatorContext(model, 0.1, 100.0).noisy
 
 
+def _dense_xi_table(model):
+    """The (K, 6 r s) table of the model's xi terms, zero elsewhere."""
+    mode, column, value = model.xi_terms
+    dense = np.zeros((model.k_modes, 6 * model.block_idx.size))
+    dense[mode, column] = value
+    return dense
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("mix", [False, True])
+def test_xi_scatter_matches_the_dense_dot_bitwise(n, mix):
+    # no column of the dense table holds two modes, so each double of xi's
+    # block is one product dbeta_k * value summed into +0, as in the dot of
+    # the increments with the table: equal bits, signed zeros included, in
+    # the block and in what separable_xi makes of it; K up to the largest
+    # at which every mode's wavevector sums and differences lie in the grid
+    grid = TorusGrid(n)
+    m = grid.pad_size
+    rng = np.random.default_rng(n)
+    largest = {16: 44, 32: 192, 64: 792}[n] // (2 if mix else 1)
+    for k in (1, 2, 7, 8, 33, 64, largest):
+        model = build_noise_model(grid, k, 3.0, 1.0, mix_shells=mix)
+        dense = _dense_xi_table(model)
+        assert np.count_nonzero(dense, axis=0).max() == 1, k
+        mode, column, value = model.xi_terms
+        for dbeta in (rng.standard_normal(k), -0.1 - np.abs(rng.standard_normal(k)),
+                      np.where(np.arange(k) % 2 == 0, 0.0, rng.standard_normal(k))):
+            block = np.bincount(column, dbeta[mode] * value, dense.shape[1])
+            want = np.dot(dbeta, dense)
+            assert np.array_equal(block, want), k
+            assert np.array_equal(np.signbit(block), np.signbit(want)), k
+            want = want.view(complex).reshape(3, model.ex.shape[1], -1)
+            want_xi = np.matmul(np.matmul(model.ex, want[1:]).view(float), model.wy)
+            psi, xi = model.separable_xi(dbeta, model.wy, np.empty((2, m, m)))
+            assert psi.tobytes() == want[0].tobytes(), k
+            assert xi.tobytes() == want_xi.tobytes(), k
+
+
 def test_model_build_memory_does_not_grow_as_k_n_squared():
-    # the modes are kept as their entries and every field is made from them
-    # one mode at a time: 512 mixed modes at N = 64 peak far below their
-    # (K, 2, n, n) stack of 64 MiB (the xi table, K x 6rs doubles, is 16 MiB)
+    # the modes are kept as their entries, every field is made from them
+    # one mode at a time and xi's block as O(K) triples: 512 mixed modes at
+    # N = 64 peak far below their (K, 2, n, n) stack of 64 MiB and below
+    # the 16 MiB of a dense (K, 6 r s) xi table
     import tracemalloc
 
     grid = TorusGrid(64)
@@ -205,7 +247,7 @@ def test_model_build_memory_does_not_grow_as_k_n_squared():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20
+    assert peak < 6 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -382,6 +382,22 @@ def test_workspace_byte_budget(n, epsilon, budget):
     assert sum(owned.values()) <= budget * 8 * ctx.grid.pad_size**2
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_noisy_workspace_distinct_memory(n):
+    # with noise the forward buffers lie in the inverse ones they outlive:
+    # counting each piece of memory once (the largest array first, then any
+    # that shares none of it), a noisy workspace holds at most 18 padded
+    # fields, not the 23.7 of separate forward buffers
+    ctx = build_context(short_config(n_modes=n, k_modes=8, epsilon=0.1))
+    work = solver._StepWorkspace(ctx, 1e-3)
+    counted = [x for x in vars(ctx.noise).values() if isinstance(x, np.ndarray)]
+    shared = len(counted)
+    for a in sorted(_owned_arrays(work, ctx), key=lambda a: -a.nbytes):
+        if not any(np.shares_memory(a, x) for x in counted):
+            counted.append(a)
+    assert sum(a.nbytes for a in counted[shared:]) <= 18 * 8 * ctx.grid.pad_size**2
+
+
 def test_step_refuses_a_workspace_of_another_context_or_dt(grid32, rng):
     # the workspace holds the multipliers of its (ctx, dt): a step with any
     # other context, even an equal one, or another dt is refused

@@ -5,9 +5,9 @@
 Run it in two checkouts and diff the output: equal lines mean the solver
 produced the same bits for every recorded state.  The sweep is fixed: N in
 (32, 48, 64, 96, 128), eps in (0.1, 0), pure and mixed noise bases, K = 8,
-then N = 64, eps = 0.1 and K = 64 (modes that fill many rows) on both
-bases, all with seed 7, a random_band initial field and 300 steps of
-dt = 1e-3.  Digests
+then N = 64, eps = 0.1 and K = 64 and 256 (modes that fill many rows and
+columns) on both bases, all with seed 7, a random_band initial field and
+300 steps of dt = 1e-3.  Digests
 depend on the host (the Brownian increments take their logarithms from the
 C library), so compare checkouts on one machine.
 """
@@ -23,7 +23,7 @@ SWEEP_N = (32, 48, 64, 96, 128)
 SWEEP_EPS = (0.1, 0.0)
 SWEEP_STEPS = 300
 SWEEP = ([(n, eps, mix, 8) for n in SWEEP_N for eps in SWEEP_EPS for mix in (False, True)]
-         + [(64, 0.1, mix, 64) for mix in (False, True)])
+         + [(64, 0.1, mix, k) for k in (64, 256) for mix in (False, True)])
 
 
 def digest(n: int, eps: float, mix: bool, steps: int, k: int = 8) -> str:
