@@ -25,7 +25,7 @@ from .solver import (
     run,
     run_scalar_transport,
 )
-from .spectral import TorusGrid, expand, from_physical
+from .spectral import expand, from_physical
 
 
 def _fmt(x) -> str:
@@ -179,8 +179,6 @@ def cmd_transport(config: SolverConfig, study: dict, out: Path, jobs: int) -> in
 def cmd_validate(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
     from .validation import run_validation_suite
 
-    # the suite uses no initial field, but an unusable snapshot is a config error here too
-    make_initial(config.initial_kind, TorusGrid(config.n_modes), config.initial_params)
     results = run_validation_suite(config)
     failed = 0
     for name, ok, detail in results:

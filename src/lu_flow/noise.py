@@ -86,25 +86,30 @@ def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str)
     return c
 
 
+# build_context's errstate, which the derived fields keep when first read
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass
 class NoiseModel:
     """Eigenmode expansion of the unresolved-velocity covariance and every
-    field it fixes, computed once here (eps only scales their terms in F and
-    G, so contexts and runs for any eps share them).  ``entries`` is the only
-    stored copy of the weighted eigenfunctions (amplitude folded in): for
-    each mode, the flat indices into its (2, n, n) coefficients of the
-    positions it holds and its values there, a handful per mode.  Every
-    other field is derived from them one mode at a time (``modes``), and the
-    stack (K, 2, n, n) of the reference operators, ``phi``, is made only
-    when it is first read.  ``variance_tensor`` is a(x) on the physical grid,
-    (2, 2, n, n), ``variance_hat`` its coefficients and ``a_pad`` a on the
-    padded grid; ``ito_stokes_drift`` is the raw field u_s = 0.5 div a,
-    ``drift_projected`` its Leray projection and ``drift_pad`` u_s on the
-    padded grid; ``div_a_grad_us`` is P div(a grad u_s), and ``psi_us`` and
-    ``psi_div_a_grad_us`` are the stream functions of u_s and of it.
-    ``block_idx``, ``xi_terms`` (O(K) triples), ``ex`` and ``wy``, the
-    separable transform of xi (``_separable_tables``), are None when every
-    mode is zero.  ``mix_shells`` records whether ``build_noise_model``
+    field it fixes (eps only scales their terms in F and G, so contexts and
+    runs for any eps share them).  ``entries`` is the only stored copy of
+    the weighted eigenfunctions (amplitude folded in): for each mode, the
+    flat indices into its (2, n, n) coefficients of the positions it holds
+    and its values there.  Every other field is derived from them one mode
+    at a time (``modes``).  Stored are those a run reads: ``a_pad``, the
+    variance tensor a on the padded grid; ``drift_projected``, the Leray
+    projection of the Ito-Stokes drift u_s = 0.5 div a, and ``drift_pad``,
+    u_s on the padded grid; ``psi_us`` and ``psi_div_a_grad_us``, the stream
+    functions of u_s and of P div(a grad u_s); ``block_idx``, ``xi_terms``,
+    ``ex`` and ``wy``, xi's separable transform (``_separable_tables``), None
+    when every mode is zero.  Those only the reference operators,
+    ``check_regularity`` and tests read are made when first read, and kept:
+    ``phi`` (K, 2, n, n), and, by the helpers of ``__post_init__`` with
+    overflow quiet as in ``build_context``, ``variance_tensor`` (a, (2, 2, n,
+    n)), ``variance_hat``, ``ito_stokes_drift`` (raw u_s) and
+    ``div_a_grad_us``.  ``mix_shells`` records whether ``build_noise_model``
     paired modes of different shells.
     """
 
@@ -113,13 +118,9 @@ class NoiseModel:
     spectrum_exponent: float
     amplitude: float
     mix_shells: bool = False
-    variance_tensor: np.ndarray = field(init=False)
-    variance_hat: np.ndarray = field(init=False)
     a_pad: np.ndarray = field(init=False)
-    ito_stokes_drift: np.ndarray = field(init=False)
     drift_projected: np.ndarray = field(init=False)
     drift_pad: np.ndarray = field(init=False)
-    div_a_grad_us: np.ndarray = field(init=False)
     psi_us: np.ndarray = field(init=False)
     psi_div_a_grad_us: np.ndarray = field(init=False)
     block_idx: np.ndarray | None = field(init=False, default=None)
@@ -128,23 +129,16 @@ class NoiseModel:
     wy: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self):
-        grid = self.grid
+        grid, m = self.grid, self.grid.pad_size
         self.block_idx, self.xi_terms, self.ex, self.wy = _separable_tables(grid, self.entries)
-        a = np.zeros((2, 2, grid.n_modes, grid.n_modes))
-        for coeffs in self.modes():
-            phys = to_physical(grid, coeffs)
-            a += phys[:, None] * phys[None, :]
-        self.variance_tensor = a
-        self.variance_hat = expand(grid, from_physical(grid, a))
-        self.a_pad = to_physical(grid, self.variance_hat, grid.pad_size)
-        us = np.stack([0.5 * divergence(grid, self.variance_hat[i]) for i in range(2)])
-        self.ito_stokes_drift = us
+        a_hat = _variance_hat(grid, _variance_tensor(grid, self.modes()))
+        self.a_pad = to_physical(grid, a_hat, m)
+        us = _ito_stokes_drift(grid, a_hat)
         self.drift_projected = leray_project(grid, us)
-        self.drift_pad = to_physical(grid, us, grid.pad_size)
-        flux = tensor_flux(grid, self.a_pad, us)
-        self.div_a_grad_us = leray_project(grid, divergence(grid, flux))
+        self.drift_pad = to_physical(grid, us, m)
         self.psi_us = stream_function(grid, compress(grid, us))
-        self.psi_div_a_grad_us = stream_function(grid, compress(grid, self.div_a_grad_us))
+        div_a_grad_us = _div_a_grad_us(grid, self.a_pad, us)
+        self.psi_div_a_grad_us = stream_function(grid, compress(grid, div_a_grad_us))
 
     @property
     def k_modes(self) -> int:
@@ -165,6 +159,26 @@ class NoiseModel:
         read, and kept.  Only the reference operators and tests read it."""
         return np.stack(list(self.modes()))
 
+    @cached_property
+    @_quiet_overflow
+    def variance_tensor(self) -> np.ndarray:
+        return _variance_tensor(self.grid, self.modes())
+
+    @cached_property
+    @_quiet_overflow
+    def variance_hat(self) -> np.ndarray:
+        return _variance_hat(self.grid, self.variance_tensor)
+
+    @cached_property
+    @_quiet_overflow
+    def ito_stokes_drift(self) -> np.ndarray:
+        return _ito_stokes_drift(self.grid, self.variance_hat)
+
+    @cached_property
+    @_quiet_overflow
+    def div_a_grad_us(self) -> np.ndarray:
+        return _div_a_grad_us(self.grid, self.a_pad, self.ito_stokes_drift)
+
     def separable_xi(self, dbeta: np.ndarray, wy: np.ndarray, out: np.ndarray) -> tuple:
         """xi = sum_k dbeta_k phi_k as its stream function on ``block_idx``
         and its values on the padded grid, through ``wy`` (``self.wy`` times
@@ -175,6 +189,27 @@ class NoiseModel:
         block = block.view(complex).reshape(3, self.ex.shape[1], -1)
         cols = np.matmul(self.ex, block[1:])
         return block[0].reshape(-1), np.matmul(cols.view(float), wy, out=out)
+
+
+def _variance_tensor(grid: TorusGrid, modes) -> np.ndarray:
+    """a = sum_k phi_k phi_k^T on the physical grid, summed over ``modes``."""
+    a = np.zeros((2, 2, grid.n_modes, grid.n_modes))
+    for coeffs in modes:
+        phys = to_physical(grid, coeffs)
+        a += phys[:, None] * phys[None, :]
+    return a
+
+
+def _variance_hat(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
+    return expand(grid, from_physical(grid, a))
+
+
+def _ito_stokes_drift(grid: TorusGrid, a_hat: np.ndarray) -> np.ndarray:
+    return np.stack([0.5 * divergence(grid, a_hat[i]) for i in range(2)])
+
+
+def _div_a_grad_us(grid: TorusGrid, a_pad: np.ndarray, us: np.ndarray) -> np.ndarray:
+    return leray_project(grid, divergence(grid, tensor_flux(grid, a_pad, us)))
 
 
 def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple:

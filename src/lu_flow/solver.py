@@ -55,7 +55,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError, SolverConfig
-from .noise import WienerPath, build_noise_model
+from .noise import WienerPath, _quiet_overflow, build_noise_model
 from .operators import OperatorContext
 from .spectral import (
     TorusGrid,
@@ -111,11 +111,8 @@ class TrajectoryRecord:
 
 # A diverging state, or an initial field too large for its transforms,
 # overflows before the loop raises BlowUpError (as it does for a record that
-# overflows), so floating-point warnings would add nothing.  A context whose
-# noise overflows (a huge noise.amp) makes every noisy run blow up at step 1.
-_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
-
-
+# overflows), so floating-point warnings would add nothing (_quiet_overflow).
+# A noisy run whose noise overflows (a huge noise.amp) blows up at step 1.
 @_quiet_overflow
 def build_context(config: SolverConfig) -> OperatorContext:
     """The context of ``config``: its noise model and (eps, Re).  A grid or

@@ -38,6 +38,8 @@ SNAPSHOT_VERSION = 1
 class TorusGrid:
     """Wavenumber bookkeeping for an N x N truncation of the periodic torus.
 
+    Keeps wavenumbers and multipliers; ``x`` and ``y`` are made on each read.
+
     Parameters
     ----------
     n_modes : int
@@ -67,10 +69,18 @@ class TorusGrid:
         self.half_k_sq = self.half_kx**2 + self.half_ky**2
         self.half_retained = np.ones((m, 1), dtype=bool)
         self.half_retained[half:m - half + 1] = False
-        self.projector = _projection(self.kx, self.ky)  # P on the full layout
-        x1d = np.arange(n) * (TWO_PI / n)
-        self.x = x1d[:, None] + 0.0 * x1d[None, :]
-        self.y = 0.0 * x1d[:, None] + x1d[None, :]
+
+    @property
+    def x(self) -> np.ndarray:
+        """x at each point of the n x n physical grid, (n, n)."""
+        x1d = np.arange(self.n_modes) * (TWO_PI / self.n_modes)
+        return x1d[:, None] + 0.0 * x1d[None, :]
+
+    @property
+    def y(self) -> np.ndarray:
+        """y at each point of the n x n physical grid, (n, n)."""
+        x1d = np.arange(self.n_modes) * (TWO_PI / self.n_modes)
+        return 0.0 * x1d[:, None] + x1d[None, :]
 
     def __eq__(self, other):
         return isinstance(other, TorusGrid) and other.n_modes == self.n_modes
@@ -211,11 +221,11 @@ def leray_project(grid: TorusGrid, coeffs: np.ndarray,
 
     Acts as the identity on divergence-free fields and annihilates pure
     gradients; idempotent and self-adjoint in the L2 inner product.  Applies
-    the symmetric 2 x 2 multiplier (P00, P11, P01) ``grid.projector`` to
+    the symmetric 2 x 2 multiplier ``_projection``, formed on each call, to
     full-layout coefficients.  ``out`` (C-contiguous, may be ``coeffs``
     itself) receives the result.
     """
-    p = grid.projector
+    p = _projection(grid.kx, grid.ky)
     swapped = p[2] * coeffs[::-1]  # (P01 c1, P01 c0), before out (maybe coeffs) is written
     if out is None:
         out = np.empty(coeffs.shape, dtype=complex)

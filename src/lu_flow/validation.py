@@ -14,7 +14,7 @@ import numpy as np
 from . import diagnostics as diag
 from .noise import check_regularity
 from .operators import apply_A, apply_B, trilinear_b
-from .solver import SolverConfig, build_context, run
+from .solver import SolverConfig, build_context, make_initial, run
 from .spectral import (
     TorusGrid,
     expand,
@@ -39,6 +39,8 @@ def _random_div_free(grid: TorusGrid, gen) -> np.ndarray:
 def run_validation_suite(config: SolverConfig) -> list[tuple]:
     ctx = build_context(config)
     grid = ctx.grid
+    # the suite uses no initial field, but an unusable snapshot is a config error here too
+    make_initial(config.initial_kind, grid, config.initial_params)
     gen = np.random.Generator(np.random.Philox(key=[config.seed, 7 * 2**32]))
     results = []
 

@@ -31,6 +31,25 @@ def recorded_states(config, *args, **kwargs) -> list:
     return states
 
 
+def held_bytes(obj) -> int:
+    """Bytes of the distinct memory behind the arrays in ``vars(obj)``, those
+    in tuples included: each view counted as the array that owns its data."""
+    owners = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value.nbytes
+        elif isinstance(value, tuple):
+            for item in value:
+                walk(item)
+
+    for value in vars(obj).values():
+        walk(value)
+    return sum(owners.values())
+
+
 def synthetic_inhomogeneous_model(grid, amplitude=1.0):
     """Hand-built noise model mixing wavevectors from different shells.
 

@@ -677,12 +677,13 @@ def test_cli_brownian_table_beyond_memory_is_config_error(tmp_path, argv):
                                   "Brownian table of 400000000 steps x 4 increments (11.9 GiB)")
 
 
-@pytest.mark.parametrize("argv", [["simulate"], ["converge"], ["ensemble", "--jobs", "2"]],
-                         ids=["simulate", "converge", "ensemble-jobs2"])
+@pytest.mark.parametrize("argv", [["simulate"], ["converge"], ["ensemble", "--jobs", "2"],
+                                  ["validate"]],
+                         ids=["simulate", "converge", "ensemble-jobs2", "validate"])
 def test_cli_noise_model_beyond_memory_is_config_error(tmp_path, argv):
     # the grid of N = 60000 asks for 27 GiB per (N, N) array of doubles: a
     # config error, also when the pool initializer is the one that fails to
-    # allocate it
+    # allocate it, and for validate, which checks the initial field on it
     cfg = _write_config(tmp_path, {"N": 60000, "T": 0.001,
                                    "study": {"epsilons": [0.2, 0.1], "ensemble_size": 2}})
     proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", argv[0], "--config", cfg,

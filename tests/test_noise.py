@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,7 @@ from lu_flow.noise import (
     max_modes,
 )
 from lu_flow.operators import OperatorContext
+from lu_flow.solver import SolverConfig, build_context, run, run_scalar_transport
 from lu_flow.spectral import (
     TorusGrid,
     compress,
@@ -34,7 +36,7 @@ from lu_flow.spectral import (
     to_physical,
 )
 
-from conftest import synthetic_inhomogeneous_model
+from conftest import held_bytes, synthetic_inhomogeneous_model
 
 
 def fd_divergence(a, n):
@@ -248,6 +250,51 @@ def test_model_build_memory_does_not_grow_as_k_n_squared():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+DERIVED_FIELDS = ("variance_tensor", "variance_hat", "ito_stokes_drift", "div_a_grad_us")
+
+
+def test_model_keeps_only_the_fields_a_run_reads():
+    # the four fields only the reference operators, check_regularity and
+    # tests read are made when first read: at N = 64, K = 8 mixed the
+    # model's arrays fit in 0.7 MiB (1.28 MiB when it stored them), and a
+    # velocity or tracer run reads none of them
+    cfg = SolverConfig(n_modes=64, k_modes=8, noise_mixing=True, epsilon=0.1, dt=1e-3,
+                       t_end=2e-3)
+    ctx = build_context(cfg)
+    assert held_bytes(ctx.noise) <= 0.7 * 2**20
+    run(cfg, ctx=ctx, warn_cfl=False)
+    q0 = np.zeros((64, 64), dtype=complex)
+    q0[1, 2] = q0[-1, -2] = 0.5
+    run_scalar_transport(cfg, q0, np.zeros((2, 64, 64), dtype=complex), ctx=ctx)
+    assert not set(DERIVED_FIELDS) & vars(ctx.noise).keys()
+
+
+def test_derived_fields_of_an_overflowed_model_keep_their_bits(grid16):
+    # amp 1e300 overflows the mixed pair weights, so the fields hold NaN and
+    # inf: read with warnings as errors and outside any errstate, each field
+    # made when first read has the bytes of its recipe run under the errstate
+    # of build_context
+    g = grid16
+    with np.errstate(over="ignore", invalid="ignore"):
+        model = build_noise_model(g, 4, 3.0, 1e300, mix_shells=True)
+        a = np.zeros((2, 2, 16, 16))
+        for coeffs in model.phi:
+            p = to_physical(g, coeffs)
+            a += p[:, None] * p[None, :]
+        a_hat = expand(g, from_physical(g, a))
+        us = np.stack([0.5 * divergence(g, a_hat[i]) for i in range(2)])
+        a_pad = to_physical(g, a_hat, g.pad_size)
+        want = {"variance_tensor": a, "variance_hat": a_hat, "ito_stokes_drift": us,
+                "div_a_grad_us": leray_project(g, divergence(g, tensor_flux(g, a_pad, us)))}
+    assert not np.isfinite(a).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = {name: getattr(model, name) for name in DERIVED_FIELDS}
+    for name, arr in want.items():
+        assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+        assert got[name].tobytes() == arr.tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from lu_flow.spectral import (
     v_norm,
 )
 
-from conftest import random_div_free
+from conftest import held_bytes, random_div_free
 
 
 def physical_grid(n):
@@ -66,6 +66,12 @@ def test_grid_equality_and_mismatch():
     model = build_noise_model(g, 4, 3.0, 1.0)
     # the context has no grid of its own: it reads its model's
     assert OperatorContext(model, 0.1, 100.0).grid == model.grid
+
+
+def test_grid_keeps_no_coordinates_or_projector():
+    # x, y and the Leray multiplier are made when read: the grid's own
+    # arrays at N = 64 fit in 80 KiB (223 KiB when it stored them)
+    assert held_bytes(TorusGrid(64)) <= 80 * 2**10
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +281,21 @@ def test_leray_output_c_contiguous(grid16, rng):
     out = leray_project(grid16, strided)
     assert out.flags.c_contiguous
     assert np.array_equal(out, leray_project(grid16, c))
+
+
+def test_leray_project_has_the_bits_of_its_multiplier(grid16, rng):
+    # (P00 c0 + P01 c1, P11 c1 + P01 c0) with P00 = w ky ky, P11 = w kx kx,
+    # P01 = -w kx ky and w = 1/|k|^2 (0 on the mean mode): the same bytes
+    # fresh, into out and in place
+    c = rng.standard_normal((2, 16, 16)) + 1j * rng.standard_normal((2, 16, 16))
+    kx, ky = np.broadcast_arrays(grid16.kx, grid16.ky)
+    k_sq = kx**2 + ky**2
+    w = np.where(k_sq == 0, 0.0, 1.0 / np.where(k_sq == 0, 1.0, k_sq))
+    p00, p11, p01 = w * ky * ky, w * kx * kx, -w * kx * ky
+    want = np.stack([p00 * c[0] + p01 * c[1], p11 * c[1] + p01 * c[0]]).tobytes()
+    assert leray_project(grid16, c).tobytes() == want
+    assert leray_project(grid16, c, out=np.empty_like(c)).tobytes() == want
+    assert leray_project(grid16, c, out=c).tobytes() == want
 
 
 def test_leray_matches_dense_matrix_oracle():
