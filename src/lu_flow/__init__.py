@@ -29,7 +29,6 @@ from .solver import (
     make_initial,
     run,
     run_scalar_transport,
-    step,
 )
 from .diagnostics import (
     ContractionReport,

@@ -9,6 +9,7 @@ timestamps live only in the manifest.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -85,35 +86,39 @@ def ProcessPoolExecutor(*args, **kwargs):
     return pool_class(*args, **kwargs)
 
 
-_worker_context = None  # the process's one OperatorContext, set by _init_worker
+_worker_model = None  # the process's one NoiseModel, set by _init_worker
 
 
 def _init_worker(config: SolverConfig) -> None:
-    global _worker_context
+    global _worker_model
     try:
-        _worker_context = build_context(config)
+        _worker_model = build_context(config).noise
     except ConfigError as exc:
         # an initializer that raises breaks the pool: each job raises it instead
-        _worker_context = exc
+        _worker_model = exc
 
 
 def _member_job(config: SolverConfig, member: int):
-    if isinstance(_worker_context, ConfigError):
-        raise _worker_context
+    if isinstance(_worker_model, ConfigError):
+        raise _worker_model
     # run once per member: the benchmark counts member-steps per run call
-    return run(config, member_index=member, ctx=_worker_context)
+    return run(config, member_index=member, model=_worker_model)
 
 
 def cmd_ensemble(config: SolverConfig, study: dict, out: Path, jobs: int) -> int:
-    members = list(range(int(study["ensemble_size"])))
-    if len(members) < 2:
+    size = int(study["ensemble_size"])
+    if size < 2:
         raise ConfigError("field 'study.ensemble_size' must be >= 2 for ensemble "
-                          f"(std_energy is a sample standard deviation), got {len(members)}")
-    # one context (noise model, padded caches, step workspace) per process;
-    # a pool starts all its workers, so it gets no more than there are members
-    configs = [config] * len(members)
+                          f"(std_energy is a sample standard deviation), got {size}")
+    try:
+        members, configs = list(range(size)), [config] * size
+    except MemoryError:
+        raise ConfigError(f"field 'study.ensemble_size' asks for {size} members, more than "
+                          "the memory holds") from None
+    # one noise model per process, shared by its members' runs; a pool starts
+    # all its workers, so it gets no more than there are members or CPUs
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(members)),
+        with ProcessPoolExecutor(max_workers=min(jobs, size, os.cpu_count() or 1),
                                  initializer=_init_worker, initargs=(config,)) as pool:
             records = list(pool.map(_member_job, configs, members))
     else:
@@ -162,7 +167,7 @@ def cmd_transport(config: SolverConfig, study: dict, out: Path, jobs: int) -> in
         grid, np.sin(grid.x) * np.sin(2 * grid.y) + 0.5 * np.cos(2 * grid.x)))
     budget = diag.energy_budget_transport(q0, ctx.noise, config.epsilon)
     velocity = make_initial(config.initial_kind, grid, config.initial_params)
-    record = run_scalar_transport(config, q0, velocity, ctx=ctx)
+    record = run_scalar_transport(config, q0, velocity, model=ctx.noise)
     _write_csv(out / "transport.csv", ("time", "tracer_energy"), _trajectory_rows(record))
     with open(out / "summary.txt", "w") as fh:
         for key in ("diffusion_loss", "noise_intake", "residual"):

@@ -20,7 +20,8 @@ The config file is JSON.  Schema (defaults in parentheses):
     }
 
 ``study.epsilons`` holds at least two distinct numbers in (0, 1];
-``study.ensemble_size`` is an integer >= 1 (>= 2 for ``ensemble``).
+``study.ensemble_size`` is an integer >= 1 (>= 2 for ``ensemble``) whose
+member errors, one per epsilon, an array can index.
 Unknown keys are rejected; every number must be finite.  All of it, ``initial``
 too, is checked when the config is read, apart from the snapshot file itself;
 a ``random_band`` band must hold a nonzero, non-Nyquist mode of the grid.
@@ -250,6 +251,11 @@ def parse_config(text: str) -> tuple[SolverConfig, dict]:
     config = SolverConfig(**values, initial_kind=kind, initial_params=initial)
     _check_number(study["ensemble_size"], "study.ensemble_size", integer=True, minimum=1)
     _check_epsilons(study["epsilons"])
+    # the converge study keeps each member's error at each epsilon in an array of doubles
+    n_errors = len(study["epsilons"]) * study["ensemble_size"]
+    if n_errors * 8 > np.iinfo(np.intp).max:
+        raise ConfigError(f"field 'study.ensemble_size' gives {n_errors} member errors, more "
+                          "than an array can index")
     # the override is checked there, after the file's own seed
     return dataclasses.replace(config, seed=_env_seed(config.seed)), study
 

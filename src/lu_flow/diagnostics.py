@@ -12,6 +12,7 @@ from functools import cache, partial
 
 import numpy as np
 
+from .config import ConfigError
 from .noise import NoiseModel
 from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, member_path, run
 from .spectral import (
@@ -162,14 +163,15 @@ def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
     constant.
     """
     alphas = np.array([1.0, 2.0, 5.0, 10.0]) * config.reynolds
-    ctx = build_context(config)
-    grid = ctx.grid
+    model = build_context(config).noise
+    grid = model.grid
     v0 = make_initial(config.initial_kind, grid, config.initial_params)
     states1 = []
-    rec1 = run(config, ctx=ctx, v0=v0, observe=lambda t, s: states1.append(s), warn_cfl=False)
+    rec1 = run(config, model=model, v0=v0, observe=lambda t, s: states1.append(s),
+               warn_cfl=False)
     pert = perturbation_field(grid, delta) if delta > 0 else np.zeros_like(v0)
     sq = []
-    run(config, ctx=ctx, v0=v0 + pert,
+    run(config, model=model, v0=v0 + pert,
         observe=partial(_distances_to, grid, iter(states1), sq), warn_cfl=False)
 
     times = rec1.times
@@ -232,28 +234,33 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     paths), a deliberate pathwise strengthening of the convergence-in-law
     statement that also cuts Monte Carlo variance.  The initial field is made
     once for every run, and with shared paths each member's path once for
-    every epsilon.
+    every epsilon.  Per-member error arrays that do not fit in memory are a
+    ConfigError naming study.ensemble_size, raised before any run.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
-    ctx = build_context(base_config)  # every run shares its noise model
+    try:
+        sup_h = np.zeros((len(epsilons), ensemble_size))
+        int_v = np.zeros((len(epsilons), ensemble_size))
+    except MemoryError:
+        raise ConfigError(f"field 'study.ensemble_size' asks for {ensemble_size} members at "
+                          f"{len(epsilons)} epsilons, more than the memory holds") from None
+    # every run shares the noise model; whether its noise acts is the first eps's
+    ctx = build_context(replace(base_config, epsilon=float(epsilons[0])))
     v0 = make_initial(base_config.initial_kind, ctx.grid, base_config.initial_params)
     paths = cache(partial(member_path, base_config))
-    if shared_path and replace(ctx, epsilon=float(epsilons[0])).noisy:
+    shared = shared_path and ctx.noisy
+    if shared:
         paths(0)  # a table too large for memory fails before the reference run
     det_states = []
-    times = run(replace(base_config, epsilon=0.0), ctx=replace(ctx, epsilon=0.0),
+    times = run(replace(base_config, epsilon=0.0), model=ctx.noise,
                 v0=v0, observe=lambda t, s: det_states.append(s), warn_cfl=False).times
 
-    sup_h = np.zeros((len(epsilons), ensemble_size))
-    int_v = np.zeros((len(epsilons), ensemble_size))
     for j, eps in enumerate(epsilons):
         cfg = replace(base_config, epsilon=float(eps))
-        eps_ctx = replace(ctx, epsilon=float(eps))
         for m in range(ensemble_size):
             member = m if shared_path else m + 1000 * (j + 1)
-            path = paths(m) if shared_path and eps_ctx.noisy else None
             sq = []
-            run(cfg, member, ctx=eps_ctx, path=path, v0=v0,
+            run(cfg, member, model=ctx.noise, path=paths(m) if shared else None, v0=v0,
                 observe=partial(_distances_to, ctx.grid, iter(det_states), sq), warn_cfl=False)
             h_sq, v_sq = np.array(sq).T
             sup_h[j, m] = np.sqrt(h_sq.max())

@@ -33,6 +33,7 @@ formed on it (1.2e-3 relative apart at N = 16, K = 112 mixed, r = 1).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +59,8 @@ class OperatorContext:
     the noise model's, made once per model; the properties here read them.
     ``us_pad`` and ``additive_noise_parts``, which only the reference
     operators read, are computed on each use.  Nothing is kept on the
-    context: ``dataclasses.replace(ctx, epsilon=...)`` gives a context for
-    another eps on the same model, and each run makes its own workspace.
+    context.  A run makes its own from its config's eps and Re and a noise
+    model, which runs at several eps share (``run(config, model=...)``).
     """
 
     noise: NoiseModel
@@ -70,8 +71,8 @@ class OperatorContext:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        if self.reynolds <= 0:
-            raise ValueError("reynolds must be positive")
+        if not 0.0 < self.reynolds <= sys.float_info.max:  # NaN fails every comparison
+            raise ValueError("reynolds must be positive and finite")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
 

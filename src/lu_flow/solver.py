@@ -55,7 +55,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError, SolverConfig
-from .noise import WienerPath, _quiet_overflow, build_noise_model
+from .noise import NoiseModel, WienerPath, _quiet_overflow, build_noise_model
 from .operators import OperatorContext
 from .spectral import (
     TorusGrid,
@@ -175,11 +175,12 @@ def check_cfl(config: SolverConfig, grid: TorusGrid, v: np.ndarray) -> None:
 
 class _StepWorkspace:
     """What one velocity run keeps between its steps, made once when it
-    starts for one ctx (kept by identity) and dt.  The buffers hold only
-    what a step writes: ``cols`` the inverse input, transformed in place,
-    and the forward result; ``phys`` v and the three second derivatives of
-    psi, then w = v + eps^2 u_s and the products c_j w_i; ``prod`` the H's,
-    ``rows`` their y-pass, and with noise ``c``.  With noise ``prod`` and
+    starts for its ctx and dt, and the only source of both for ``step``:
+    ``ctx``, and dt through the multipliers.  The buffers hold only what a
+    step writes: ``cols`` the inverse input, transformed in place, and the
+    forward result; ``phys`` v and the three second derivatives of psi, then
+    w = v + eps^2 u_s and the products c_j w_i; ``prod`` the H's, ``rows``
+    their y-pass, and with noise ``c``.  With noise ``prod`` and
     ``rows`` are the heads of ``cols`` and ``phys``, last read before they
     are written (17.7 to 17.8 padded fields); at eps = 0 (two fields in), as
     in the tracer, they do not fit.  The multipliers of (dt, Re, eps):
@@ -194,7 +195,7 @@ class _StepWorkspace:
     def __init__(self, ctx: OperatorContext, dt: float):
         grid = ctx.grid
         m, h = grid.pad_size, grid.n_modes // 2
-        self.ctx, self.dt, self.noisy = ctx, dt, ctx.noisy
+        self.ctx, self.noisy = ctx, ctx.noisy
         n_in, n_out = (5, 3) if self.noisy else (2, 2)
         self.cols = np.empty((n_in, m, h), dtype=complex)
         self.phys = np.empty((n_in, m, m))
@@ -242,25 +243,18 @@ def _flux_curl(work: _StepWorkspace, phys: np.ndarray, c: np.ndarray) -> None:
     h[2] -= cw[1]
 
 
-def step(psi: np.ndarray, ctx: OperatorContext, dbeta: np.ndarray | None,
-         dt: float, work: _StepWorkspace | None = None) -> np.ndarray:
+def step(psi: np.ndarray, work: _StepWorkspace, dbeta: np.ndarray | None) -> np.ndarray:
     """One Euler-Maruyama step with integrating-factor Stokes treatment of
     the velocity's stream function psi, (m, n/2) in the half layout of
     ``spectral``: psi+ = E psi + E (kx^2 H0 - ky^2 H1 + kx ky H2) / |k|^2 + C
     - eps E A psi_xi of the module docstring, 8 real transforms with noise
-    and 4 without.  ``work`` is the workspace of a run of ``ctx`` and ``dt``,
-    ``_StepWorkspace(ctx, dt)``, made here when None; one made for another
-    context (by identity) or another dt is a ValueError that names which.
-    With a warm workspace a step allocates only its result and small
-    temporaries.  The returned state never aliases the workspace.
+    and 4 without.  ``work``, the run's ``_StepWorkspace(ctx, dt)``, is the
+    only source of the step's context and dt.  With a warm workspace a step
+    allocates only its result and small temporaries.  The returned state
+    never aliases the workspace.
     """
+    ctx = work.ctx
     grid = ctx.grid
-    if work is None:
-        work = _StepWorkspace(ctx, dt)
-    elif work.ctx is not ctx:
-        raise ValueError("workspace ctx is not the step's: it was made for another context")
-    elif work.dt != dt:
-        raise ValueError(f"workspace dt {work.dt!r} is not the step's {dt!r}")
     cols = np.multiply(work.in_mult, psi, out=work.cols)
     phys = to_physical(grid, cols, grid.pad_size, cols, work.phys)
     v = phys[:2]
@@ -309,25 +303,27 @@ def member_path(config: SolverConfig, member: int) -> WienerPath:
                           f"({gib:.1f} GiB), more than the memory holds") from None
 
 
-def _setup(config: SolverConfig, ctx: OperatorContext | None, path: WienerPath | None,
+def _setup(config: SolverConfig, model: NoiseModel | None, path: WienerPath | None,
            member: int = 0) -> tuple:
-    """(ctx, path) of a trajectory of ``config``: each is derived from the
-    config when None, else checked against it, or ValueError names the field.
-    The derived path is member's, from (config.seed, member), and None when
-    the noise of ctx is off.  A longer path is used from its start; its dt
-    must match to 1e-9 relative, the tolerance of ``config._step_count``."""
-    ctx = ctx or build_context(config)
-    noise = ctx.noise
-    for name, got, want in (("epsilon", ctx.epsilon, config.epsilon),
-                            ("reynolds", ctx.reynolds, config.reynolds),
-                            ("n_modes", ctx.grid.n_modes, config.n_modes),
-                            ("k_modes", noise.k_modes, config.k_modes),
-                            ("spectrum_exponent", noise.spectrum_exponent,
+    """(ctx, path) of a trajectory of ``config``.  The context takes eps and
+    Re from the config and its noise model from ``model``, or from the
+    config when None; the path is derived when None.  A given model is
+    checked against the config's N and noise parameters, a given path
+    against its steps, dt and K, or ValueError names the field.  The derived
+    path is member's, from (config.seed, member), and None when the noise of
+    ctx is off.  A longer path is used from its start; its dt must match to
+    1e-9 relative, the tolerance of ``config._step_count``."""
+    ctx = (build_context(config) if model is None
+           else OperatorContext(model, config.epsilon, config.reynolds))
+    model = ctx.noise
+    for name, got, want in (("n_modes", model.grid.n_modes, config.n_modes),
+                            ("k_modes", model.k_modes, config.k_modes),
+                            ("spectrum_exponent", model.spectrum_exponent,
                              config.spectrum_exponent),
-                            ("amplitude", noise.amplitude, config.amplitude),
-                            ("noise_mixing", noise.mix_shells, config.noise_mixing)):
+                            ("amplitude", model.amplitude, config.amplitude),
+                            ("noise_mixing", model.mix_shells, config.noise_mixing)):
         if got != want:
-            raise ValueError(f"context {name} {got!r} disagrees with config {want!r}")
+            raise ValueError(f"model {name} {got!r} disagrees with config {want!r}")
     if path is None:
         return ctx, member_path(config, member) if ctx.noisy else None
     for name, got, want, fits in (
@@ -386,38 +382,39 @@ def _integrate(grid: TorusGrid, state, advance, path: WienerPath | None,
 
 @_quiet_overflow
 def run(config: SolverConfig, member_index: int = 0, *,
-        ctx: OperatorContext | None = None, path: WienerPath | None = None,
+        model: NoiseModel | None = None, path: WienerPath | None = None,
         v0: np.ndarray | None = None, observe=None,
         warn_cfl: bool = True) -> TrajectoryRecord:
     """Integrate the stochastic system from t = 0 to t_end.
 
     The member's Brownian path is derived from (config.seed, member_index)
     unless an explicit ``path`` (e.g. a refined/coarsened one) is supplied.
-    Bit-reproducible for a fixed config and member index.  A given ``ctx``
-    must match the config in eps, Re, N and every noise parameter, and a
-    given ``path`` must fit its steps, dt and K, or ``ValueError`` names the
-    field.  The velocity is stepped as its stream function, so the first
-    step drops the gradient part and the mean of the initial field; the
-    record at t = 0 shows the field as given.
+    Bit-reproducible for a fixed config and member index.  eps, Re and dt
+    are the config's alone.  A given noise ``model``, which runs of one
+    model at several eps share, must match the config in N and every noise
+    parameter, and a given ``path`` must fit its steps, dt and K, or
+    ``ValueError`` names the field.  The velocity is stepped as its stream
+    function, so the first step drops the gradient part and the mean of the
+    initial field; the record at t = 0 shows the field as given.
     ``observe(t, state)``, when given, sees each recorded state, a fresh
     array in the full layout, and may keep it; the record holds only the
     diagnostics.
     """
-    ctx, path = _setup(config, ctx, path, member_index)
+    ctx, path = _setup(config, model, path, member_index)
     state = v0 if v0 is not None else make_initial(
         config.initial_kind, ctx.grid, config.initial_params)
     if warn_cfl:
         check_cfl(config, ctx.grid, state)
     work = _StepWorkspace(ctx, config.dt)
     # step is looked up at each call: perfbench/hook.py's one-shot timer rebinds it
-    return _integrate(ctx.grid, state, lambda psi, dbeta: step(psi, ctx, dbeta, config.dt, work),
+    return _integrate(ctx.grid, state, lambda psi, dbeta: step(psi, work, dbeta),
                       path, config, RECORD_NAMES, partial(_record, ctx.grid), observe,
                       stream=True)
 
 
 @_quiet_overflow
 def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndarray, *,
-                         ctx: OperatorContext | None = None,
+                         model: NoiseModel | None = None,
                          path: WienerPath | None = None) -> TrajectoryRecord:
     """Euler-Maruyama integration of the stochastic tracer equation
 
@@ -429,13 +426,13 @@ def run_scalar_transport(config: SolverConfig, q0: np.ndarray, velocity: np.ndar
     the buffers and the multipliers made once per call and xi from the noise
     model's separable tables (5 real transforms with noise, 3 without), on
     the half layout; ``q0`` and ``velocity`` are full coefficient arrays.
-    The steps, dt and record cadence are the config's; ``ctx`` and ``path``
-    (member 0's by default) are set up as in ``run``.  Raises BlowUpError at
-    step 0 when ``q0`` or ``velocity`` is not finite, else at the first step
-    whose tracer is not finite.  Returns the record of the diagnostic
+    eps, Re, the steps, dt and record cadence are the config's; ``model``
+    and ``path`` (member 0's by default) are set up as in ``run``.  Raises
+    BlowUpError at step 0 when ``q0`` or ``velocity`` is not finite, else at
+    the first step whose tracer is not finite.  Returns the record of the diagnostic
     "energy", 0.5 |q|_H^2.
     """
-    ctx, path = _setup(config, ctx, path)
+    ctx, path = _setup(config, model, path)
     if not np.isfinite(velocity).all():
         raise BlowUpError(0, 0.0)
     grid, noisy = ctx.grid, ctx.noisy

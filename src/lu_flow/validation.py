@@ -67,12 +67,11 @@ def run_validation_suite(config: SolverConfig) -> list[tuple]:
     results.append(("trilinear_antisymmetry", worst_skew < 1e-10, f"max rel dev {worst_skew:.2e}"))
     results.append(("leray_idempotence", worst_leray < 1e-12, f"max rel dev {worst_leray:.2e}"))
 
-    # the noise parameters stay config's: the context below is built from them
+    # the noise parameters stay config's: the run takes the model built from them
     tg_cfg = replace(config, reynolds=100.0, epsilon=0.0, dt=1e-3, t_end=0.1,
                      initial_kind="taylor_green", initial_params={})
     states = []
-    run(tg_cfg, ctx=replace(ctx, epsilon=0.0, reynolds=100.0),
-        observe=lambda t, s: states.append(s), warn_cfl=False)
+    run(tg_cfg, model=ctx.noise, observe=lambda t, s: states.append(s), warn_cfl=False)
     v0, vT = states[0], states[-1]
     exact = v0 * np.exp(-2.0 * tg_cfg.t_end / tg_cfg.reynolds)
     tg_err = h_norm(grid, vT - exact) / h_norm(grid, exact)

@@ -128,7 +128,7 @@ def test_criterion_2_transport_energy_neutrality():
         for j, factor in enumerate((4, 2)):  # dt = 4e-3 and dt/2 = 2e-3
             path = fine.coarsen(factor)
             res = run_scalar_transport(replace(cfg, dt=path.dt, record_every=10**9), q,
-                                       velocity, ctx=ctx, path=path)
+                                       velocity, model=ctx.noise, path=path)
             energies = res.diagnostics["energy"]
             drifts[j, m] = abs(energies[-1] - energies[0]) / energies[0]
     ratio = drifts[0].mean() / drifts[1].mean()
@@ -221,7 +221,7 @@ def test_criterion_6_energy_estimate():
     for eps in (0.1, 0.2, 0.4):
         cfg = replace(base, epsilon=eps)
         ctx = build_context(cfg)
-        records = [run(cfg, m, ctx=ctx, warn_cfl=False) for m in range(members)]
+        records = [run(cfg, m, model=ctx.noise, warn_cfl=False) for m in range(members)]
         chk = energy_estimate_check(records, p=2, det_record=det, epsilon=eps)
         checks.append(chk)
         # terminal excess energy: the sup-in-time moment is pinned to the

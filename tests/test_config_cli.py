@@ -212,8 +212,9 @@ def test_cli_ensemble_jobs_agree_bytewise(tmp_path):
 
 
 def test_cli_ensemble_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):
-    # a pool starts all its workers, so --jobs 64 for 3 members must ask for 3;
-    # the fake pool maps in this process and starts none
+    # a pool starts all its workers, so --jobs 64 for 3 members must ask for 3,
+    # and for 2 on 2 CPUs (1 when the count is unknown); the fake pool maps in
+    # this process and starts none
     import lu_flow.cli as cli
     sizes = []
 
@@ -233,12 +234,15 @@ def test_cli_ensemble_pool_is_capped_at_the_member_count(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
     cfg = _write_config(tmp_path, dict(SMALL, study={"ensemble_size": 3}))
-    for jobs in ("64", "1"):
-        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / jobs),
+    for out, cpus, jobs in (("64", 64, "64"), ("1", 64, "1"), ("2cpu", 2, "64"),
+                            ("nocpu", None, "64")):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda cpus=cpus: cpus)
+        assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / out),
                      "--jobs", jobs]) == 0
-    assert sizes == [3]
-    for name in ("members.csv", "aggregate.csv"):
-        assert (tmp_path / "64" / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+    assert sizes == [3, 2, 1]
+    for out in ("1", "2cpu", "nocpu"):
+        for name in ("members.csv", "aggregate.csv"):
+            assert (tmp_path / "64" / name).read_bytes() == (tmp_path / out / name).read_bytes()
 
 
 def test_cli_converge(tmp_path):
@@ -695,6 +699,25 @@ def test_cli_noise_model_beyond_memory_is_config_error(tmp_path, argv):
     assert proc.stderr.startswith("config error: fields 'N' and 'noise.K' ask for a grid of "
                                   "N=60000 and a noise model of 4 modes, more than the memory "
                                   "holds")
+
+
+@pytest.mark.parametrize("size", [10**30, 10**11], ids=["index", "memory"])
+@pytest.mark.parametrize("command", ["converge", "ensemble"])
+def test_cli_huge_ensemble_size_is_config_error(tmp_path, command, size):
+    # 10^30 members give more errors than an array indexes (parse_config's
+    # rule), 10^11 more than 3 GiB of member arrays: a config error either
+    # way, before any run, which the run bound to None below would show
+    cfg = _write_config(tmp_path, {"N": 16, "T": 0.01,
+                                   "study": {"epsilons": [0.2, 0.1], "ensemble_size": size}})
+    code = ("import sys, lu_flow.cli as cli, lu_flow.diagnostics as diag; "
+            "cli.run = diag.run = None; sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", code, command, "--config", cfg,
+                           "--out", str(tmp_path / "o")], env=_src_env(),
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: field 'study.ensemble_size' ")
 
 
 @pytest.mark.parametrize("argv,spans,builds", [

@@ -74,7 +74,7 @@ def test_budget_residual_random_tracer(grid32, rng):
 
 def ensemble(cfg, n):
     ctx = build_context(cfg)
-    return [run(cfg, m, ctx=ctx, warn_cfl=False) for m in range(n)]
+    return [run(cfg, m, model=ctx.noise, warn_cfl=False) for m in range(n)]
 
 
 def test_energy_estimate_requires_ensemble():
@@ -150,6 +150,19 @@ def test_convergence_zero_amplitude_degenerate():
     rep = epsilon_convergence_study(cfg, [0.2, 0.1], ensemble_size=2)
     assert np.all(rep.errors_h == 0.0)
     assert rep.fitted_slope == 0.0
+
+
+def test_convergence_study_draws_no_path_without_noise(monkeypatch):
+    # the modes of a null amplitude are all zero, so no run is noisy and the
+    # study, with shared paths or without, draws no Brownian path
+    import lu_flow.solver
+
+    made = []
+    monkeypatch.setattr(lu_flow.solver, "WienerPath", lambda *args, **kw: made.append(args))
+    cfg = SolverConfig(n_modes=16, t_end=0.02, dt=2e-3, record_every=5, amplitude=0.0)
+    for shared_path in (True, False):
+        epsilon_convergence_study(cfg, [0.2, 0.1], 2, shared_path=shared_path)
+    assert made == []
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -264,10 +264,10 @@ def test_model_keeps_only_the_fields_a_run_reads():
                        t_end=2e-3)
     ctx = build_context(cfg)
     assert held_bytes(ctx.noise) <= 0.7 * 2**20
-    run(cfg, ctx=ctx, warn_cfl=False)
+    run(cfg, model=ctx.noise, warn_cfl=False)
     q0 = np.zeros((64, 64), dtype=complex)
     q0[1, 2] = q0[-1, -2] = 0.5
-    run_scalar_transport(cfg, q0, np.zeros((2, 64, 64), dtype=complex), ctx=ctx)
+    run_scalar_transport(cfg, q0, np.zeros((2, 64, 64), dtype=complex), model=ctx.noise)
     assert not set(DERIVED_FIELDS) & vars(ctx.noise).keys()
 
 

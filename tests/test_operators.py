@@ -242,6 +242,14 @@ def test_contexts_share_the_model_fields(grid32):
     assert ctx.phi_stack is ctx.noise.phi
 
 
+@pytest.mark.parametrize("reynolds", [0.0, -1.0, float("nan"), float("inf")])
+def test_context_requires_a_positive_finite_reynolds_number(grid16, reynolds):
+    # as SolverConfig requires of Re
+    model = build_noise_model(grid16, 4, 3.0, 1.0)
+    with pytest.raises(ValueError, match="reynolds must be positive and finite"):
+        OperatorContext(model, 0.1, reynolds)
+
+
 @pytest.mark.parametrize("model", ["mix", "pure", "synthetic"])
 def test_noise_field_matches_tensordot_bitwise(grid32, rng, model):
     # xi is summed on the joint support of the modes, off BLAS, with the bits

@@ -90,10 +90,10 @@ def test_explicit_path_must_fit_the_run(grid32, dt, n_steps, k_modes, name):
     ctx = build_context(cfg)
     path = WienerPath(0, dt, n_steps, k_modes)
     with pytest.raises(ValueError, match=f"path {name} "):
-        run(cfg, ctx=ctx, path=path, warn_cfl=False)
+        run(cfg, model=ctx.noise, path=path, warn_cfl=False)
     q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
     with pytest.raises(ValueError, match=f"path {name} "):
-        run_scalar_transport(cfg, q0, u, ctx=ctx, path=path)
+        run_scalar_transport(cfg, q0, u, model=ctx.noise, path=path)
 
 
 def test_record_every_must_be_positive():
@@ -174,7 +174,8 @@ def test_step_exact_heat_decay_single_mode(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
     v = _real_mode_coeffs(grid32, (1, 2), "cos")
-    out = velocity_of(grid32, step(psi_of(grid32, v), ctx, None, cfg.dt))
+    out = velocity_of(grid32, step(psi_of(grid32, v), solver._StepWorkspace(ctx, cfg.dt),
+                                   None))
     factor = np.exp(-cfg.dt * 5.0 / cfg.reynolds)
     assert np.max(np.abs(out - factor * v)) < 1e-15
 
@@ -183,8 +184,9 @@ def test_step_matches_deterministic_path(grid32, rng):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
     v = psi_of(grid32, random_div_free(grid32, rng))
-    a = step(v, ctx, None, cfg.dt)
-    b = step(v, ctx, np.zeros(cfg.k_modes), cfg.dt)
+    work = solver._StepWorkspace(ctx, cfg.dt)
+    a = step(v, work, None)
+    b = step(v, work, np.zeros(cfg.k_modes))
     assert np.array_equal(a, b)
 
 
@@ -236,7 +238,7 @@ def test_fused_step_matches_operator_reference(rng, with_noise, epsilon, model, 
     v = 2.0 * random_div_free(grid, rng)
     dt = 1e-3
     dbeta = (np.sqrt(dt) * rng.standard_normal(ctx.noise.k_modes) if with_noise else None)
-    got = velocity_of(grid, step(psi_of(grid, v), ctx, dbeta, dt))
+    got = velocity_of(grid, step(psi_of(grid, v), solver._StepWorkspace(ctx, dt), dbeta))
     ref = _reference_step(ctx, v, dbeta, dt)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -258,7 +260,7 @@ def test_run_matches_reference_step_loop(epsilon, mix, n, k_modes):
                        initial_params={"k_max": n // 4, "seed": 2})
     ctx = build_context(cfg)
     path = WienerPath(cfg.seed, cfg.dt, cfg.n_steps, cfg.k_modes) if ctx.noisy else None
-    got = recorded_states(cfg, ctx=ctx, path=path, warn_cfl=False)[-1]
+    got = recorded_states(cfg, model=ctx.noise, path=path, warn_cfl=False)[-1]
     v = make_initial(cfg.initial_kind, ctx.grid, cfg.initial_params)
     for i in range(cfg.n_steps):
         v = _reference_step(ctx, v, None if path is None else path.increments[i], cfg.dt)
@@ -271,7 +273,7 @@ def test_step_output_is_hermitian(grid32, rng):
     # the expanded velocity is exactly Hermitian
     ctx = build_context(short_config(k_modes=8))
     v = psi_of(grid32, random_div_free(grid32, rng))
-    out = step(v, ctx, 0.03 * np.ones(8), 1e-3)
+    out = step(v, solver._StepWorkspace(ctx, 1e-3), 0.03 * np.ones(8))
     m, h = grid32.pad_size, 16
     assert out.shape == (m, h)
     assert np.array_equal(out[m - 1:m - h:-1, 0], np.conj(out[1:h, 0]))
@@ -317,8 +319,10 @@ def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
     ctx = build_context(short_config(epsilon=epsilon, k_modes=8))
     v = psi_of(grid32, random_div_free(grid32, rng))
     dbeta = 0.03 * np.ones(8) if epsilon > 0 else None
-    # a bare step makes its own workspace, and making one takes no transform
-    assert _real_passes(_count_transforms(monkeypatch, lambda: step(v, ctx, dbeta, 1e-3))) == real
+    # the workspace is made inside the count: making one takes no transform
+    counts = _count_transforms(monkeypatch,
+                               lambda: step(v, solver._StepWorkspace(ctx, 1e-3), dbeta))
+    assert _real_passes(counts) == real
 
 
 @pytest.mark.parametrize("k_modes", [8, 64])
@@ -349,10 +353,10 @@ def test_warm_step_allocates_little(n):
     work = solver._StepWorkspace(ctx, 1e-3)
     v = psi_of(ctx.grid, make_initial("random_band", ctx.grid, {"k_max": n // 4, "seed": 1}))
     dbeta = 0.03 * np.ones(8)
-    v = step(step(v, ctx, dbeta, 1e-3, work), ctx, dbeta, 1e-3, work)
+    v = step(step(v, work, dbeta), work, dbeta)
     tracemalloc.start()
     try:
-        step(v, ctx, dbeta, 1e-3, work)
+        step(v, work, dbeta)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -398,29 +402,14 @@ def test_noisy_workspace_distinct_memory(n):
     assert sum(a.nbytes for a in counted[shared:]) <= 18 * 8 * ctx.grid.pad_size**2
 
 
-def test_step_refuses_a_workspace_of_another_context_or_dt(grid32, rng):
-    # the workspace holds the multipliers of its (ctx, dt): a step with any
-    # other context, even an equal one, or another dt is refused
-    cfg = short_config(k_modes=8)
-    ctx = build_context(cfg)
-    psi = psi_of(grid32, random_div_free(grid32, rng))
-    dbeta = 0.03 * np.ones(8)
-    for other in (replace(ctx, epsilon=0.0), build_context(cfg)):
-        with pytest.raises(ValueError, match="ctx"):
-            step(psi, ctx, dbeta, 1e-3, solver._StepWorkspace(other, 1e-3))
-    with pytest.raises(ValueError, match="dt 0.002"):
-        step(psi, ctx, dbeta, 1e-3, solver._StepWorkspace(ctx, 2e-3))
-    got = step(psi, ctx, dbeta, 1e-3, solver._StepWorkspace(ctx, 1e-3))
-    assert got.tobytes() == step(psi, ctx, dbeta, 1e-3).tobytes()
-
-
 def test_step_result_survives_next_step(grid32, rng):
     ctx = build_context(short_config(k_modes=8))
     v = psi_of(grid32, random_div_free(grid32, rng))
-    first = step(v, ctx, 0.03 * np.ones(8), 1e-3)
+    work = solver._StepWorkspace(ctx, 1e-3)
+    first = step(v, work, 0.03 * np.ones(8))
     kept = first.copy()
-    step(first, ctx, -0.02 * np.ones(8), 1e-3)
-    step(v, ctx, None, 2e-3)
+    step(first, work, -0.02 * np.ones(8))
+    step(v, solver._StepWorkspace(ctx, 2e-3), None)
     assert np.array_equal(first, kept)
 
 
@@ -438,8 +427,9 @@ def test_shared_workspace_interleaved_matches_fresh_contexts(grid32, rng):
     for i, dt in enumerate((1e-3, 1e-3, 5e-4, 1e-3)):
         for eps in shared:
             dbeta = dbetas[i] if eps > 0 else None
-            a[eps] = step(a[eps], shared[eps], dbeta, dt)
-            b[eps] = step(b[eps], build_context(replace(cfg, epsilon=eps)), dbeta, dt)
+            a[eps] = step(a[eps], solver._StepWorkspace(shared[eps], dt), dbeta)
+            fresh = build_context(replace(cfg, epsilon=eps))
+            b[eps] = step(b[eps], solver._StepWorkspace(fresh, dt), dbeta)
             assert a[eps].tobytes() == b[eps].tobytes()
 
 
@@ -456,12 +446,12 @@ def test_step_self_convergence_under_path_refinement():
     for m in range(16):
         fine = WienerPath(cfg.seed, dt_ref, int(round(cfg.t_end / dt_ref)),
                           cfg.k_modes, member=m)
-        ref = recorded_states(cfg.__class__(**{**cfg.__dict__, "dt": dt_ref}), m, ctx=ctx,
+        ref = recorded_states(cfg.__class__(**{**cfg.__dict__, "dt": dt_ref}), m, model=ctx.noise,
                               path=fine, warn_cfl=False)
         for i, dt in enumerate(dts):
             coarse = fine.coarsen(int(round(dt / dt_ref)))
-            states = recorded_states(cfg.__class__(**{**cfg.__dict__, "dt": dt}), m, ctx=ctx,
-                                     path=coarse, warn_cfl=False)
+            states = recorded_states(cfg.__class__(**{**cfg.__dict__, "dt": dt}), m,
+                                     model=ctx.noise, path=coarse, warn_cfl=False)
             errors[i, m] = h_norm(grid, states[-1] - ref[-1])
     rms = np.sqrt((errors**2).mean(axis=1))
     assert rms[0] > rms[1] > rms[2]  # monotone over the dyadic sweep
@@ -584,18 +574,17 @@ def test_step_is_looked_up_at_every_step(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("field,ctx_value", [("epsilon", 0.2), ("reynolds", 50.0),
-                                              ("n_modes", 16), ("k_modes", 8),
+@pytest.mark.parametrize("field,ctx_value", [("n_modes", 16), ("k_modes", 8),
                                               ("spectrum_exponent", 1.0), ("amplitude", 0.5),
                                               ("noise_mixing", False)])
 def test_run_rejects_context_of_another_config(grid32, field, ctx_value):
     cfg = short_config(t_end=2e-3)
     ctx = build_context(replace(cfg, **{field: ctx_value}))
-    with pytest.raises(ValueError, match=f"context {field} "):
-        run(cfg, ctx=ctx)
+    with pytest.raises(ValueError, match=f"model {field} "):
+        run(cfg, model=ctx.noise)
     q0, u = make_tracer(grid32), make_initial("taylor_green", grid32)
-    with pytest.raises(ValueError, match=f"context {field} "):
-        run_scalar_transport(cfg, q0, u, ctx=ctx)
+    with pytest.raises(ValueError, match=f"model {field} "):
+        run_scalar_transport(cfg, q0, u, model=ctx.noise)
 
 
 def test_run_bitwise_reproducible():
@@ -626,7 +615,7 @@ def test_run_n96_mixed_noise():
 
 
 def test_convergence_study_matches_fresh_contexts():
-    # the study shares one context cache across epsilons; nothing in it may
+    # the study shares one noise model across epsilons; nothing in it may
     # depend on epsilon, so a fresh build_context per epsilon gives the same bits
     cfg = short_config(n_modes=16, t_end=0.02, record_every=5, k_modes=4)
     epsilons = [0.2, 0.1]
@@ -640,7 +629,7 @@ def test_convergence_study_matches_fresh_contexts():
         ctx = build_context(eps_cfg)
         int_v = []
         for m in range(2):
-            states = recorded_states(eps_cfg, m, ctx=ctx, warn_cfl=False)
+            states = recorded_states(eps_cfg, m, model=ctx.noise, warn_cfl=False)
             dh = [h_norm(grid, a - b) ** 2 for a, b in zip(states, det_states)]
             dv = [v_norm(grid, a - b) ** 2 for a, b in zip(states, det_states)]
             assert report.per_member_h[j, m] == np.sqrt(max(dh))
@@ -660,7 +649,7 @@ def test_zero_initial_stays_zero(grid32):
     cfg = short_config(epsilon=0.0)
     ctx = build_context(cfg)
     v0 = np.zeros((2, 32, 32), dtype=complex)
-    states = recorded_states(cfg, ctx=ctx, v0=v0, warn_cfl=False)
+    states = recorded_states(cfg, model=ctx.noise, v0=v0, warn_cfl=False)
     assert all(np.all(s == 0.0) for s in states)
 
 
@@ -670,7 +659,7 @@ def test_blow_up_detected(grid32):
     ctx = build_context(cfg)
     v0 = 1e200 * random_div_free(grid32, np.random.default_rng(0))
     with pytest.raises(BlowUpError) as err:
-        run(cfg, ctx=ctx, v0=v0, warn_cfl=False)
+        run(cfg, model=ctx.noise, v0=v0, warn_cfl=False)
     assert err.value.step >= 1
 
 
@@ -702,7 +691,7 @@ def test_mean_energy_increment_bounded_by_noise_term():
     # martingale part is averaged out; C fitted over the time grid
     cfg = short_config(epsilon=0.2, t_end=0.2, record_every=10)
     ctx = build_context(cfg)
-    recs = [run(cfg, m, ctx=ctx, warn_cfl=False) for m in range(16)]
+    recs = [run(cfg, m, model=ctx.noise, warn_cfl=False) for m in range(16)]
     e = np.stack([r.diagnostics["energy"] for r in recs]).mean(axis=0)
     t = recs[0].times
     increments = np.diff(e)
@@ -737,7 +726,7 @@ def test_tracer_advection_conserves_energy_to_first_order(grid32):
     u = make_initial("taylor_green", grid32)
     drift = {}
     for dt in (2e-3, 1e-3):
-        out = run_scalar_transport(replace(cfg, dt=dt, record_every=1), q0, u, ctx=ctx)
+        out = run_scalar_transport(replace(cfg, dt=dt, record_every=1), q0, u, model=ctx.noise)
         energies = out.diagnostics["energy"]
         drift[dt] = abs(energies[-1] - energies[0]) / energies[0]
     assert drift[1e-3] < 5e-3                      # O(dt) per unit time
@@ -758,7 +747,7 @@ def test_fused_tracer_matches_per_call_reference(grid32, model, epsilon):
     path = WienerPath(3, dt, 40, noise.k_modes) if ctx.noisy else None
     cfg = short_config(epsilon=epsilon, dt=dt, t_end=t_end, record_every=1,
                        k_modes=noise.k_modes, noise_mixing=noise.mix_shells)
-    got = run_scalar_transport(cfg, q0, u, ctx=ctx, path=path).diagnostics["energy"]
+    got = run_scalar_transport(cfg, q0, u, model=ctx.noise, path=path).diagnostics["energy"]
     ref = _reference_tracer(q0, u, ctx, dt, t_end, path)
     assert got.shape == ref.shape
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -786,7 +775,7 @@ def test_transform_count_per_tracer_step(grid32, monkeypatch, epsilon, real):
     q0 = make_tracer(grid32)
     u = make_initial("taylor_green", grid32)
     one, two = (_real_passes(_count_transforms(monkeypatch, lambda t=t: run_scalar_transport(
-        replace(cfg, t_end=t * cfg.dt), q0, u, ctx=ctx))) for t in (1, 2))
+        replace(cfg, t_end=t * cfg.dt), q0, u, model=ctx.noise))) for t in (1, 2))
     assert two - one == real
 
 
@@ -806,14 +795,14 @@ def test_tracer_reuses_the_context_workspace(grid32, monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(solver, "_StepWorkspace", CountingWorkspace)
-    first = run(cfg, ctx=ctx, warn_cfl=False).diagnostics["energy"]
+    first = run(cfg, model=ctx.noise, warn_cfl=False).diagnostics["energy"]
     assert len(made) == 1
-    second = run(cfg, ctx=ctx, warn_cfl=False).diagnostics["energy"]
+    second = run(cfg, model=ctx.noise, warn_cfl=False).diagnostics["energy"]
     assert len(made) == 2
     assert first.tobytes() == second.tobytes()
     made.clear()
-    first = run_scalar_transport(cfg, q0, u, ctx=ctx).diagnostics["energy"]
-    second = run_scalar_transport(cfg, q0, u, ctx=ctx).diagnostics["energy"]
+    first = run_scalar_transport(cfg, q0, u, model=ctx.noise).diagnostics["energy"]
+    second = run_scalar_transport(cfg, q0, u, model=ctx.noise).diagnostics["energy"]
     assert len(made) == 0
     assert first.tobytes() == second.tobytes()
     peaks = []
@@ -821,7 +810,7 @@ def test_tracer_reuses_the_context_workspace(grid32, monkeypatch):
         tracemalloc.start()
         try:
             run_scalar_transport(replace(cfg, t_end=n_steps * cfg.dt, record_every=1000), q0, u,
-                                 ctx=ctx)
+                                 model=ctx.noise)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -18,7 +18,15 @@ fixed:
   modes' wavevector sums and differences stay inside the N grid (44 and 792
   pure, 22 and 396 mixed), amplitude 1 and r = 3;
 - grids: the Leray multiplier ``_projection`` and the coordinates ``x`` and
-  ``y`` at N = 16 and 64.
+  ``y`` at N = 16 and 64;
+- studies, each at K = 8 with seed 7, a random_band initial field and 50
+  steps of dt = 1e-3: every array and the slope of
+  ``epsilon_convergence_study`` at N = 16, eps (0.2, 0.1) and 4 members on
+  both bases; the ``contraction_test`` report at N = 16, eps = 0.1, mixed,
+  for delta 1e-3 and 0; the records of ensemble members 0 to 3 run by the
+  CLI's worker functions on one noise model at N = 32, eps = 0.1, mixed;
+- the details of ``run_validation_suite`` on the default config and on
+  K = 8 mixed, as printed (they keep three significant digits).
 
 Digests depend on the host (the Brownian increments take their logarithms
 from the C library), so compare checkouts on one machine.
@@ -31,9 +39,12 @@ import json
 
 import numpy as np
 
+from lu_flow import cli
+from lu_flow.diagnostics import contraction_test, epsilon_convergence_study
 from lu_flow.noise import build_noise_model
 from lu_flow.solver import SolverConfig, make_initial, run, run_scalar_transport
 from lu_flow.spectral import TorusGrid, _projection, expand, from_physical
+from lu_flow.validation import run_validation_suite
 
 SWEEP_N = (32, 48, 64, 96, 128)
 SWEEP_EPS = (0.1, 0.0)
@@ -109,6 +120,27 @@ def grid_digests(n: int) -> dict:
             "y": _sha(grid.y)}
 
 
+def study_digests() -> dict:
+    """Hex SHA-256 of the convergence studies, the contraction reports and
+    the ensemble members of the module docstring, by name."""
+    out = {}
+    for mix in (False, True):
+        report = epsilon_convergence_study(_config(16, 0.1, mix, 50, 8), (0.2, 0.1), 4)
+        out[f"converge_mix={mix}"] = _sha(
+            report.epsilons, report.errors_h, report.errors_v_sq, report.per_member_h,
+            np.array([report.fitted_slope, report.ensemble_size, report.shared_path]))
+    for delta in (1e-3, 0.0):
+        report = contraction_test(_config(16, 0.1, True, 50, 8), delta)
+        out[f"contraction_delta={delta}"] = _sha(
+            report.times, report.weighted_diffs, report.bound_curve,
+            np.array([report.alpha, report.fitted_C, report.bitwise_identical]))
+    config = _config(32, 0.1, True, 50, 8)
+    cli._init_worker(config)
+    records = [cli._member_job(config, m) for m in range(4)]
+    out["ensemble_members"] = _sha((r.times, *r.diagnostics.values()) for r in records)
+    return out
+
+
 def main() -> None:
     for n, eps, mix, k in SWEEP:
         print(json.dumps({"N": n, "eps": eps, "mix": mix, "K": k, "steps": SWEEP_STEPS,
@@ -122,6 +154,12 @@ def main() -> None:
                           "sha256": model_digests(n, mix, k)}), flush=True)
     for n in (16, 64):
         print(json.dumps({"grid": True, "N": n, "sha256": grid_digests(n)}), flush=True)
+    print(json.dumps({"studies": True, "sha256": study_digests()}), flush=True)
+    for config in (SolverConfig(), SolverConfig(k_modes=8, noise_mixing=True)):
+        print(json.dumps({"validate": True, "K": config.k_modes, "mix": config.noise_mixing,
+                          "details": [[name, bool(ok), detail] for name, ok, detail
+                                      in run_validation_suite(config)]}),
+              flush=True)
 
 
 if __name__ == "__main__":
