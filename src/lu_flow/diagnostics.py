@@ -205,12 +205,13 @@ def contraction_test(config: SolverConfig, delta: float) -> ContractionReport:
 
 @dataclass
 class ConvergenceReport:
+    """The errors of ``epsilon_convergence_study``: one path per member."""
+
     epsilons: np.ndarray            # strictly decreasing
     errors_h: np.ndarray            # ensemble RMS of sup_t |v_eps - v|_H
     errors_v_sq: np.ndarray         # ensemble RMS of int ||v_eps - v||_V^2 dt
     fitted_slope: float
     ensemble_size: int
-    shared_path: bool
     per_member_h: np.ndarray        # (n_eps, members)
 
     def __post_init__(self):
@@ -226,15 +227,15 @@ def _ls_slope(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.dot(x, y - y.mean()) / np.dot(x, x))
 
 
-def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size: int,
-                              shared_path: bool = True) -> ConvergenceReport:
+def epsilon_convergence_study(base_config: SolverConfig, epsilons,
+                              ensemble_size: int) -> ConvergenceReport:
     """Pathwise distance to the deterministic solution across a noise sweep.
 
-    For every epsilon the same per-member Brownian family is reused (shared
-    paths), a deliberate pathwise strengthening of the convergence-in-law
-    statement that also cuts Monte Carlo variance.  The initial field is made
-    once for every run, and with shared paths each member's path once for
-    every epsilon.  Per-member error arrays that do not fit in memory are a
+    Member m runs on its own Brownian path at every epsilon against one
+    eps = 0 reference: the pathwise form of the vanishing-noise limit, whose
+    coupling of the epsilons also cuts the variance of the slope.  The initial
+    field is made once for every run, and each member's path once for every
+    epsilon.  Per-member error arrays that do not fit in memory are a
     ConfigError naming study.ensemble_size, raised before any run.
     """
     epsilons = np.sort(np.asarray(epsilons, dtype=float))[::-1]
@@ -248,8 +249,7 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     ctx = build_context(replace(base_config, epsilon=float(epsilons[0])))
     v0 = make_initial(base_config.initial_kind, ctx.grid, base_config.initial_params)
     paths = cache(partial(member_path, base_config))
-    shared = shared_path and ctx.noisy
-    if shared:
+    if ctx.noisy:
         paths(0)  # a table too large for memory fails before the reference run
     det_states = []
     times = run(replace(base_config, epsilon=0.0), model=ctx.noise,
@@ -258,9 +258,8 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
     for j, eps in enumerate(epsilons):
         cfg = replace(base_config, epsilon=float(eps))
         for m in range(ensemble_size):
-            member = m if shared_path else m + 1000 * (j + 1)
             sq = []
-            run(cfg, member, model=ctx.noise, path=paths(m) if shared else None, v0=v0,
+            run(cfg, m, model=ctx.noise, path=paths(m) if ctx.noisy else None, v0=v0,
                 observe=partial(_distances_to, ctx.grid, iter(det_states), sq), warn_cfl=False)
             h_sq, v_sq = np.array(sq).T
             sup_h[j, m] = np.sqrt(h_sq.max())
@@ -272,5 +271,4 @@ def epsilon_convergence_study(base_config: SolverConfig, epsilons, ensemble_size
         slope = _ls_slope(np.log(epsilons), np.log(rms_h))
     else:
         slope = 0.0  # zero-noise degenerate sweep
-    return ConvergenceReport(epsilons, rms_h, rms_v, slope, ensemble_size,
-                             shared_path, sup_h)
+    return ConvergenceReport(epsilons, rms_h, rms_v, slope, ensemble_size, sup_h)

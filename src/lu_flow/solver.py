@@ -143,7 +143,7 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> np.n
         return leray_project(grid, expand(grid, from_physical(grid, np.stack([ux, uy]))))
     if kind == "random_band":
         rng_seed = params.get("seed", 0)
-        gen = np.random.Generator(np.random.Philox(key=[rng_seed % 2**64, 2**32]))
+        gen = np.random.Generator(np.random.Philox(key=[rng_seed, 2**32]))
         coeffs = random_solenoidal(grid, gen, params.get("k_min", 1),
                                    params.get("k_max", grid.n_modes // 4))
         coeffs *= np.sqrt(params.get("energy", 1.0) / energy(grid, coeffs))
@@ -249,9 +249,10 @@ def step(psi: np.ndarray, work: _StepWorkspace, dbeta: np.ndarray | None) -> np.
     ``spectral``: psi+ = E psi + E (kx^2 H0 - ky^2 H1 + kx ky H2) / |k|^2 + C
     - eps E A psi_xi of the module docstring, 8 real transforms with noise
     and 4 without.  ``work``, the run's ``_StepWorkspace(ctx, dt)``, is the
-    only source of the step's context and dt.  With a warm workspace a step
-    allocates only its result and small temporaries.  The returned state
-    never aliases the workspace.
+    only source of the step's context and dt.  ``dbeta``, the K increments,
+    may be None only for a deterministic workspace, which ignores it.  With
+    a warm workspace a step allocates only its result and small temporaries.
+    The returned state never aliases the workspace.
     """
     ctx = work.ctx
     grid = ctx.grid
@@ -264,12 +265,8 @@ def step(psi: np.ndarray, work: _StepWorkspace, dbeta: np.ndarray | None) -> np.
         np.subtract(vy, vx, out=h1)
         h1 *= np.add(vy, vx, out=vy)  # v is not read again
     else:
-        c = work.c
-        if dbeta is None:
-            c[...] = v  # w is written over v
-        else:
-            psi_xi = ctx.noise.separable_xi(dbeta, work.wy_step, c)[0]
-            c += v
+        psi_xi, c = ctx.noise.separable_xi(dbeta, work.wy_step, work.c)
+        c += v
         _flux_curl(work, phys, c)
     hat = from_physical(grid, work.prod, work.rows, work.cols[:len(work.prod)])
     np.multiply(work.out_mult, hat, out=hat)
@@ -278,8 +275,7 @@ def step(psi: np.ndarray, work: _StepWorkspace, dbeta: np.ndarray | None) -> np.
         out += part
     if work.noisy:
         out += work.const
-        if dbeta is not None:
-            out.reshape(-1)[ctx.noise.block_idx] += work.xi_mult * psi_xi
+        out.reshape(-1)[ctx.noise.block_idx] += work.xi_mult * psi_xi
     return out
 
 

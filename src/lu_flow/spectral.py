@@ -215,21 +215,16 @@ def _projection(kx: np.ndarray, ky: np.ndarray) -> np.ndarray:
     return np.stack(np.broadcast_arrays(w * ky * ky, w * kx * kx, -w * kx * ky))
 
 
-def leray_project(grid: TorusGrid, coeffs: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def leray_project(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
     """Remove the gradient part: u_k -> u_k - k (k.u_k)/|k|^2, zero mean mode.
 
     Acts as the identity on divergence-free fields and annihilates pure
     gradients; idempotent and self-adjoint in the L2 inner product.  Applies
     the symmetric 2 x 2 multiplier ``_projection``, formed on each call, to
-    full-layout coefficients.  ``out`` (C-contiguous, may be ``coeffs``
-    itself) receives the result.
+    full-layout coefficients: (P00 c0 + P01 c1, P11 c1 + P01 c0).
     """
     p = _projection(grid.kx, grid.ky)
-    swapped = p[2] * coeffs[::-1]  # (P01 c1, P01 c0), before out (maybe coeffs) is written
-    if out is None:
-        out = np.empty(coeffs.shape, dtype=complex)
-    return np.add(np.multiply(p[:2], coeffs, out=out), swapped, out=out)
+    return p[:2] * coeffs + p[2] * coeffs[::-1]
 
 
 def inverse_k_sq(grid: TorusGrid) -> np.ndarray:

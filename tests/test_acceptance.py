@@ -163,8 +163,7 @@ def test_criterion_4_epsilon_convergence():
     cfg = SolverConfig(n_modes=32, reynolds=100.0, epsilon=0.2, dt=2e-3,
                        t_end=1.0, k_modes=4, record_every=25, seed=0,
                        noise_mixing=True)
-    report = epsilon_convergence_study(cfg, [0.2, 0.1, 0.05, 0.025],
-                                       ensemble_size=64, shared_path=True)
+    report = epsilon_convergence_study(cfg, [0.2, 0.1, 0.05, 0.025], ensemble_size=64)
     decreasing = bool(np.all(np.diff(report.errors_h) < 0))  # eps sorted descending
     elapsed = time.time() - t0
     ok = report.fitted_slope >= 0.8 and decreasing and elapsed < 1200

@@ -254,8 +254,11 @@ def test_cli_converge(tmp_path):
     rows = (out / "convergence.csv").read_text().splitlines()
     assert rows[0] == "epsilon,rms_sup_h_error,rms_int_v_sq_error"
     assert len(rows) == 4
-    summary = (out / "summary.txt").read_text()
-    assert "fitted_slope" in summary and "ensemble_size 4" in summary
+    summary = dict(line.split(" ", 1) for line in
+                   (out / "summary.txt").read_text().splitlines())
+    # perfbench/run.py's check_converge reads ensemble_size and shared_path
+    assert set(summary) == {"fitted_slope", "ensemble_size", "shared_path"}
+    assert summary["ensemble_size"] == "4" and summary["shared_path"] == "true"
     outputs = json.loads((out / "manifest.json").read_text())["outputs"]
     assert "convergence.csv" in outputs
     assert all((out / name).exists() for name in outputs)
@@ -546,6 +549,51 @@ def test_cli_bad_env_seed_is_config_error(tmp_path, capsys, monkeypatch, seed):
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "LU_FLOW_SEED" in err
+
+
+# each seed keys Philox, which takes keys below 2^64: a larger seed would
+# alias a smaller one (simulate) or overflow the key (validate)
+SEED_SOURCES = {
+    "noise.seed": lambda seed: (dict(SMALL, noise={"K": 2, "seed": seed}), None),
+    "initial.seed": lambda seed: (dict(SMALL, initial={"kind": "random_band", "seed": seed}),
+                                  None),
+    "LU_FLOW_SEED": lambda seed: (SMALL, str(seed)),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("source", sorted(SEED_SOURCES))
+def test_cli_seed_of_2_to_the_64_is_config_error(tmp_path, capsys, monkeypatch, source,
+                                                 command):
+    doc, env = SEED_SOURCES[source](2**64)
+    if env is not None:
+        monkeypatch.setenv("LU_FLOW_SEED", env)
+    cfg = _write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and source in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", sorted(SEED_SOURCES))
+def test_seed_of_2_to_the_64_minus_1_is_accepted(monkeypatch, source):
+    doc, env = SEED_SOURCES[source](2**64 - 1)
+    if env is not None:
+        monkeypatch.setenv("LU_FLOW_SEED", env)
+    config, _ = parse_config(json.dumps(doc))
+    seed = config.initial_params["seed"] if source == "initial.seed" else config.seed
+    assert seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 200_000 + "]" * 200_000, id="nested"),
+    pytest.param('{"N": ' + "1" * 5001 + "}", id="long_integer")])
+def test_cli_json_that_json_cannot_read_is_config_error(tmp_path, capsys, text):
+    # json.loads raises RecursionError and ValueError here, not JSONDecodeError
+    cfg = tmp_path / "config.json"
+    cfg.write_text(text)
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("size", [0, -2, 1.5, "8", True, 1])

@@ -154,14 +154,13 @@ def test_convergence_zero_amplitude_degenerate():
 
 def test_convergence_study_draws_no_path_without_noise(monkeypatch):
     # the modes of a null amplitude are all zero, so no run is noisy and the
-    # study, with shared paths or without, draws no Brownian path
+    # study draws no Brownian path
     import lu_flow.solver
 
     made = []
     monkeypatch.setattr(lu_flow.solver, "WienerPath", lambda *args, **kw: made.append(args))
     cfg = SolverConfig(n_modes=16, t_end=0.02, dt=2e-3, record_every=5, amplitude=0.0)
-    for shared_path in (True, False):
-        epsilon_convergence_study(cfg, [0.2, 0.1], 2, shared_path=shared_path)
+    epsilon_convergence_study(cfg, [0.2, 0.1], 2)
     assert made == []
 
 
@@ -189,20 +188,6 @@ def test_convergence_sweep_monotone_and_linear():
     # per-member monotonicity under the paired-path coupling
     assert np.all(np.diff(rep.per_member_h, axis=0) < 0)
     assert 0.8 <= rep.fitted_slope <= 1.2
-    assert rep.shared_path
-
-
-def test_shared_paths_reduce_error():
-    cfg = SolverConfig(n_modes=32, t_end=0.05, dt=2e-3, record_every=5,
-                       noise_mixing=True)
-    shared = epsilon_convergence_study(cfg, [0.2, 0.1], ensemble_size=8,
-                                       shared_path=True)
-    indep = epsilon_convergence_study(cfg, [0.2, 0.1], ensemble_size=8,
-                                      shared_path=False)
-    # the coupling cannot increase the pathwise distance to the
-    # deterministic solution: both compare against the same reference, so
-    # this is a per-epsilon sanity check, not an inequality theorem
-    assert np.all(shared.errors_h <= indep.errors_h * 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +220,9 @@ def test_each_trajectory_is_one_run_of_n_steps(monkeypatch):
     assert calls == {"run": 2, "step": 2 * cfg.n_steps}
 
 
-@pytest.mark.parametrize("shared_path", [True, False])
-def test_study_builds_its_initial_field_and_paths_once(monkeypatch, shared_path):
-    # one random_band draw for all 1 + 3 x 2 runs, and with shared paths one
-    # path per member for all three epsilons; the report keeps the bits of
+def test_study_builds_its_initial_field_and_paths_once(monkeypatch):
+    # one random_band draw for all 1 + 3 x 2 runs, and one path per member
+    # for all three epsilons; the report keeps the bits of
     # runs that each build their own initial field and path
     import lu_flow.diagnostics
     import lu_flow.noise
@@ -260,9 +244,8 @@ def test_study_builds_its_initial_field_and_paths_once(monkeypatch, shared_path)
     cfg = base_cfg(n_modes=16, t_end=0.02, record_every=5, k_modes=4,
                    initial_kind="random_band", initial_params={"k_max": 4, "seed": 3})
     epsilons, members = [0.2, 0.1, 0.05], 2
-    report = epsilon_convergence_study(cfg, epsilons, members, shared_path=shared_path)
-    assert made == {"make_initial": 1,
-                    "WienerPath": members * (1 if shared_path else len(epsilons))}
+    report = epsilon_convergence_study(cfg, epsilons, members)
+    assert made == {"make_initial": 1, "WienerPath": members}
     monkeypatch.undo()
 
     det = []
@@ -270,7 +253,7 @@ def test_study_builds_its_initial_field_and_paths_once(monkeypatch, shared_path)
     for j, eps in enumerate(epsilons):
         for m in range(members):
             states = []
-            run(replace(cfg, epsilon=eps), m if shared_path else m + 1000 * (j + 1),
-                observe=lambda t, s: states.append(s), warn_cfl=False)
+            run(replace(cfg, epsilon=eps), m, observe=lambda t, s: states.append(s),
+                warn_cfl=False)
             sup = np.sqrt(max(h_norm(TorusGrid(16), a - b) ** 2 for a, b in zip(states, det)))
             assert report.per_member_h[j, m] == sup

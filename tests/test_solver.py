@@ -237,7 +237,8 @@ def test_fused_step_matches_operator_reference(rng, with_noise, epsilon, model, 
     assert np.max(np.abs(ctx.noise.ito_stokes_drift)) > 0  # the drift terms are exercised
     v = 2.0 * random_div_free(grid, rng)
     dt = 1e-3
-    dbeta = (np.sqrt(dt) * rng.standard_normal(ctx.noise.k_modes) if with_noise else None)
+    dbeta = (np.sqrt(dt) * rng.standard_normal(ctx.noise.k_modes) if with_noise
+             else np.zeros(ctx.noise.k_modes))
     got = velocity_of(grid, step(psi_of(grid, v), solver._StepWorkspace(ctx, dt), dbeta))
     ref = _reference_step(ctx, v, dbeta, dt)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -409,7 +410,7 @@ def test_step_result_survives_next_step(grid32, rng):
     first = step(v, work, 0.03 * np.ones(8))
     kept = first.copy()
     step(first, work, -0.02 * np.ones(8))
-    step(v, solver._StepWorkspace(ctx, 2e-3), None)
+    step(v, solver._StepWorkspace(ctx, 2e-3), np.zeros(8))
     assert np.array_equal(first, kept)
 
 

@@ -128,7 +128,7 @@ def study_digests() -> dict:
         report = epsilon_convergence_study(_config(16, 0.1, mix, 50, 8), (0.2, 0.1), 4)
         out[f"converge_mix={mix}"] = _sha(
             report.epsilons, report.errors_h, report.errors_v_sq, report.per_member_h,
-            np.array([report.fitted_slope, report.ensemble_size, report.shared_path]))
+            np.array([report.fitted_slope, report.ensemble_size]))
     for delta in (1e-3, 0.0):
         report = contraction_test(_config(16, 0.1, True, 50, 8), delta)
         out[f"contraction_delta={delta}"] = _sha(
