@@ -3,14 +3,14 @@
 The config file is JSON.  Schema (defaults in parentheses):
 
     {
-      "N": int (32),            # grid modes per dimension, even, >= 8
+      "N": int (32),            # grid modes per dimension, even, in [8, 759250124]
       "Re": float (100.0),
       "eps": float (0.1),
       "dt": float (1e-3),
       "T": float (1.0),
       "record_every": int (10),
       "initial": {"kind": "taylor_green", "scale": float (1.0)}
-               | {"kind": "random_band", "k_min": float (1), "k_max": float (N // 4),
+               | {"kind": "random_band", "k_min": float >= 0 (1), "k_max": float >= 0 (N // 4),
                   "energy": float > 0 (1.0), "seed": int in [0, 2^64) (0)}
                | {"kind": "file", "path": str},     # path required; default taylor_green
       "noise": {"K": int (4), "r": float (3.0), "amp": float (1.0),
@@ -36,6 +36,7 @@ import dataclasses
 import datetime
 import hashlib
 import json
+import math
 import os
 import platform
 import sys
@@ -53,7 +54,8 @@ _SEED = {"integer": True, "minimum": 0, "maximum": 2**64 - 1}
 # number that may be left out, or ``str`` for a string that must be given
 _INITIAL = {
     "taylor_green": {"scale": {}},
-    "random_band": {"k_min": {}, "k_max": {}, "energy": {"positive": True}, "seed": _SEED},
+    "random_band": {"k_min": {"minimum": 0}, "k_max": {"minimum": 0},
+                    "energy": {"positive": True}, "seed": _SEED},
     "file": {"path": str},
 }
 _STUDY_DEFAULTS = {"epsilons": [0.2, 0.1, 0.05], "ensemble_size": 64}
@@ -115,7 +117,9 @@ def _param(default, key: str, **rule):
 class SolverConfig:
     """A run's frozen parameters; ``__post_init__`` checks each, naming its key."""
 
-    n_modes: int = _param(32, "N", integer=True, minimum=8)
+    # the largest N whose N x N array of complex doubles an array can index
+    n_modes: int = _param(32, "N", integer=True, minimum=8,
+                          maximum=math.isqrt(np.iinfo(np.intp).max // 16))
     reynolds: float = _param(100.0, "Re", positive=True)
     epsilon: float = _param(0.1, "eps", minimum=0.0)
     dt: float = _param(1e-3, "dt", positive=True)

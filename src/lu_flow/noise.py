@@ -31,7 +31,6 @@ from .spectral import (
     divergence,
     expand,
     from_physical,
-    inverse_k_sq,
     leray_project,
     sobolev_norm_sq,
     stream_function,
@@ -103,9 +102,10 @@ class NoiseModel:
     projection of the Ito-Stokes drift u_s = 0.5 div a, and ``drift_pad``,
     u_s on the padded grid; ``psi_us`` and ``psi_div_a_grad_us``, the stream
     functions of u_s and of P div(a grad u_s); ``block_idx``, ``xi_terms``,
-    ``ex`` and ``wy``, xi's separable transform (``_separable_tables``), None
-    when every mode is zero.  Those only the reference operators,
-    ``check_regularity`` and tests read are made when first read, and kept:
+    ``ex`` and ``wy``, xi's velocity on its block and separable transform
+    (``_separable_tables``), None when every mode is zero.  Those only the
+    reference operators, ``check_regularity`` and tests read are made when
+    first read, and kept:
     ``phi`` (K, 2, n, n), and, by the helpers of ``__post_init__`` with
     overflow quiet as in ``build_context``, ``variance_tensor`` (a, (2, 2, n,
     n)), ``variance_hat``, ``ito_stokes_drift`` (raw u_s) and
@@ -180,15 +180,16 @@ class NoiseModel:
         return _div_a_grad_us(self.grid, self.a_pad, self.ito_stokes_drift)
 
     def separable_xi(self, dbeta: np.ndarray, wy: np.ndarray, out: np.ndarray) -> tuple:
-        """xi = sum_k dbeta_k phi_k as its stream function on ``block_idx``
-        and its values on the padded grid, through ``wy`` (``self.wy`` times
-        a scale) and written into ``out``, (2, m, m): the block, each column
-        the sum from +0 of its terms, and two small matrix products."""
+        """xi = sum_k dbeta_k phi_k as its velocity on ``block_idx``, (2, r s),
+        whose curl the velocity step adds as -(eps / Re) E curl xi, and its
+        values on the padded grid, through ``wy`` (``self.wy`` times a scale)
+        and written into ``out``, (2, m, m): the block, each column the sum
+        from +0 of its terms, and two small matrix products."""
         mode, column, value = self.xi_terms
-        block = np.bincount(column, dbeta[mode] * value, 6 * self.block_idx.size)
-        block = block.view(complex).reshape(3, self.ex.shape[1], -1)
-        cols = np.matmul(self.ex, block[1:])
-        return block[0].reshape(-1), np.matmul(cols.view(float), wy, out=out)
+        block = np.bincount(column, dbeta[mode] * value, 4 * self.block_idx.size)
+        block = block.view(complex).reshape(2, self.ex.shape[1], -1)
+        cols = np.matmul(self.ex, block)
+        return block.reshape(2, -1), np.matmul(cols.view(float), wy, out=out)
 
 
 def _variance_tensor(grid: TorusGrid, modes) -> np.ndarray:
@@ -213,17 +214,16 @@ def _div_a_grad_us(grid: TorusGrid, a_pad: np.ndarray, us: np.ndarray) -> np.nda
 
 
 def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple:
-    """The stream function and the velocity of every mode on the smallest block
-    of half-layout rows and leading columns that holds them, (3, r, s) complex
-    per mode, as (its flat indices; the (mode, column, value) triples of the
-    nonzero doubles of the modes' blocks, the stream function only where a mode
-    holds a velocity, with the arithmetic of ``stream_function``; ``ex`` =
-    exp(i kx x) of its rows, (m, r); ``wy``, the real (2s, m) matrix taking the
-    interleaved real and imaginary parts of s columns to their Hermitian sum,
-    weight 1 at ky = 0 and 2 above), or Nones when every mode is zero.  No
-    column holds two modes (a cos mode holds the real parts of its velocity and
-    the imaginary parts of its stream function, a sin mode the reverse), so
-    summing the terms per column gives the block of sum_k dbeta_k phi_k bitwise."""
+    """The velocity of every mode on the smallest block of half-layout rows
+    and leading columns that holds them, (2, r, s) complex per mode, as (its
+    flat indices; the (mode, column, value) triples of the nonzero doubles of
+    the modes' blocks; ``ex`` = exp(i kx x) of its rows, (m, r); ``wy``, the
+    real (2s, m) matrix taking the interleaved real and imaginary parts of s
+    columns to their Hermitian sum, weight 1 at ky = 0 and 2 above), or Nones
+    when every mode is zero.  No column holds two modes (a cos mode holds the
+    real parts of its velocity, a sin mode the imaginary parts), so summing
+    the terms per column gives the block of sum_k dbeta_k phi_k bitwise.  The
+    step takes the curl of this block, so no stream function of xi is kept."""
     n, m, h = grid.n_modes, grid.pad_size, grid.n_modes // 2
     mode = np.repeat(np.arange(len(entries)), [len(idx) for idx, _ in entries])
     comp, i, col = np.unravel_index(np.concatenate([idx for idx, _ in entries]), (2, n, n))
@@ -235,21 +235,12 @@ def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple:
     row = np.where(i < h, i, i + (m - n))  # kx rows at their padded-grid rows
     rows = np.flatnonzero(np.bincount(row, minlength=m))
     r, s = len(rows), int(col.max()) + 1
-    at = np.searchsorted(rows, row) * s + col  # the entry's position in its (r, s) block
-    # one stream function per (mode, position) that holds a velocity
-    key = mode * (r * s) + at
-    lead = np.argsort(key, kind="stable")
-    lead = lead[np.diff(key[lead], prepend=-1) != 0]
-    v = np.zeros((2, len(lead)), dtype=complex)
-    v[comp, np.searchsorted(key[lead], key)] = values
-    at_k = row[lead], col[lead]
-    psi = (1j * inverse_k_sq(grid)[at_k]) * (grid.half_ky[at_k] * v[0] - grid.half_kx[at_k] * v[1])
-    # the complex value at (field, position) of a (3, r, s) block is two doubles
-    column = 2 * np.concatenate([(1 + comp) * (r * s) + at, at[lead]])[:, None] + np.arange(2)
-    value = np.concatenate([values, psi]).view(float)
+    # the complex value at (component, position) of a (2, r, s) block is two doubles
+    at = comp * (r * s) + np.searchsorted(rows, row) * s + col
+    column = (2 * at[:, None] + np.arange(2)).ravel()
+    value = values.view(float)
     nonzero = value != 0
-    terms = (np.repeat(np.concatenate([mode, mode[lead]]), 2)[nonzero],
-             column.ravel()[nonzero], value[nonzero])
+    terms = np.repeat(mode, 2)[nonzero], column[nonzero], value[nonzero]
     block_idx = np.ravel_multi_index(np.ix_(rows, np.arange(s)), (m, h)).ravel()
     x = np.arange(m) * (TWO_PI / m)
     ex = np.exp(1j * np.outer(x, grid.half_kx[rows, 0]))

@@ -19,10 +19,11 @@ div G keeps only its curl.  ``run`` therefore steps the stream function psi
 of v, v = (-d_y psi, d_x psi), with no projection in the step:
 
     psi+ = E psi + E (kx^2 H0 - ky^2 H1 + kx ky H2) / |k|^2 + C
-           - eps E A psi_xi,
+           - (eps / Re) E curl xi,
 
-H0 = G_xy, H1 = G_yx and H2 = G_yy - G_xx formed on the padded grid and C
-the constant drift terms.  A noisy step takes 8 real transforms: v and the
+H0 = G_xy, H1 = G_yx, H2 = G_yy - G_xx formed on the padded grid, C the
+constant drift terms and curl xi = i (ky xi_x - kx xi_y) = |k|^2 psi_xi,
+minus the vorticity of xi.  A noisy step takes 8 real transforms: v and the
 three second derivatives of psi inverse (d_y v_y = -d_x v_x), the H's
 forward; at eps = 0, G = -dt v v is symmetric, so H0 = H1 and it takes 4.
 xi reaches the padded grid by a separable transform of the block of modes
@@ -188,9 +189,9 @@ class _StepWorkspace:
     and ``keep`` = E = exp(-dt A) of the state; with noise ``wy_step``, the
     scale of xi in c folded into the model's ``wy``, ``us2`` = eps^2 u_s on
     the padded grid, ``const`` = E psi(eps^4 dt / 2 div(a grad u_s) + eps^2
-    dt A u_s) and ``xi_mult`` = -eps E A on the block of xi.  The
-    eps-independent fields, a on the padded grid among them, are the noise
-    model's."""
+    dt A u_s) and ``xi_mult`` = -(eps / Re) E (i ky, -i kx) on the block of
+    xi.  The eps-independent fields, a on the padded grid among them, are
+    the noise model's."""
 
     def __init__(self, ctx: OperatorContext, dt: float):
         grid = ctx.grid
@@ -225,7 +226,8 @@ class _StepWorkspace:
         self.us2 = eps**2 * noise.drift_pad
         self.const = (eps**2 * dt) * self.keep * (half_eps2 * noise.psi_div_a_grad_us
                                                    + a_diag * noise.psi_us)
-        self.xi_mult = (-eps * self.keep * a_diag).reshape(-1)[noise.block_idx]
+        curl = (-eps / ctx.reynolds) * self.keep * np.stack([iky, -ikx])
+        self.xi_mult = curl.reshape(2, -1)[:, noise.block_idx]
         self.wy_step = (eps / dt) * noise.wy
 
 
@@ -247,12 +249,12 @@ def step(psi: np.ndarray, work: _StepWorkspace, dbeta: np.ndarray | None) -> np.
     """One Euler-Maruyama step with integrating-factor Stokes treatment of
     the velocity's stream function psi, (m, n/2) in the half layout of
     ``spectral``: psi+ = E psi + E (kx^2 H0 - ky^2 H1 + kx ky H2) / |k|^2 + C
-    - eps E A psi_xi of the module docstring, 8 real transforms with noise
-    and 4 without.  ``work``, the run's ``_StepWorkspace(ctx, dt)``, is the
-    only source of the step's context and dt.  ``dbeta``, the K increments,
-    may be None only for a deterministic workspace, which ignores it.  With
-    a warm workspace a step allocates only its result and small temporaries.
-    The returned state never aliases the workspace.
+    - (eps / Re) E curl xi of the module docstring, 8 real transforms with
+    noise and 4 without.  ``work``, the run's ``_StepWorkspace(ctx, dt)``, is
+    the only source of the step's context and dt.  ``dbeta``, the K
+    increments, may be None only for a deterministic workspace, which
+    ignores it.  With a warm workspace a step allocates only its result and
+    small temporaries.  The returned state never aliases the workspace.
     """
     ctx = work.ctx
     grid = ctx.grid
@@ -265,7 +267,7 @@ def step(psi: np.ndarray, work: _StepWorkspace, dbeta: np.ndarray | None) -> np.
         np.subtract(vy, vx, out=h1)
         h1 *= np.add(vy, vx, out=vy)  # v is not read again
     else:
-        psi_xi, c = ctx.noise.separable_xi(dbeta, work.wy_step, work.c)
+        xi, c = ctx.noise.separable_xi(dbeta, work.wy_step, work.c)
         c += v
         _flux_curl(work, phys, c)
     hat = from_physical(grid, work.prod, work.rows, work.cols[:len(work.prod)])
@@ -275,7 +277,7 @@ def step(psi: np.ndarray, work: _StepWorkspace, dbeta: np.ndarray | None) -> np.
         out += part
     if work.noisy:
         out += work.const
-        out.reshape(-1)[ctx.noise.block_idx] += work.xi_mult * psi_xi
+        out.reshape(-1)[ctx.noise.block_idx] += (work.xi_mult * xi).sum(axis=0)
     return out
 
 

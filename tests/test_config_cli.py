@@ -90,6 +90,8 @@ BAD_VALUES = [
      "field 'initial.energy' must be positive, got -1"),
     ({"initial": {"kind": "file"}}, "initial.path",
      "field 'initial.path' is required for kind 'file'"),
+    # past the largest N whose N x N complex array an array can index
+    ({"N": 2**64}, "N", "field 'N' must be <= 759250124, got 18446744073709551616"),
 ]
 
 
@@ -447,6 +449,7 @@ _BAD_INITIAL = {
     # bands that hold no nonzero, non-Nyquist mode of N = 16 (|k|^2 <= 98)
     "empty_band": ({"kind": "random_band", "k_min": 5, "k_max": 2}, "initial.k_min"),
     "band_beyond_grid": ({"kind": "random_band", "k_min": 10, "k_max": 1e300}, "initial.k_max"),
+    "k_min_negative": ({"kind": "random_band", "k_min": -3, "k_max": 6}, "initial.k_min"),
 }
 
 

@@ -133,9 +133,10 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
     # transform, a padded inverse, 0.5 div a and its projection, the fields
     # of the velocity step built from u_s, and the separable tables of xi on
     # the block of half-layout rows and columns its modes hold; the xi
-    # triples are the nonzeros of the dense (K, 6 r s) table, so the table
-    # is compared with its signed zeros cleared (0 + x), which add +0 to
-    # the dot of the increments with it whatever their sign
+    # triples are the nonzeros of the dense (K, 4 r s) table of the modes'
+    # velocities, so the table is compared with its signed zeros cleared
+    # (0 + x), which add +0 to the dot of the increments with it whatever
+    # their sign
     if kind == "synthetic":
         model = synthetic_inhomogeneous_model(grid16)
     else:
@@ -153,8 +154,7 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
     m = g.pad_size
     a_pad = to_physical(g, a_hat, m)
     div_a_grad_us = leray_project(g, divergence(g, tensor_flux(g, a_pad, us)))
-    half = compress(g, phi)
-    table = np.concatenate([stream_function(g, half)[:, None], half], axis=1)
+    table = compress(g, phi)
     rows = np.flatnonzero(table.any(axis=(0, 1, 3)))
     s = int(np.flatnonzero(table.any(axis=(0, 1, 2)))[-1]) + 1
     x = np.arange(m) * (2 * np.pi / m)
@@ -198,9 +198,9 @@ def test_zero_modes_build_no_xi_tables(grid16, amplitude, mix):
 
 
 def _dense_xi_table(model):
-    """The (K, 6 r s) table of the model's xi terms, zero elsewhere."""
+    """The (K, 4 r s) table of the model's xi terms, zero elsewhere."""
     mode, column, value = model.xi_terms
-    dense = np.zeros((model.k_modes, 6 * model.block_idx.size))
+    dense = np.zeros((model.k_modes, 4 * model.block_idx.size))
     dense[mode, column] = value
     return dense
 
@@ -228,10 +228,10 @@ def test_xi_scatter_matches_the_dense_dot_bitwise(n, mix):
             want = np.dot(dbeta, dense)
             assert np.array_equal(block, want), k
             assert np.array_equal(np.signbit(block), np.signbit(want)), k
-            want = want.view(complex).reshape(3, model.ex.shape[1], -1)
-            want_xi = np.matmul(np.matmul(model.ex, want[1:]).view(float), model.wy)
-            psi, xi = model.separable_xi(dbeta, model.wy, np.empty((2, m, m)))
-            assert psi.tobytes() == want[0].tobytes(), k
+            want = want.view(complex).reshape(2, model.ex.shape[1], -1)
+            want_xi = np.matmul(np.matmul(model.ex, want).view(float), model.wy)
+            got, xi = model.separable_xi(dbeta, model.wy, np.empty((2, m, m)))
+            assert got.tobytes() == want.tobytes(), k
             assert xi.tobytes() == want_xi.tobytes(), k
 
 
@@ -239,7 +239,7 @@ def test_model_build_memory_does_not_grow_as_k_n_squared():
     # the modes are kept as their entries, every field is made from them
     # one mode at a time and xi's block as O(K) triples: 512 mixed modes at
     # N = 64 peak far below their (K, 2, n, n) stack of 64 MiB and below
-    # the 16 MiB of a dense (K, 6 r s) xi table
+    # the 11 MiB of a dense (K, 4 r s) xi table
     import tracemalloc
 
     grid = TorusGrid(64)

@@ -2,10 +2,11 @@
 
 ``perfbench/run.py`` counts an operation as failed when its outputs fail
 the workload's check, and its metrics need the timing lines that
-``perfbench/hook.py`` writes.  This runs one ``time`` operation of the
-``simulate_n64`` workload as the runner does and applies the same check,
-so a change that would fail the benchmark fails here first.  It reads
-``perfbench/`` and writes only under the test's temporary directory.
+``perfbench/hook.py`` writes.  This runs one ``time`` operation of each
+gated workload, ``simulate_n64`` and ``converge_n32``, as the runner does
+and applies the same check, so a change that would fail the benchmark fails
+here first.  It reads ``perfbench/`` and writes only under the test's
+temporary directory.
 """
 
 import importlib.util
@@ -28,9 +29,11 @@ def _load_runner(monkeypatch):
     return module
 
 
-def test_simulate_n64_passes_the_benchmark_check(tmp_path, monkeypatch):
+def _passes_the_benchmark_check(tmp_path, monkeypatch, name, run_steps):
+    """One ``time`` operation of workload ``name``: its check passes, and its
+    runs log one first step and, in order, ``run_steps`` steps each."""
     bench = _load_runner(monkeypatch)
-    name, seed = "simulate_n64", 1
+    seed = 1
     workload = bench.WORKLOADS[name]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(bench.make_config(workload, seed)))
@@ -44,8 +47,17 @@ def test_simulate_n64_passes_the_benchmark_check(tmp_path, monkeypatch):
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
 
-    bench.check_simulate(name, workload, seed, out)  # raises CheckFailed
+    bench.CHECKS[workload.command](name, workload, seed, out)  # raises CheckFailed
     lines = [json.loads(line) for path in tmp_path.glob("timing.*")
              for line in path.read_text().splitlines()]
     assert [ln[0] for ln in lines].count("first_step") == 1
-    assert [ln[2] for ln in lines if ln[0] == "run_end"] == [300]
+    assert [ln[2] for ln in lines if ln[0] == "run_end"] == run_steps
+
+
+def test_simulate_n64_passes_the_benchmark_check(tmp_path, monkeypatch):
+    _passes_the_benchmark_check(tmp_path, monkeypatch, "simulate_n64", [300])
+
+
+def test_converge_n32_passes_the_benchmark_check(tmp_path, monkeypatch):
+    # the eps = 0 reference, then 4 members at each of 3 eps, all on shared paths
+    _passes_the_benchmark_check(tmp_path, monkeypatch, "converge_n32", [100] * 13)

@@ -330,20 +330,40 @@ def test_transform_count_per_step(grid32, rng, monkeypatch, epsilon, real):
 @pytest.mark.parametrize("mix", [False, True])
 def test_separable_noise_matches_its_transform(grid32, rng, mix, k_modes):
     # xi on the padded grid from the separable transform of its block against
-    # the inverse FFT of the reference noise field, and its stream function on
-    # the block against that of the field, which has no mode outside it
+    # the inverse FFT of the reference noise field, and its velocity on the
+    # block bitwise that of the field, which has no mode outside it
     ctx = build_context(short_config(k_modes=k_modes, noise_mixing=mix))
     model = ctx.noise
     dbeta = rng.standard_normal(k_modes)
     field = ctx.noise_field(dbeta)
     m = grid32.pad_size
-    psi_xi, xi = model.separable_xi(dbeta, model.wy, np.empty((2, m, m)))
+    block, xi = model.separable_xi(dbeta, model.wy, np.empty((2, m, m)))
     ref = to_physical(grid32, field, m)
     assert np.max(np.abs(xi - ref)) <= 1e-13 * np.max(np.abs(ref))
-    psi_ref = stream_function(grid32, compress(grid32, field)).reshape(-1)
-    assert np.max(np.abs(psi_xi - psi_ref[model.block_idx])) <= 1e-13 * np.max(np.abs(psi_ref))
-    psi_ref[model.block_idx] = 0.0
-    assert np.all(psi_ref == 0.0)
+    half = compress(grid32, field).reshape(2, -1)
+    assert block.tobytes() == half[:, model.block_idx].tobytes()
+    half[:, model.block_idx] = 0.0
+    assert not half.any()
+
+
+@pytest.mark.parametrize("k_modes", [8, 64])
+@pytest.mark.parametrize("mix", [False, True])
+def test_step_curl_of_xi_is_the_stokes_part_of_the_noise(grid32, rng, mix, k_modes):
+    # the step adds its xi_mult, -(eps / Re) E (i ky, -i kx), contracted with
+    # xi's velocity on the block: -eps E A psi_xi with A = |k|^2 / Re, whose
+    # |k|^2 cancels the 1 / |k|^2 of the stream function; a wrong sign or a
+    # missing 1 / Re (Re = 100 here) fails
+    ctx = build_context(short_config(k_modes=k_modes, noise_mixing=mix))
+    model = ctx.noise
+    work = solver._StepWorkspace(ctx, 1e-3)
+    dbeta = rng.standard_normal(k_modes)
+    m = grid32.pad_size
+    block, _ = model.separable_xi(dbeta, model.wy, np.empty((2, m, m)))
+    got = (work.xi_mult * block).sum(axis=0)
+    a_diag = grid32.half_k_sq / ctx.reynolds
+    psi_xi = stream_function(grid32, compress(grid32, ctx.noise_field(dbeta)))
+    want = (-ctx.epsilon * work.keep * a_diag * psi_xi).reshape(-1)[model.block_idx]
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("n", [32, 64, 128])
