@@ -30,7 +30,6 @@ from .spectral import (
     compress,
     divergence,
     expand,
-    from_physical,
     leray_project,
     sobolev_norm_sq,
     stream_function,
@@ -78,13 +77,6 @@ def _real_mode_entries(grid: TorusGrid, kvec: tuple[int, int], polarization: str
     return np.array([at_k, n * n + at_k, at_minus_k, n * n + at_minus_k]), values
 
 
-def _real_mode_coeffs(grid: TorusGrid, kvec: tuple[int, int], polarization: str) -> np.ndarray:
-    """The mode of ``_real_mode_entries`` as its (2, n, n) coefficients."""
-    c = np.zeros((2, grid.n_modes, grid.n_modes), dtype=complex)
-    c.put(*_real_mode_entries(grid, kvec, polarization))
-    return c
-
-
 # build_context's errstate, which the derived fields keep when first read
 _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
@@ -96,8 +88,8 @@ class NoiseModel:
     runs for any eps share them).  ``entries`` is the only stored copy of
     the weighted eigenfunctions (amplitude folded in): for each mode, the
     flat indices into its (2, n, n) coefficients of the positions it holds
-    and its values there.  Every other field is derived from them one mode
-    at a time (``modes``).  Stored are those a run reads: ``a_pad``, the
+    and its values there.  Every other field is derived from them, a from
+    each mode's entry products.  Stored are those a run reads: ``a_pad``, the
     variance tensor a on the padded grid; ``drift_projected``, the Leray
     projection of the Ito-Stokes drift u_s = 0.5 div a, and ``drift_pad``,
     u_s on the padded grid; ``psi_us`` and ``psi_div_a_grad_us``, the stream
@@ -131,7 +123,7 @@ class NoiseModel:
     def __post_init__(self):
         grid, m = self.grid, self.grid.pad_size
         self.block_idx, self.xi_terms, self.ex, self.wy = _separable_tables(grid, self.entries)
-        a_hat = _variance_hat(grid, _variance_tensor(grid, self.modes()))
+        a_hat = _variance_hat(grid, self.entries)
         self.a_pad = to_physical(grid, a_hat, m)
         us = _ito_stokes_drift(grid, a_hat)
         self.drift_projected = leray_project(grid, us)
@@ -162,12 +154,12 @@ class NoiseModel:
     @cached_property
     @_quiet_overflow
     def variance_tensor(self) -> np.ndarray:
-        return _variance_tensor(self.grid, self.modes())
+        return to_physical(self.grid, self.variance_hat)
 
     @cached_property
     @_quiet_overflow
     def variance_hat(self) -> np.ndarray:
-        return _variance_hat(self.grid, self.variance_tensor)
+        return _variance_hat(self.grid, self.entries)
 
     @cached_property
     @_quiet_overflow
@@ -192,17 +184,22 @@ class NoiseModel:
         return block.reshape(2, -1), np.matmul(cols.view(float), wy, out=out)
 
 
-def _variance_tensor(grid: TorusGrid, modes) -> np.ndarray:
-    """a = sum_k phi_k phi_k^T on the physical grid, summed over ``modes``."""
-    a = np.zeros((2, 2, grid.n_modes, grid.n_modes))
-    for coeffs in modes:
-        phys = to_physical(grid, coeffs)
-        a += phys[:, None] * phys[None, :]
-    return a
-
-
-def _variance_hat(grid: TorusGrid, a: np.ndarray) -> np.ndarray:
-    return expand(grid, from_physical(grid, a))
+def _variance_hat(grid: TorusGrid, entries: tuple) -> np.ndarray:
+    """a's coefficients, (2, 2, n, n): component j of entry p times component
+    l of entry q of each mode, added in mode order at (k_p + k_q) mod n as
+    the product on the n x n grid aliases it, and kept on the retained modes
+    of the half layout; the sums at k and -k differ in rounding, so the ky =
+    0 column is written as conjugate pairs, as ``from_physical`` writes it."""
+    n, h = grid.n_modes, grid.n_modes // 2
+    a_hat = np.zeros((2, 2, n, n), dtype=complex)
+    for idx, values in entries:
+        comp, kx, ky = np.unravel_index(idx, (2, n, n))
+        at = comp[:, None], comp, (kx[:, None] + kx) % n, (ky[:, None] + ky) % n
+        np.add.at(a_hat, at, values[:, None] * values)
+    half = compress(grid, a_hat, n)
+    np.conjugate(half[..., h - 1:0:-1, 0], out=half[..., h + 1:, 0])
+    half[..., 0, 0] = half[..., 0, 0].real
+    return expand(grid, half)
 
 
 def _ito_stokes_drift(grid: TorusGrid, a_hat: np.ndarray) -> np.ndarray:
@@ -441,8 +438,8 @@ class WienerPath:
         if _increments is not None:
             self.increments = _increments
         else:
-            bitgen = np.random.Philox(key=[self.seed % 2**64, self.member % 2**64])
-            gen = np.random.Generator(bitgen)
+            key = np.array([self.seed % 2**64, self.member % 2**64], np.uint64)
+            gen = np.random.Generator(np.random.Philox(key=key))
             raw = gen.integers(0, 2**53, size=(self.n_steps, self.k_modes), dtype=np.int64)
             self.increments = _increments_from_bits(raw, self.dt)
             self._self_check()

@@ -25,10 +25,10 @@ G(v) phi_k is ``noise_increment`` with a unit increment vector.
 
 Key discrete identities, exact up to rounding thanks to dealiasing:
 (A v, v)_H = (1/Re)||v||_V^2, (B(u, v), v)_H = 0, b(u,v,w) = -b(u,w,v),
-and the energy pairing (eps^2/2) sum_k |(phi_k.grad)v|^2 =
-(eps^2/2)(a grad v, grad v), the last only while the sums and differences
-of every mode's wavevectors lie inside the N grid, as a = sum phi phi^T is
-formed on it (1.2e-3 relative apart at N = 16, K = 112 mixed, r = 1).
+and the energy pairing (eps^2/2) sum_k |(phi_k.grad)v|^2 = (eps^2/2)(a grad
+v, grad v), the last only while every mode's wavevector sums and differences
+lie inside the N grid, as a folds each mode's entry products at (k_p + k_q)
+mod N (up to 1.3e-4 relative apart at N = 16, K = 112 mixed, r = 1).
 """
 
 from __future__ import annotations

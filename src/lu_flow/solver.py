@@ -144,7 +144,7 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> np.n
         return leray_project(grid, expand(grid, from_physical(grid, np.stack([ux, uy]))))
     if kind == "random_band":
         rng_seed = params.get("seed", 0)
-        gen = np.random.Generator(np.random.Philox(key=[rng_seed, 2**32]))
+        gen = np.random.Generator(np.random.Philox(key=np.array([rng_seed, 2**32], np.uint64)))
         coeffs = random_solenoidal(grid, gen, params.get("k_min", 1),
                                    params.get("k_max", grid.n_modes // 4))
         coeffs *= np.sqrt(params.get("energy", 1.0) / energy(grid, coeffs))

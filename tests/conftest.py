@@ -50,20 +50,30 @@ def held_bytes(obj) -> int:
     return sum(owners.values())
 
 
+def real_mode_coeffs(grid, kvec, polarization):
+    """The unit-H-norm real mode of ``noise._real_mode_entries`` as its (2,
+    n, n) coefficients."""
+    from lu_flow.noise import _real_mode_entries
+
+    c = np.zeros((2, grid.n_modes, grid.n_modes), dtype=complex)
+    c.put(*_real_mode_entries(grid, kvec, polarization))
+    return c
+
+
 def synthetic_inhomogeneous_model(grid, amplitude=1.0):
     """Hand-built noise model mixing wavevectors from different shells.
 
     Not an eigenbasis; used where the tested machinery needs a noise model
     whose drift and quartic correction are all nonzero.
     """
-    from lu_flow.noise import NoiseModel, _real_mode_coeffs
+    from lu_flow.noise import NoiseModel
 
-    c1 = _real_mode_coeffs(grid, (0, 1), "cos")
-    c2 = _real_mode_coeffs(grid, (2, 0), "cos")
-    s1 = _real_mode_coeffs(grid, (1, 0), "sin")
-    s2 = _real_mode_coeffs(grid, (1, 2), "sin")
+    c1 = real_mode_coeffs(grid, (0, 1), "cos")
+    c2 = real_mode_coeffs(grid, (2, 0), "cos")
+    s1 = real_mode_coeffs(grid, (1, 0), "sin")
+    s2 = real_mode_coeffs(grid, (1, 2), "sin")
     combos = [(c1 + c2) / np.sqrt(2), (s1 + s2) / np.sqrt(2),
-              _real_mode_coeffs(grid, (1, 1), "cos")]
+              real_mode_coeffs(grid, (1, 1), "cos")]
     entries = []
     for coeffs in combos:
         flat = (amplitude * coeffs).reshape(-1)

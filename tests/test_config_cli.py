@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -585,6 +586,35 @@ def test_seed_of_2_to_the_64_minus_1_is_accepted(monkeypatch, source):
     config, _ = parse_config(json.dumps(doc))
     seed = config.initial_params["seed"] if source == "initial.seed" else config.seed
     assert seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("source", sorted(SEED_SOURCES))
+def test_cli_seeds_from_2_to_the_63_key_their_own_runs(tmp_path, monkeypatch, source):
+    # a key list holding a word >= 2^63 goes through float64: 2^63 + 1 would
+    # run with key 2^63, and every seed from 2^64 - 1024 on with seed 0's key
+    def trajectory(seed):
+        doc, env = SEED_SOURCES[source](seed)
+        if env is not None:
+            monkeypatch.setenv("LU_FLOW_SEED", env)
+        out = tmp_path / str(seed)
+        assert main(["simulate", "--config", _write_config(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        return (out / "trajectory.csv").read_bytes()
+
+    assert trajectory(2**63) != trajectory(2**63 + 1)
+    assert trajectory(2**64 - 1) != trajectory(0)
+
+
+def test_cli_converge_at_the_largest_seed_warns_nothing(tmp_path):
+    # the study builds member 0's path outside run's errstate, where a key
+    # list holding 2^64 - 1 warned of an invalid cast
+    doc = dict(SMALL, noise={"K": 2, "seed": 2**64 - 1},
+               study={"epsilons": [0.2, 0.1], "ensemble_size": 2})
+    cfg = _write_config(tmp_path, doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("text", [

@@ -125,18 +125,40 @@ def test_too_many_modes_rejected():
         build_noise_model(TorusGrid(8), 500, 3.0, 1.0)
 
 
+def entry_product_variance_hat(g, entries):
+    """a's coefficients, (2, 2, n, n), summed by hand: for each mode in turn
+    and each pair (p, q) of its entries, p outer, the product of component
+    j of p and component l of q added at (k_p + k_q) mod n, where the
+    product on the n x n grid aliases it; then the Nyquist modes zeroed, the
+    kx < 0 half of the ky = 0 column and the ky < 0 half written as the
+    conjugates of their mirrors and the mean made real."""
+    n, h = g.n_modes, g.n_modes // 2
+    a_hat = np.zeros((2, 2, n, n), dtype=complex)
+    for idx, values in entries:
+        products = values[:, None] * values
+        for p, q in np.ndindex(products.shape):
+            j, kx_p, ky_p = np.unravel_index(idx[p], (2, n, n))
+            l, kx_q, ky_q = np.unravel_index(idx[q], (2, n, n))
+            a_hat[j, l, (kx_p + kx_q) % n, (ky_p + ky_q) % n] += products[p, q]
+    a_hat[..., g.nyquist_mask] = 0.0
+    a_hat[..., h + 1:, 0] = np.conj(a_hat[..., h - 1:0:-1, 0])
+    a_hat[..., 0, 0] = a_hat[..., 0, 0].real
+    a_hat[..., :, h + 1:] = np.conj(a_hat[..., (-np.arange(n)) % n, h - 1:0:-1])
+    return a_hat
+
+
 @pytest.mark.parametrize("kind", ["mix", "pure", "synthetic"])
 def test_model_fields_match_per_field_rebuild(grid16, kind):
     # the entries are each mode's nonzero coefficients, and every field the
     # model fixes in __post_init__ has the bits of the recipe that built it
-    # field by field: a per-mode sum of outer products, one forward
-    # transform, a padded inverse, 0.5 div a and its projection, the fields
-    # of the velocity step built from u_s, and the separable tables of xi on
-    # the block of half-layout rows and columns its modes hold; the xi
-    # triples are the nonzeros of the dense (K, 4 r s) table of the modes'
-    # velocities, so the table is compared with its signed zeros cleared
-    # (0 + x), which add +0 to the dot of the increments with it whatever
-    # their sign
+    # field by field: a's coefficients summed by hand from the products of
+    # each mode's entries, a padded inverse, 0.5 div a and its projection,
+    # the fields of the velocity step built from u_s, and the separable
+    # tables of xi on the block of half-layout rows and columns its modes
+    # hold; the xi triples are the nonzeros of the dense (K, 4 r s) table of
+    # the modes' velocities, so the table is compared with its signed zeros
+    # cleared (0 + x), which add +0 to the dot of the increments with it
+    # whatever their sign
     if kind == "synthetic":
         model = synthetic_inhomogeneous_model(grid16)
     else:
@@ -145,11 +167,8 @@ def test_model_fields_match_per_field_rebuild(grid16, kind):
     phi = model.phi
     flat = phi.reshape(model.k_modes, -1)
     idx = [np.flatnonzero(mode) for mode in flat]
-    a = np.zeros((2, 2, 16, 16))
-    for coeffs in phi:
-        p = to_physical(g, coeffs)
-        a += p[:, None] * p[None, :]
-    a_hat = expand(g, from_physical(g, a))
+    a_hat = entry_product_variance_hat(g, model.entries)
+    a = to_physical(g, a_hat)
     us = np.stack([0.5 * divergence(g, a_hat[i]) for i in range(2)])
     m = g.pad_size
     a_pad = to_physical(g, a_hat, m)
@@ -279,11 +298,8 @@ def test_derived_fields_of_an_overflowed_model_keep_their_bits(grid16):
     g = grid16
     with np.errstate(over="ignore", invalid="ignore"):
         model = build_noise_model(g, 4, 3.0, 1e300, mix_shells=True)
-        a = np.zeros((2, 2, 16, 16))
-        for coeffs in model.phi:
-            p = to_physical(g, coeffs)
-            a += p[:, None] * p[None, :]
-        a_hat = expand(g, from_physical(g, a))
+        a_hat = entry_product_variance_hat(g, model.entries)
+        a = to_physical(g, a_hat)
         us = np.stack([0.5 * divergence(g, a_hat[i]) for i in range(2)])
         a_pad = to_physical(g, a_hat, g.pad_size)
         want = {"variance_tensor": a, "variance_hat": a_hat, "ito_stokes_drift": us,
@@ -333,6 +349,54 @@ def test_variance_tensor_psd_and_trace_identity(grid16):
     total = sum(h_norm(grid16, coeffs) ** 2 for coeffs in model.phi)
     integral = trace.mean() * (2.0 * np.pi) ** 2
     assert abs(integral - total) < 1e-10 * total
+
+
+def physical_variance_hat(g, model):
+    """a's coefficients by the physical-space recipe: each mode on the n x n
+    grid, the pointwise sum of the outer products, one forward transform."""
+    a = np.zeros((2, 2, g.n_modes, g.n_modes))
+    for coeffs in model.modes():
+        p = to_physical(g, coeffs)
+        a += p[:, None] * p[None, :]
+    return expand(g, from_physical(g, a))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("mix", [False, True])
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_variance_hat_from_entries_matches_the_physical_recipe(n, mix, r):
+    # the fold of the entry products at (k_p + k_q) mod n is how the product
+    # on the n x n grid aliases them, so the two agree to rounding at every
+    # K, at N = 16 up to the largest the config accepts, whose wavevector
+    # sums leave the grid (112 mixed, 224 pure)
+    grid = TorusGrid(n)
+    ks = [7, 8, 63, 64] + ([max_modes(n, mix)] if n == 16 else [])
+    for k in ks:
+        model = build_noise_model(grid, k, r, 1.0, mix_shells=mix)
+        want = physical_variance_hat(grid, model)
+        assert np.max(np.abs(model.variance_hat - want)) <= 1e-14 * np.max(np.abs(want)), k
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_homogeneous_noise_gives_a_constant_and_no_drift_exactly(n):
+    # with mix false and even K every wavevector holds its cos and its sin
+    # mode, whose products at +-2k cancel exactly: a is the constant a(0),
+    # bit for bit on the padded grid, and u_s and every field made from it
+    # are exactly zero; at K = 7 the last wavevector's cos mode stands alone,
+    # so a keeps its +-2k
+    grid = TorusGrid(n)
+    for k in (2, 8, 64, max_modes(n) if n == 16 else 792):
+        model = build_noise_model(grid, k, 3.0, 1.0)
+        support = np.flatnonzero(model.variance_hat.any(axis=(0, 1)))
+        assert support.tolist() == [0], k
+        for a in model.a_pad.reshape(4, -1):
+            assert np.all(a == a[0]), k
+        for name in ("drift_pad", "psi_us", "psi_div_a_grad_us"):
+            assert not getattr(model, name).any(), (k, name)
+    model = build_noise_model(grid, 7, 3.0, 1.0)
+    k1, k2 = _mode_wavevectors(grid, 7)[-1]
+    support = {(0, 0), (2 * k1 % n, 2 * k2 % n), (-2 * k1 % n, -2 * k2 % n)}
+    assert set(zip(*np.nonzero(model.variance_hat.any(axis=(0, 1))))) == support
 
 
 # ---------------------------------------------------------------------------
@@ -481,11 +545,24 @@ def test_ndtri_bitwise_on_tails_and_branch_edges():
 
 @pytest.mark.parametrize("seed,member,n_steps,k_modes,dt", [
     (0, 0, 100, 8, 1e-3), (42, 3, 300, 8, 1e-3), (7, 11, 50, 4, 2e-3),
-    (2**40 + 5, 2**33, 64, 16, 0.01),
+    (2**40 + 5, 2**33, 64, 16, 0.01), (2**63 + 5, 3, 64, 8, 1e-3),
 ])
-def test_wiener_path_bitwise_scipy_reference(seed, member, n_steps, k_modes, dt):
+def test_wiener_path_bitwise_scipy_reference(monkeypatch, seed, member, n_steps, k_modes, dt):
+    # the path keys Philox with exactly [seed, member], a seed >= 2^63
+    # included (a key list holding it would be rounded through float64)
+    keys = []
+    philox = np.random.Philox
+
+    def spy(*args, **kwargs):
+        bitgen = philox(*args, **kwargs)
+        keys.append(bitgen.state["state"]["key"].tolist())
+        return bitgen
+
+    monkeypatch.setattr(np.random, "Philox", spy)
     path = WienerPath(seed, dt, n_steps, k_modes, member=member)
-    gen = np.random.Generator(np.random.Philox(key=[seed % 2**64, member % 2**64]))
+    monkeypatch.undo()
+    assert keys == [[seed, member]]
+    gen = np.random.Generator(np.random.Philox(key=np.array([seed, member], dtype=np.uint64)))
     raw = gen.integers(0, 2**53, size=(n_steps, k_modes), dtype=np.int64)
     ref = ndtri((raw.astype(np.float64) + 0.5) / 2**53) * np.sqrt(dt)
     assert path.increments.tobytes() == ref.tobytes()

@@ -16,7 +16,11 @@ fixed:
 - noise models: every field of ``NoiseModel``, stored or made when first
   read, at N = 16 and 64 on both bases, with K = 8 and the largest K whose
   modes' wavevector sums and differences stay inside the N grid (44 and 792
-  pure, 22 and 396 mixed), amplitude 1 and r = 3;
+  pure, 22 and 396 mixed), and at N = 16 with the largest K the config
+  accepts (224 pure, 112 mixed), whose sums leave the grid and fold into a,
+  all with amplitude 1 and r = 3;
+- a Brownian path: the increments of ``WienerPath`` at seed 2^63 + 5,
+  member 0, 300 steps of dt = 1e-3 and K = 8;
 - grids: the Leray multiplier ``_projection`` and the coordinates ``x`` and
   ``y`` at N = 16 and 64;
 - studies, each at K = 8 with seed 7, a random_band initial field and 50
@@ -41,7 +45,7 @@ import numpy as np
 
 from lu_flow import cli
 from lu_flow.diagnostics import contraction_test, epsilon_convergence_study
-from lu_flow.noise import build_noise_model
+from lu_flow.noise import WienerPath, build_noise_model, max_modes
 from lu_flow.solver import SolverConfig, make_initial, run, run_scalar_transport
 from lu_flow.spectral import TorusGrid, _projection, expand, from_physical
 from lu_flow.validation import run_validation_suite
@@ -51,8 +55,10 @@ SWEEP_EPS = (0.1, 0.0)
 SWEEP_STEPS = 300
 SWEEP = ([(n, eps, mix, 8) for n in SWEEP_N for eps in SWEEP_EPS for mix in (False, True)]
          + [(64, 0.1, mix, k) for k in (64, 256) for mix in (False, True)])
-MODEL_SWEEP = [(n, mix, k) for n, bound in ((16, 22), (64, 396)) for mix in (False, True)
-               for k in (8, bound if mix else 2 * bound)]
+MODEL_SWEEP = ([(n, mix, k) for n, bound in ((16, 22), (64, 396)) for mix in (False, True)
+                for k in (8, bound if mix else 2 * bound)]
+               + [(16, mix, max_modes(16, mix)) for mix in (False, True)])
+PATH_SEED = 2**63 + 5
 MODEL_FIELDS = ("entries", "a_pad", "drift_projected", "drift_pad", "psi_us",
                 "psi_div_a_grad_us", "block_idx", "xi_terms", "ex", "wy", "phi",
                 "variance_tensor", "variance_hat", "ito_stokes_drift", "div_a_grad_us")
@@ -152,6 +158,9 @@ def main() -> None:
     for n, mix, k in MODEL_SWEEP:
         print(json.dumps({"model": True, "N": n, "mix": mix, "K": k,
                           "sha256": model_digests(n, mix, k)}), flush=True)
+    path = WienerPath(PATH_SEED, 1e-3, SWEEP_STEPS, 8)
+    print(json.dumps({"path": True, "seed": PATH_SEED, "sha256": _sha(path.increments)}),
+          flush=True)
     for n in (16, 64):
         print(json.dumps({"grid": True, "N": n, "sha256": grid_digests(n)}), flush=True)
     print(json.dumps({"studies": True, "sha256": study_digests()}), flush=True)
