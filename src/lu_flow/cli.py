@@ -46,8 +46,8 @@ def _trajectory_rows(record):
         yield tuple(map(float, row))
 
 
-def _plot(path: Path, xs, curves: dict, xlabel: str, ylabel: str, loglog=False) -> bool:
-    """Write a best-effort PNG; whether it was written.  Decoration only:
+def _plot(path: Path, xs, curves: dict, xlabel: str, ylabel: str) -> bool:
+    """Write a best-effort log-log PNG; whether it was written.  Decoration only:
     acceptance reads CSV, never pixels."""
     try:
         import matplotlib
@@ -56,8 +56,7 @@ def _plot(path: Path, xs, curves: dict, xlabel: str, ylabel: str, loglog=False) 
 
         fig, ax = plt.subplots()
         for label, ys in curves.items():
-            (ax.loglog if loglog else ax.plot)(xs, ys, marker="o" if loglog else None,
-                                               label=label)
+            ax.loglog(xs, ys, marker="o", label=label)
         ax.set_xlabel(xlabel)
         ax.set_ylabel(ylabel)
         ax.legend()
@@ -152,7 +151,7 @@ def cmd_converge(config: SolverConfig, study: dict, out: Path, jobs: int) -> int
         fh.write(f"ensemble_size {report.ensemble_size}\n")
         fh.write("shared_path true\n")  # the study's protocol: one path per member
     plotted = _plot(out / "convergence.png", report.epsilons,
-                    {"RMS sup_t H-error": report.errors_h}, "epsilon", "error", loglog=True)
+                    {"RMS sup_t H-error": report.errors_h}, "epsilon", "error")
     png = ["convergence.png"] if plotted else []
     outputs = ["convergence.csv", "summary.txt", *png, "manifest.json"]
     make_manifest(config, study, outputs).write(out / "manifest.json")

@@ -13,7 +13,7 @@ from functools import cache, partial
 import numpy as np
 
 from .config import ConfigError
-from .noise import NoiseModel
+from .noise import NoiseModel, philox
 from .solver import SolverConfig, TrajectoryRecord, build_context, make_initial, member_path, run
 from .spectral import (
     TorusGrid,
@@ -146,8 +146,7 @@ def _fitted_growth_rate(log_ratio: np.ndarray, times: np.ndarray, epsilon: float
 
 def perturbation_field(grid: TorusGrid, delta: float) -> np.ndarray:
     """Unit-H-norm random divergence-free field scaled by delta."""
-    gen = np.random.Generator(np.random.Philox(key=[1234, 3 * 2**32]))
-    coeffs = random_solenoidal(grid, gen, 1, grid.n_modes // 4)
+    coeffs = random_solenoidal(grid, philox(1234, 3 * 2**32), 1, grid.n_modes // 4)
     coeffs *= delta / h_norm(grid, coeffs)
     return coeffs
 

@@ -28,12 +28,12 @@ from .spectral import (
     TWO_PI,
     TorusGrid,
     compress,
+    div_a_grad,
     divergence,
     expand,
     leray_project,
     sobolev_norm_sq,
     stream_function,
-    tensor_flux,
     to_physical,
 )
 
@@ -129,27 +129,21 @@ class NoiseModel:
         self.drift_projected = leray_project(grid, us)
         self.drift_pad = to_physical(grid, us, m)
         self.psi_us = stream_function(grid, compress(grid, us))
-        div_a_grad_us = _div_a_grad_us(grid, self.a_pad, us)
+        div_a_grad_us = div_a_grad(grid, self.a_pad, us)
         self.psi_div_a_grad_us = stream_function(grid, compress(grid, div_a_grad_us))
 
     @property
     def k_modes(self) -> int:
         return len(self.entries)
 
-    def modes(self):
-        """Each mode's (2, n, n) coefficients in turn, a fresh array rebuilt
-        from its entries (zero elsewhere)."""
-        n = self.grid.n_modes
-        for idx, values in self.entries:
-            coeffs = np.zeros((2, n, n), dtype=complex)
-            coeffs.put(idx, values)
-            yield coeffs
-
     @cached_property
     def phi(self) -> np.ndarray:
         """The modes stacked, (K, 2, n, n): made from the entries when first
         read, and kept.  Only the reference operators and tests read it."""
-        return np.stack(list(self.modes()))
+        phi = np.zeros((self.k_modes, 2, *self.grid.k_sq.shape), dtype=complex)
+        mode, idx, values = _flat_entries(self.entries)
+        phi.reshape(self.k_modes, -1)[mode, idx] = values
+        return phi
 
     @cached_property
     @_quiet_overflow
@@ -169,7 +163,7 @@ class NoiseModel:
     @cached_property
     @_quiet_overflow
     def div_a_grad_us(self) -> np.ndarray:
-        return _div_a_grad_us(self.grid, self.a_pad, self.ito_stokes_drift)
+        return div_a_grad(self.grid, self.a_pad, self.ito_stokes_drift)
 
     def separable_xi(self, dbeta: np.ndarray, wy: np.ndarray, out: np.ndarray) -> tuple:
         """xi = sum_k dbeta_k phi_k as its velocity on ``block_idx``, (2, r s),
@@ -182,6 +176,13 @@ class NoiseModel:
         block = block.view(complex).reshape(2, self.ex.shape[1], -1)
         cols = np.matmul(self.ex, block)
         return block.reshape(2, -1), np.matmul(cols.view(float), wy, out=out)
+
+
+def _flat_entries(entries: tuple) -> tuple:
+    """Every mode's entries in mode order, as the mode, flat index and value
+    of each."""
+    mode = np.repeat(np.arange(len(entries)), [len(idx) for idx, _ in entries])
+    return (mode, *(np.concatenate(part) for part in zip(*entries)))
 
 
 def _variance_hat(grid: TorusGrid, entries: tuple) -> np.ndarray:
@@ -206,10 +207,6 @@ def _ito_stokes_drift(grid: TorusGrid, a_hat: np.ndarray) -> np.ndarray:
     return np.stack([0.5 * divergence(grid, a_hat[i]) for i in range(2)])
 
 
-def _div_a_grad_us(grid: TorusGrid, a_pad: np.ndarray, us: np.ndarray) -> np.ndarray:
-    return leray_project(grid, divergence(grid, tensor_flux(grid, a_pad, us)))
-
-
 def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple:
     """The velocity of every mode on the smallest block of half-layout rows
     and leading columns that holds them, (2, r, s) complex per mode, as (its
@@ -222,9 +219,8 @@ def _separable_tables(grid: TorusGrid, entries: tuple) -> tuple:
     the terms per column gives the block of sum_k dbeta_k phi_k bitwise.  The
     step takes the curl of this block, so no stream function of xi is kept."""
     n, m, h = grid.n_modes, grid.pad_size, grid.n_modes // 2
-    mode = np.repeat(np.arange(len(entries)), [len(idx) for idx, _ in entries])
-    comp, i, col = np.unravel_index(np.concatenate([idx for idx, _ in entries]), (2, n, n))
-    values = np.concatenate([v for _, v in entries])
+    mode, idx, values = _flat_entries(entries)
+    comp, i, col = np.unravel_index(idx, (2, n, n))
     held = (col < h) & (i != h) & (values != 0)  # nonzeros of the retained ky >= 0 half
     if not held.any():
         return (None,) * 4
@@ -314,10 +310,12 @@ def check_regularity(model: NoiseModel) -> dict:
     ||u_s||_{H3}.  It passes when the half-mass indicator, which stays
     bounded away from zero for divergent spectra at any truncation, is at
     most 0.1.  A partial sum that is not finite (modes that overflowed) has
-    a NaN indicator and fails.
+    a NaN indicator and fails.  Each term is a sum over its mode's entries.
     """
     grid = model.grid
-    terms = np.array([sobolev_norm_sq(grid, coeffs, 3) for coeffs in model.modes()])
+    mode, idx, values = _flat_entries(model.entries)
+    weight = (1.0 + grid.k_sq.reshape(-1)[idx % grid.k_sq.size]) ** 3
+    terms = TWO_PI**2 * np.bincount(mode, weight * np.abs(values) ** 2, minlength=model.k_modes)
     partial = float(terms.sum())
     if not np.isfinite(partial):
         tail_ratio = math.nan
@@ -419,6 +417,12 @@ def _increments_from_bits(raw: np.ndarray, dt: float) -> np.ndarray:
     return _ndtri(uniforms) * np.sqrt(dt)
 
 
+def philox(seed: int, stream: int) -> np.random.Generator:
+    """Philox keyed by [seed, stream] in [0, 2^64), as uint64: a key list is
+    cast through float64, which rounds keys above 2^53."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, stream], np.uint64)))
+
+
 class WienerPath:
     """Reproducible table of Brownian increments, shape (n_steps, K).
 
@@ -438,8 +442,7 @@ class WienerPath:
         if _increments is not None:
             self.increments = _increments
         else:
-            key = np.array([self.seed % 2**64, self.member % 2**64], np.uint64)
-            gen = np.random.Generator(np.random.Philox(key=key))
+            gen = philox(self.seed % 2**64, self.member % 2**64)
             raw = gen.integers(0, 2**53, size=(self.n_steps, self.k_modes), dtype=np.int64)
             self.increments = _increments_from_bits(raw, self.dt)
             self._self_check()

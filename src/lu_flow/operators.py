@@ -19,8 +19,8 @@ are the reference that step is tested against.  Every flux a grad f, here
 and in the steps, comes from ``spectral`` with the padded variance tensor
 ``NoiseModel.a_pad``: ``tensor_flux``/``tensor_flux_physical``, or for the
 velocity step ``tensor_flux_curl``, the parts of the flux its curl reads,
-formed from three entries of a.
-P div(a grad u_s) is made once, with ``tensor_flux``, by the noise model.
+formed from three entries of a.  ``spectral.div_a_grad`` is P div(a grad f):
+of v in ``apply_F``, and of u_s once, by the noise model.
 G(v) phi_k is ``noise_increment`` with a unit increment vector.
 
 Key discrete identities, exact up to rounding thanks to dealiasing:
@@ -42,7 +42,7 @@ from .noise import NoiseModel
 from .spectral import (
     TorusGrid,
     advect,
-    divergence,
+    div_a_grad,
     gradient,
     h_inner,
     leray_project,
@@ -158,14 +158,8 @@ def trilinear_b(ctx: OperatorContext, u: np.ndarray, v: np.ndarray, w: np.ndarra
     return h_inner(ctx.grid, w, uv)
 
 
-def _div_a_grad(ctx: OperatorContext, coeffs: np.ndarray) -> np.ndarray:
-    """P div(a grad f) for a 2-component field f, dealiased."""
-    grid = ctx.grid
-    return leray_project(grid, divergence(grid, tensor_flux(grid, ctx.a_pad, coeffs)))
-
-
 def dirichlet_form(ctx: OperatorContext, coeffs: np.ndarray) -> float:
-    """(a grad f, grad f)_H with the same dealiased flux as _div_a_grad."""
+    """(a grad f, grad f)_H with the dealiased flux of ``spectral.div_a_grad``."""
     grid = ctx.grid
     return h_inner(grid, gradient(grid, coeffs), tensor_flux(grid, ctx.a_pad, coeffs))
 
@@ -178,7 +172,7 @@ def apply_F(ctx: OperatorContext, v: np.ndarray) -> np.ndarray:
         return np.zeros_like(v)
     us = ctx.noise.ito_stokes_drift
     out = eps2 * apply_B(ctx, v, us)
-    out -= 0.5 * eps2 * _div_a_grad(ctx, v)
+    out -= 0.5 * eps2 * div_a_grad(grid, ctx.a_pad, v)
     out -= 0.5 * eps2**2 * ctx.div_a_grad_us
     out -= eps2 * leray_project(grid, (grid.k_sq / ctx.reynolds) * us)
     # + eps^2 P d/dt u_s: identically zero for time-independent noise

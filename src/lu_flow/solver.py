@@ -56,7 +56,7 @@ from functools import partial
 import numpy as np
 
 from .config import ConfigError, SolverConfig
-from .noise import NoiseModel, WienerPath, _quiet_overflow, build_noise_model
+from .noise import NoiseModel, WienerPath, _quiet_overflow, build_noise_model, philox
 from .operators import OperatorContext
 from .spectral import (
     TorusGrid,
@@ -143,8 +143,7 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> np.n
         uy = -scale * np.sin(grid.x) * np.cos(grid.y)
         return leray_project(grid, expand(grid, from_physical(grid, np.stack([ux, uy]))))
     if kind == "random_band":
-        rng_seed = params.get("seed", 0)
-        gen = np.random.Generator(np.random.Philox(key=np.array([rng_seed, 2**32], np.uint64)))
+        gen = philox(params.get("seed", 0), 2**32)
         coeffs = random_solenoidal(grid, gen, params.get("k_min", 1),
                                    params.get("k_max", grid.n_modes // 4))
         coeffs *= np.sqrt(params.get("energy", 1.0) / energy(grid, coeffs))

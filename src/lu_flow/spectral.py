@@ -316,6 +316,11 @@ def tensor_flux(grid: TorusGrid, a_pad: np.ndarray, f: np.ndarray) -> np.ndarray
     return expand(grid, from_physical(grid, tensor_flux_physical(a_pad, g)))
 
 
+def div_a_grad(grid: TorusGrid, a_pad: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """P div(a grad f) for a 2-component field f, from the dealiased flux."""
+    return leray_project(grid, divergence(grid, tensor_flux(grid, a_pad, f)))
+
+
 # ---------------------------------------------------------------------------
 # inner products and norms (L2 over [0, 2pi)^2, Parseval form)
 

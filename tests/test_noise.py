@@ -31,6 +31,7 @@ from lu_flow.spectral import (
     from_physical,
     h_norm,
     leray_project,
+    sobolev_norm_sq,
     stream_function,
     tensor_flux,
     to_physical,
@@ -355,7 +356,7 @@ def physical_variance_hat(g, model):
     """a's coefficients by the physical-space recipe: each mode on the n x n
     grid, the pointwise sum of the outer products, one forward transform."""
     a = np.zeros((2, 2, g.n_modes, g.n_modes))
-    for coeffs in model.modes():
+    for coeffs in model.phi:
         p = to_physical(g, coeffs)
         a += p[:, None] * p[None, :]
     return expand(g, from_physical(g, a))
@@ -456,6 +457,33 @@ def test_regularity_fails_a_model_that_overflowed(grid16):
 def test_regularity_pass_fail(grid32):
     assert check_regularity(build_noise_model(grid32, 16, 3.0, 1.0))["passes"]
     assert not check_regularity(build_noise_model(grid32, 16, 1.0, 1.0))["passes"]
+
+
+def dense_regularity(grid, model):
+    """The partial sum and tail ratio of ``check_regularity`` by the dense
+    recipe: ``sobolev_norm_sq`` of each mode's (2, n, n) coefficients."""
+    terms = np.array([sobolev_norm_sq(grid, coeffs, 3) for coeffs in model.phi])
+    partial = float(terms.sum())
+    return partial, float(terms[len(terms) // 2:].sum() / partial)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("mix", [False, True])
+@pytest.mark.parametrize("r", [1.0, 3.0])
+def test_regularity_terms_from_entries_match_the_dense_recipe(n, mix, r):
+    # each mode's H^3 mass summed over its entries, odd and even K, and at
+    # N = 16 the largest K the config accepts (224 pure, 112 mixed); a mode's
+    # entries are added in their order, not in the pairwise order of a sum
+    # over its N^2 points, so the tail ratio may differ in its last bits (at
+    # most 2 ulp, at N = 16, K = 63 mixed, r = 1), but not whether it passes
+    grid = TorusGrid(n)
+    for k in [7, 8, 63, 64] + ([max_modes(n, mix)] if n == 16 else []):
+        model = build_noise_model(grid, k, r, 1.0, mix_shells=mix)
+        partial, tail = dense_regularity(grid, model)
+        rep = check_regularity(model)
+        assert abs(rep["partial_sum_h3"] - partial) <= 1e-15 * partial, k
+        assert abs(rep["tail_ratio"] - tail) <= 1e-15 * tail, k
+        assert rep["passes"] == (tail <= 0.1), k
 
 
 # ---------------------------------------------------------------------------

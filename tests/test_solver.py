@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from lu_flow import solver
 from lu_flow.diagnostics import epsilon_convergence_study
@@ -276,6 +277,52 @@ def test_fused_steps_are_affine_in_the_increments(monkeypatch, rng, mix, epsilon
         got = f(-1.7 * d1 + d2)
         defect = np.max(np.abs(got - (-1.7 * f(d1) + f(d2))))
         assert defect <= 1e-11 * np.max(np.abs(got)), name
+
+
+def test_tracer_ensemble_mean_is_the_zero_increment_run(monkeypatch):
+    # the tracer step is linear in q and affine in dbeta, and each step's
+    # increments are independent of q with mean 0, so E[q_n] is the
+    # zero-increment run exactly.  At N = 16, K = 8 mixed, r = 1, eps = 0.5,
+    # T = 0.2 the gate is the largest |z| of the members' mean over the 224
+    # real parts of the independent coefficients (ky > 0, or ky = 0 and kx >
+    # 0), at a family-wise false-alarm rate of 1e-3: Bonferroni over the 224
+    # with Student's t.  64 members pass (|z| read 2.26, against 5.02); 32
+    # members whose increments have mean 0.1 sqrt(dt) fail (16.4, against 5.55)
+    cfg = SolverConfig(n_modes=16, epsilon=0.5, dt=1e-3, t_end=0.2, k_modes=8,
+                       noise_mixing=True, spectrum_exponent=1.0, seed=11,
+                       initial_kind="random_band", initial_params={"seed": 7})
+    ctx = build_context(cfg)
+    grid = ctx.grid
+    q0 = expand(grid, from_physical(
+        grid, np.sin(grid.x) * np.sin(2 * grid.y) + 0.5 * np.cos(2 * grid.x)))
+    advances = []
+    monkeypatch.setattr(solver, "_integrate",
+                        lambda grid, state, advance, *args, **kwargs: advances.append(advance))
+    run_scalar_transport(cfg, q0, make_initial(cfg.initial_kind, grid, cfg.initial_params),
+                         model=ctx.noise)
+    independent = ~grid.nyquist_mask & ((grid.ky > 0) | ((grid.ky == 0) & (grid.kx > 0)))
+
+    def final(increments):
+        q = compress(grid, q0)
+        for dbeta in increments:
+            q = advances[0](q, dbeta)
+        q = expand(grid, q)[independent]
+        return np.concatenate([q.real, q.imag])
+
+    expected = final(np.zeros((cfg.n_steps, cfg.k_modes)))
+    assert expected.size == 224
+
+    def z_and_threshold(paths):
+        diff = np.array([final(path) for path in paths]) - expected
+        z = diff.mean(axis=0) / diff.std(axis=0, ddof=1) * np.sqrt(len(paths))
+        return np.max(np.abs(z)), stdtrit(len(paths) - 1, 1 - 1e-3 / (2 * expected.size))
+
+    paths = [WienerPath(cfg.seed, cfg.dt, cfg.n_steps, cfg.k_modes, member=m).increments
+             for m in range(64)]
+    z, threshold = z_and_threshold(paths)
+    assert z <= threshold
+    z, threshold = z_and_threshold([path + 0.1 * np.sqrt(cfg.dt) for path in paths[:32]])
+    assert z > threshold
 
 
 # K = 64 gives xi a block of 9 x 5 (pure) or 13 x 7 (mixed) half-layout

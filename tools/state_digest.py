@@ -111,12 +111,22 @@ def transport_digest(n: int, eps: float, mix: bool, steps: int, k: int = 8) -> s
     return _sha(record.times, record.diagnostics["energy"])
 
 
+def _modes(model):
+    """Each mode's (2, n, n) coefficients in turn, its entries put into zeros."""
+    n = model.grid.n_modes
+    for idx, values in model.entries:
+        coeffs = np.zeros((2, n, n), dtype=complex)
+        coeffs.put(idx, values)
+        yield coeffs
+
+
 def model_digests(n: int, mix: bool, k: int) -> dict:
     """Hex SHA-256 of each field of the noise model at N = n with K = k;
     ``phi``, (K, 2, n, n), is digested as its modes in turn, each one (2, n,
-    n), so that the stack (103 MiB at N = 64, K = 792) is never made."""
+    n) and made from the entries here, so that the stack (103 MiB at N = 64,
+    K = 792) is never made."""
     model = build_noise_model(TorusGrid(n), k, 3.0, 1.0, mix_shells=mix)
-    return {name: _sha(model.modes() if name == "phi" else getattr(model, name))
+    return {name: _sha(_modes(model) if name == "phi" else getattr(model, name))
             for name in MODEL_FIELDS}
 
 
