@@ -98,6 +98,10 @@ def _check_number(value, name, *, positive=False, integer=False, minimum=None,
         raise ConfigError(f"field {name!r} must be <= {maximum}, got {value!r}")
 
 
+def band_bounds(params: dict, n_modes: int) -> tuple:
+    return params.get("k_min", 1), params.get("k_max", n_modes // 4)  # random_band's defaults
+
+
 def _step_count(dt: float, t_end: float) -> int:
     """Steps of size dt > 0 to t_end; ConfigError unless t_end = n dt, n >= 1."""
     if not t_end >= dt:
@@ -176,10 +180,16 @@ class SolverConfig:
             elif not isinstance(params[key], str):  # an int would be opened as a file descriptor
                 raise ConfigError(f"field 'initial.{key}' must be a string, got {params[key]!r}")
         if kind == "random_band":
-            k_min, k_max = params.get("k_min", 1), params.get("k_max", n // 4)
-            k = np.arange(1 - n // 2, n // 2)  # the retained wavenumbers, Nyquist left out
-            k_sq = k[:, None] ** 2 + k[None, :] ** 2
-            if not band_mask(k_sq[k_sq > 0], k_min, k_max).any():  # the mean mode is projected out
+            k_min, k_max = band_bounds(params, n)
+            # no n x n lattice: |k| grows with |ky| in each row kx >= 0 of the retained modes, so
+            # only the |ky| next to where it reaches k_min (capped at n) can be in the band
+            for start in range(0, min(n // 2, int(min(k_max, n)) + 2), 2**16):  # rows to k_max
+                kx_sq = np.arange(start, min(start + 2**16, n // 2))[:, None] ** 2
+                ky = np.ceil(np.sqrt(np.maximum(min(k_min, n) ** 2 - kx_sq, 0))) + [-1, 0, 1]
+                k_sq = kx_sq + np.clip(ky, 0, n // 2 - 1).astype(np.int64) ** 2
+                if (band_mask(k_sq, k_min, k_max) & (k_sq > 0)).any():  # the mean is projected out
+                    break
+            else:
                 raise ConfigError(f"fields 'initial.k_min' and 'initial.k_max' give a band "
                                   f"[{k_min!r}, {k_max!r}] that holds no mode at N={n}")
         object.__setattr__(self, "initial_params", _FrozenParams(params))

@@ -32,6 +32,7 @@ from .spectral import (
     divergence,
     expand,
     leray_project,
+    mirror_ky0,
     sobolev_norm_sq,
     stream_function,
     to_physical,
@@ -190,17 +191,14 @@ def _variance_hat(grid: TorusGrid, entries: tuple) -> np.ndarray:
     l of entry q of each mode, added in mode order at (k_p + k_q) mod n as
     the product on the n x n grid aliases it, and kept on the retained modes
     of the half layout; the sums at k and -k differ in rounding, so the ky =
-    0 column is written as conjugate pairs, as ``from_physical`` writes it."""
-    n, h = grid.n_modes, grid.n_modes // 2
+    0 column is written as conjugate pairs (``mirror_ky0``)."""
+    n = grid.n_modes
     a_hat = np.zeros((2, 2, n, n), dtype=complex)
     for idx, values in entries:
         comp, kx, ky = np.unravel_index(idx, (2, n, n))
         at = comp[:, None], comp, (kx[:, None] + kx) % n, (ky[:, None] + ky) % n
         np.add.at(a_hat, at, values[:, None] * values)
-    half = compress(grid, a_hat, n)
-    np.conjugate(half[..., h - 1:0:-1, 0], out=half[..., h + 1:, 0])
-    half[..., 0, 0] = half[..., 0, 0].real
-    return expand(grid, half)
+    return expand(grid, mirror_ky0(grid, compress(grid, a_hat, n)))
 
 
 def _ito_stokes_drift(grid: TorusGrid, a_hat: np.ndarray) -> np.ndarray:

@@ -55,7 +55,7 @@ from functools import partial
 
 import numpy as np
 
-from .config import ConfigError, SolverConfig
+from .config import ConfigError, SolverConfig, band_bounds
 from .noise import NoiseModel, WienerPath, _quiet_overflow, build_noise_model, philox
 from .operators import OperatorContext
 from .spectral import (
@@ -96,18 +96,11 @@ class BlowUpError(RuntimeError):
 
 
 @dataclass
-class TrajectoryRecord:
+class TrajectoryRecord:  # made by _integrate: times i dt, diagnostics finite (else BlowUpError)
     times: np.ndarray
     diagnostics: dict  # one array per diagnostic name, in record order
     # never set by run (states go to its observer); read by perfbench/hook.py
     snapshots: list | None = None
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("record times must be strictly increasing")
-        for name, arr in self.diagnostics.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite diagnostic {name!r}")
 
 
 # A diverging state, or an initial field too large for its transforms,
@@ -135,7 +128,7 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> np.n
     """Initial velocity: the Taylor-Green vortex, a random banded field
     normalized to a target energy, or a loaded snapshot, from parameters that
     ``SolverConfig`` has checked.  ConfigError here is what only the disk
-    can show: a snapshot with no field on ``grid``."""
+    can show: a snapshot ``load_snapshot`` refuses on ``grid``, or not of 2 components."""
     params = params or {}
     if kind == "taylor_green":
         scale = params.get("scale", 1.0)
@@ -144,20 +137,16 @@ def make_initial(kind: str, grid: TorusGrid, params: dict | None = None) -> np.n
         return leray_project(grid, expand(grid, from_physical(grid, np.stack([ux, uy]))))
     if kind == "random_band":
         gen = philox(params.get("seed", 0), 2**32)
-        coeffs = random_solenoidal(grid, gen, params.get("k_min", 1),
-                                   params.get("k_max", grid.n_modes // 4))
+        coeffs = random_solenoidal(grid, gen, *band_bounds(params, grid.n_modes))
         coeffs *= np.sqrt(params.get("energy", 1.0) / energy(grid, coeffs))
         return coeffs
     if kind == "file":
         path = params["path"]
         try:
-            file_grid, coeffs = load_snapshot(path)
+            coeffs = load_snapshot(path, grid)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"initial.path: cannot load {path!r}: {exc}") from exc
-        if file_grid != grid:
-            raise ConfigError(f"initial.path: snapshot grid N={file_grid.n_modes} does not "
-                              f"match run grid N={grid.n_modes}")
-        if coeffs.ndim != 3 or coeffs.shape[0] != 2:
+        if coeffs.shape[0] != 2:
             raise ConfigError("initial.path: snapshot does not hold a 2-component field")
         # the transforms read only the ky >= 0 half, so outside data is made Hermitian
         return hermitian_symmetrize(grid, coeffs)

@@ -12,11 +12,12 @@ m = ``grid.pad_size``: the retained ky >= 0 columns, with each kx row at its
 row of the padded grid (kx = 0 .. n/2-1 at the top, kx = -n/2+1 .. -1 at the
 bottom) and zero rows between.  Hermitian symmetry is then the data layout:
 the ky < 0 half is not stored, and only the ky = 0 column holds conjugate
-pairs, which ``from_physical`` writes exactly.  ``compress`` and ``expand``
+pairs, which ``mirror_ky0`` alone writes.  ``compress`` and ``expand``
 convert between the layouts; ``to_physical`` takes either and
 ``from_physical`` returns the half layout.  A velocity is stepped as its
 stream function psi, one (m, n/2) field, v = (-d_y psi, d_x psi):
 ``stream_function`` and ``stream_velocity`` convert a half-layout velocity.
+``load_snapshot(path, grid)`` checks a snapshot's header, N too, before its payload.
 
 Quadratic terms are evaluated pseudo-spectrally after zero-padding to at
 least 3N/2 points per dimension (the 2/3 rule), which makes products of
@@ -25,6 +26,7 @@ band-limited fields alias-free.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -169,20 +171,26 @@ def from_physical(grid: TorusGrid, values: np.ndarray, rows: np.ndarray | None =
     Batched over leading axes.  One 2D real FFT gives the ky >= 0 half; its
     x-pass runs only on the retained columns ky = 0 .. n/2-1 (bitwise the
     corresponding part of ``numpy.fft.rfft2``).  The rows between the
-    retained ones and the Nyquist row are zeroed, and the kx < 0 part of the
-    ky = 0 column is written as the conjugate mirror of its kx > 0 part, so
-    ``expand`` makes the result exactly Hermitian.  The y-pass writes into
-    ``rows``, complex (..., m, m/2 + 1), and the x-pass into ``out``, complex
-    (..., m, n/2), the result; numpy allocates either one that is None.
+    retained ones and the Nyquist row are zeroed and the ky = 0 column is
+    mirrored by ``mirror_ky0``.  The y-pass writes into ``rows``, complex
+    (..., m, m/2 + 1), and the x-pass into ``out``, complex (..., m, n/2),
+    the result; numpy allocates either one that is None.
     """
     m = values.shape[-1]
     h = grid.n_modes // 2
     rows = np.fft.rfft(values, axis=-1, norm="forward", out=rows)[..., :h]
     out = np.fft.fft(rows, axis=-2, norm="forward", out=out)
     out[..., h:m - h + 1, :] = 0.0
-    np.conjugate(out[..., h - 1:0:-1, 0], out=out[..., m - h + 1:, 0])
-    out[..., 0, 0] = out[..., 0, 0].real
-    return out
+    return mirror_ky0(grid, out)
+
+
+def mirror_ky0(grid: TorusGrid, half: np.ndarray) -> np.ndarray:
+    """``half`` with the kx < 0 part of its ky = 0 column written, in place, as the
+    conjugate mirror of its kx > 0 part and its mean real: ``expand`` makes it Hermitian."""
+    h, m = grid.n_modes // 2, half.shape[-2]
+    np.conjugate(half[..., h - 1:0:-1, 0], out=half[..., m - h + 1:, 0])
+    half[..., 0, 0] = half[..., 0, 0].real
+    return half
 
 
 def hermitian_symmetrize(grid: TorusGrid, coeffs: np.ndarray) -> np.ndarray:
@@ -354,38 +362,37 @@ def energy(grid: TorusGrid, f: np.ndarray) -> float:
 
 def save_snapshot(path, grid: TorusGrid, coeffs: np.ndarray) -> None:
     """Raises ValueError, before the file is opened, if the coefficients are
-    not one or more (n, n) components of the grid, or if one is not finite
-    in complex64 (a real or imaginary part above 3.4e38)."""
+    not (n_comp, n, n) on the grid, or if one is not finite in complex64 (a
+    real or imaginary part above 3.4e38)."""
     arr = np.asarray(coeffs, dtype=np.complex128)
-    if arr.ndim == 2:
-        arr = arr[None]
     if arr.ndim != 3 or arr.shape[1:] != (grid.n_modes, grid.n_modes):
         raise ValueError(f"snapshot coefficients of shape {np.shape(coeffs)} do not fit "
                          f"the grid N={grid.n_modes}")
-    n_comp = arr.shape[0]
     with np.errstate(over="ignore"):  # an overflow is caught by the check below
         interleaved = np.ascontiguousarray(arr.transpose(1, 2, 0).astype(np.complex64))
     if not np.isfinite(interleaved).all():
         raise ValueError("snapshot coefficients must be finite in complex64")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<III", SNAPSHOT_VERSION, grid.n_modes, n_comp))
+        fh.write(struct.pack("<III", SNAPSHOT_VERSION, grid.n_modes, arr.shape[0]))
         fh.write(interleaved.tobytes())
 
 
-def load_snapshot(path) -> tuple[TorusGrid, np.ndarray]:
+def load_snapshot(path, grid: TorusGrid) -> np.ndarray:
+    """The (n_comp, n, n) coefficients of a snapshot on ``grid``; ValueError for a
+    bad magic, header, version or N, then for the file's size, before the payload is read."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic, header = fh.read(4), fh.read(12)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {magic!r}")
-        version, n, n_comp = struct.unpack("<III", fh.read(12))
+        if len(header) != 12:
+            raise ValueError(f"truncated snapshot header of {len(header)} bytes")
+        version, n, n_comp = struct.unpack("<III", header)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
+        if n != grid.n_modes:
+            raise ValueError(f"snapshot grid N={n} does not match run grid N={grid.n_modes}")
+        if os.fstat(fh.fileno()).st_size != 16 + 8 * n * n * n_comp:  # read no payload yet
+            raise ValueError(f"snapshot payload is not {n_comp} components of N={n}")
         raw = np.frombuffer(fh.read(), dtype=np.complex64)
-    if raw.size != n * n * n_comp:
-        raise ValueError("truncated snapshot payload")
-    coeffs = raw.reshape(n, n, n_comp).transpose(2, 0, 1).astype(np.complex128)
-    grid = TorusGrid(n)
-    if n_comp == 1:
-        coeffs = coeffs[0]
-    return grid, coeffs
+    return raw.reshape(n, n, n_comp).transpose(2, 0, 1).astype(np.complex128)

@@ -1,5 +1,6 @@
 """Config parsing, manifests, and the lu-flow command line."""
 
+import functools
 import json
 import os
 import pickle
@@ -14,9 +15,9 @@ import numpy as np
 import pytest
 
 from lu_flow.cli import main
-from lu_flow.config import ConfigError, config_hash, make_manifest, parse_config
+from lu_flow.config import ConfigError, band_bounds, config_hash, make_manifest, parse_config
 from lu_flow.solver import SolverConfig
-from lu_flow.spectral import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, TorusGrid, save_snapshot
+from lu_flow.spectral import SNAPSHOT_MAGIC, SNAPSHOT_VERSION, TorusGrid, band_mask, save_snapshot
 
 
 def test_parse_minimal_defaults():
@@ -467,6 +468,79 @@ def test_cli_unknown_random_band_key_is_config_error(tmp_path, capsys, command, 
     assert not out.exists()  # the config is refused before any output is made
 
 
+@functools.cache
+def _lattice(n):
+    k = np.arange(1 - n // 2, n // 2)  # the retained wavenumbers, Nyquist left out
+    return k[:, None] ** 2 + k[None, :] ** 2
+
+
+def _lattice_holds_band(n, k_min, k_max):
+    """The oracle of the band rule: the lattice of every retained mode."""
+    k_sq = _lattice(n)
+    return bool(band_mask(k_sq[k_sq > 0], k_min, k_max).any())  # the mean mode is projected out
+
+
+def _config_holds_band(n, params):
+    """False when SolverConfig refuses the random_band ``params`` for their band."""
+    try:
+        SolverConfig(n_modes=n, initial_kind="random_band", initial_params=params)
+    except ConfigError as exc:
+        return "holds no mode" not in str(exc)
+    return True
+
+
+def test_band_rule_matches_the_lattice_on_the_bad_bands():
+    # each band of a random_band there whose bounds are numbers: the default
+    # one, empty_band, band_beyond_grid and k_min_negative
+    bands = []
+    for initial, _ in _BAD_INITIAL.values():
+        band = {key: initial[key] for key in ("k_min", "k_max") if key in initial}
+        numeric = all(isinstance(v, (int, float)) and np.isfinite(v) for v in band.values())
+        if initial["kind"] == "random_band" and numeric and band not in bands:
+            bands.append(band)
+    assert len(bands) == 4
+    for band in bands:
+        for n in (8, 16, 64):
+            want = _lattice_holds_band(n, *band_bounds(band, n))
+            assert _config_holds_band(n, band) == want, (n, band)
+
+
+@pytest.mark.parametrize("n", [8, 10, 12, 14, 16, 20, 24, 32, 40, 48, 64])
+def test_band_rule_matches_the_lattice(n):
+    # every |k|^2 shell of the grid and the gaps between, as exact and as
+    # rounded bounds, a band from each shell to the next, and the defaults
+    top = 2 * (n // 2 - 1) ** 2 + 2
+    bands = [{}, {"k_min": 0}, {"k_max": 0}, {"k_min": 0.5, "k_max": 0.99}]
+    for t in range(top + 1):
+        r = np.sqrt(t)
+        bands += [{"k_min": r, "k_max": r}, {"k_min": r * (1 + 1e-15), "k_max": r},
+                  {"k_min": r, "k_max": r * (1 - 1e-15)}, {"k_min": r}, {"k_max": r},
+                  {"k_min": r + 1e-9, "k_max": np.sqrt(t + 1) - 1e-9},
+                  {"k_min": float(t), "k_max": r + 0.5}]
+    refused = 0
+    for band in bands:
+        want = _lattice_holds_band(n, *band_bounds(band, n))
+        assert _config_holds_band(n, band) == want, band
+        refused += not want
+    assert 0 < refused < len(bands)
+
+
+@pytest.mark.parametrize("n", [60000, 759250124], ids=["N60000", "Nmax"])
+def test_cli_random_band_on_a_huge_grid_is_config_error(tmp_path, n):
+    # the band rule makes no N x N lattice (27 GiB of int64 at N = 60000), so
+    # such a grid is refused where any grid is, by build_context, at the
+    # largest N the config takes too
+    cfg = _write_config(tmp_path, {"N": n, "T": 0.001, "initial": {"kind": "random_band"}})
+    proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", "simulate", "--config", cfg,
+                           "--out", str(tmp_path / "o")], env=_src_env(),
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"config error: fields 'N' and 'noise.K' ask for a grid of "
+                                  f"N={n} and a noise model of 4 modes")
+
+
 def test_initial_params_cannot_change_and_pickle():
     # the checked parameters cannot be changed behind the checks, the config
     # still pickles (ensemble --jobs sends it to its workers) and hashes as before
@@ -544,6 +618,70 @@ def test_cli_snapshot_grid_mismatch_is_config_error(tmp_path, capsys):
                  "--jobs", "1"]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "N=32" in err and "N=16" in err
+
+
+def _header(version, n, n_comp):
+    return SNAPSHOT_MAGIC + struct.pack("<III", version, n, n_comp)
+
+
+# snapshots that no run at N = 16 can start from, and what the error names
+_BAD_SNAPSHOTS = {
+    "short_header": (SNAPSHOT_MAGIC + b"\x01\x00", "truncated snapshot header of 2 bytes"),
+    "version": (_header(2, 16, 2) + bytes(16 * 16 * 2 * 8), "unsupported snapshot version 2"),
+    "truncated_payload": (_header(SNAPSHOT_VERSION, 16, 2) + bytes(16 * 16 * 2 * 8 - 8),
+                          "snapshot payload is not 2 components of N=16"),
+    "long_payload": (_header(SNAPSHOT_VERSION, 16, 2) + bytes(16 * 16 * 2 * 8 + 8),
+                     "snapshot payload is not 2 components of N=16"),
+    "zero_components": (_header(SNAPSHOT_VERSION, 16, 0), "does not hold a 2-component field"),
+    "one_component": (_header(SNAPSHOT_VERSION, 16, 1) + bytes(16 * 16 * 8),
+                      "does not hold a 2-component field"),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("name", list(_BAD_SNAPSHOTS))
+def test_cli_unusable_snapshot_is_config_error(tmp_path, capsys, command, name):
+    data, detail = _BAD_SNAPSHOTS[name]
+    snap = tmp_path / "bad.lufs"
+    snap.write_bytes(data)
+    cfg = _write_config(tmp_path, dict(SMALL, initial={"kind": "file", "path": str(snap)}))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial.path: ") and detail in err
+
+
+def _huge_grid_header(path):
+    # a header naming N = 40000 and no component: a grid of that N would
+    # take 12 GiB per N x N array of doubles
+    path.write_bytes(_header(SNAPSHOT_VERSION, 40000, 0))
+
+
+def _huge_payload(path):
+    # a right header before 4 GiB of (sparse) zeros
+    with open(path, "wb") as fh:
+        fh.write(_header(SNAPSHOT_VERSION, 16, 2))
+        fh.truncate(4 << 30)
+
+
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("write,detail", [
+    (_huge_grid_header, "snapshot grid N=40000 does not match run grid N=16"),
+    (_huge_payload, "snapshot payload is not 2 components of N=16"),
+], ids=["grid", "payload"])
+def test_cli_snapshot_beyond_memory_is_config_error(tmp_path, command, write, detail):
+    # refused from the header and the file's size, with no grid of the
+    # header's N made and no payload read
+    snap = tmp_path / "huge.lufs"
+    write(snap)
+    cfg = _write_config(tmp_path, dict(SMALL, initial={"kind": "file", "path": str(snap)}))
+    proc = subprocess.run([sys.executable, "-m", "lu_flow.cli", command, "--config", cfg,
+                           "--out", str(tmp_path / "o")], env=_src_env(),
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: initial.path: cannot load ")
+    assert detail in proc.stderr
 
 
 @pytest.mark.parametrize("seed", ["abc", "-3"])

@@ -7,6 +7,7 @@ import pytest
 
 from lu_flow.diagnostics import (
     ContractionReport,
+    _gronwall_c,
     _ls_slope,
     contraction_test,
     energy_budget_transport,
@@ -70,6 +71,20 @@ def test_budget_residual_random_tracer(grid32, rng):
 
 # ---------------------------------------------------------------------------
 # energy estimates
+
+
+@pytest.mark.parametrize("h0_sq,target,t,epsilon", [(1.0, 10.0, 1e-3, 1e-5),
+                                                    (1.0, 2.0, 1.0, 0.5)])
+def test_gronwall_c_is_the_least_c_whose_bound_holds(h0_sq, target, t, epsilon):
+    # the first needs c near 1.6e13, past any cap on the doubling
+    c = float(_gronwall_c(h0_sq, np.array([target]), np.array([t]), epsilon)[0])
+    s = epsilon**2 * t
+
+    def bound(c):
+        return (h0_sq + c * s) * np.exp(c * s)
+
+    assert bound(c) >= target
+    assert bound(c * (1 - 1e-9)) < target
 
 
 def ensemble(cfg, n):
@@ -162,6 +177,15 @@ def test_convergence_study_draws_no_path_without_noise(monkeypatch):
     cfg = SolverConfig(n_modes=16, t_end=0.02, dt=2e-3, record_every=5, amplitude=0.0)
     epsilon_convergence_study(cfg, [0.2, 0.1], 2)
     assert made == []
+
+
+def test_convergence_study_refuses_a_repeated_epsilon_before_any_run(monkeypatch):
+    import lu_flow.diagnostics
+
+    monkeypatch.setattr(lu_flow.diagnostics, "run", None)
+    cfg = SolverConfig(n_modes=16, t_end=0.02, dt=2e-3, record_every=5)
+    with pytest.raises(ValueError, match="epsilons must be distinct"):
+        epsilon_convergence_study(cfg, [0.1, 0.1], 2)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -512,6 +512,11 @@ def test_coarsen_sums_consecutive_increments():
                        fine.increments.reshape(10, 4, 4).sum(axis=1), atol=0)
 
 
+def test_coarsen_by_a_factor_that_does_not_divide_the_steps_raises():
+    with pytest.raises(ValueError, match="not divisible by coarsening factor"):
+        WienerPath(5, 1e-3, 50, 4).coarsen(3)
+
+
 def test_increment_moments():
     # empirical covariance over 1e5 steps within 5 standard errors of diag(dt)
     n, dt = 100_000, 1e-3

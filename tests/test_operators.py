@@ -250,6 +250,14 @@ def test_context_requires_a_positive_finite_reynolds_number(grid16, reynolds):
         OperatorContext(model, 0.1, reynolds)
 
 
+@pytest.mark.parametrize("epsilon", [1.5, -0.1])
+def test_context_requires_epsilon_in_the_unit_interval(grid16, epsilon):
+    # as SolverConfig requires of eps
+    model = build_noise_model(grid16, 4, 3.0, 1.0)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+        OperatorContext(model, epsilon, 100.0)
+
+
 @pytest.mark.parametrize("model", ["mix", "pure", "synthetic"])
 def test_noise_field_matches_tensordot_bitwise(grid32, rng, model):
     # xi is summed on the joint support of the modes, off BLAS, with the bits

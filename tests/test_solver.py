@@ -676,6 +676,16 @@ def test_step_is_looked_up_at_every_step(monkeypatch):
     assert len(calls) == 1
 
 
+def test_cfl_warning_names_the_bound_and_warn_cfl_silences_it():
+    # Taylor-Green of unit scale at N = 16: max|u| = 1, so 0.5 h / max|u| = pi / 16
+    cfg = short_config(n_modes=16, epsilon=0.0, dt=0.25, t_end=0.25, record_every=1)
+    with pytest.warns(RuntimeWarning, match=r"advective CFL exceeded: dt = 0.25 > "
+                                            r"0.5 h / max\|u\| = 0.196"):
+        warned = run(cfg)
+    quiet = run(cfg, warn_cfl=False)  # the suite turns any warning into an error
+    assert np.array_equal(quiet.times, warned.times)
+
+
 @pytest.mark.parametrize("field,ctx_value", [("n_modes", 16), ("k_modes", 8),
                                               ("spectrum_exponent", 1.0), ("amplitude", 0.5),
                                               ("noise_mixing", False)])

@@ -23,6 +23,8 @@ fixed:
   member 0, 300 steps of dt = 1e-3 and K = 8;
 - grids: the Leray multiplier ``_projection`` and the coordinates ``x`` and
   ``y`` at N = 16 and 64;
+- a snapshot: the random_band field (seed 7) at N = 16, written with
+  ``save_snapshot`` and read back by ``make_initial("file", ...)``;
 - studies, each at K = 8 with seed 7, a random_band initial field and 50
   steps of dt = 1e-3: every array and the slope of
   ``epsilon_convergence_study`` at N = 16, eps (0.2, 0.1) and 4 members on
@@ -40,6 +42,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -47,7 +51,7 @@ from lu_flow import cli
 from lu_flow.diagnostics import contraction_test, epsilon_convergence_study
 from lu_flow.noise import WienerPath, build_noise_model, max_modes
 from lu_flow.solver import SolverConfig, make_initial, run, run_scalar_transport
-from lu_flow.spectral import TorusGrid, _projection, expand, from_physical
+from lu_flow.spectral import TorusGrid, _projection, expand, from_physical, save_snapshot
 from lu_flow.validation import run_validation_suite
 
 SWEEP_N = (32, 48, 64, 96, 128)
@@ -136,6 +140,17 @@ def grid_digests(n: int) -> dict:
             "y": _sha(grid.y)}
 
 
+def snapshot_digest(n: int) -> str:
+    """Hex SHA-256 of the random_band field at N = n (seed 7) after a round
+    trip through a snapshot file and the ``file`` initial condition."""
+    grid = TorusGrid(n)
+    field = make_initial("random_band", grid, {"seed": 7})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.lufs"
+        save_snapshot(path, grid, field)
+        return _sha(make_initial("file", grid, {"path": str(path)}))
+
+
 def study_digests() -> dict:
     """Hex SHA-256 of the convergence studies, the contraction reports and
     the ensemble members of the module docstring, by name."""
@@ -173,6 +188,7 @@ def main() -> None:
           flush=True)
     for n in (16, 64):
         print(json.dumps({"grid": True, "N": n, "sha256": grid_digests(n)}), flush=True)
+    print(json.dumps({"snapshot": True, "N": 16, "sha256": snapshot_digest(16)}), flush=True)
     print(json.dumps({"studies": True, "sha256": study_digests()}), flush=True)
     for config in (SolverConfig(), SolverConfig(k_modes=8, noise_mixing=True)):
         print(json.dumps({"validate": True, "K": config.k_modes, "mix": config.noise_mixing,
